@@ -124,10 +124,6 @@ class IntMatrix:
             raise ShapeMismatch("vector length mismatch")
         return [sum(a * b for a, b in zip(row, vec)) for row in self.data]
 
-    def transpose(self):
-        return IntMatrix(list(zip(*self.data)) if self.data else [],
-                         cols=self.rows)
-
     def hstack(self, other):
         if self.rows != other.rows:
             raise ShapeMismatch("row count mismatch")
@@ -411,7 +407,8 @@ class Lattice:
 
     Rows are kept in Hermite echelon form (each row has a pivot column, pivot
     columns strictly increase, pivots positive).  Supports membership tests,
-    canonical forms for equality of lattices, and exact solving.
+    canonical forms for equality of lattices, and exact coordinates over the
+    rows.  The rows are read by callers and must not be mutated.
     """
 
     __slots__ = ("n", "rows", "pivots", "_pivot_at")
@@ -460,20 +457,38 @@ class Lattice:
                 changed = True
         return changed
 
-    def contains(self, vec):
+    def _eliminate(self, vec, stop=None, coeffs=None):
+        """Subtract rows from vec until its first `stop` entries are zero.
+
+        Returns the remainder, or None when an entry has no pivot row or is
+        not divisible by its pivot.  The multiple of row i that was
+        subtracted is stored in coeffs[i] when coeffs is given.
+        """
         v = list(vec)
-        for j in range(self.n):
+        for j in range(self.n if stop is None else stop):
             if not v[j]:
                 continue
             i = self._pivot_at.get(j)
             if i is None:
-                return False
+                return None
             row = self.rows[i]
             if v[j] % row[j] != 0:
-                return False
+                return None
             q = v[j] // row[j]
+            if coeffs is not None:
+                coeffs[i] = q
             v = [x - q * y for x, y in zip(v, row)]
-        return True
+        return v
+
+    def contains(self, vec):
+        return self._eliminate(vec) is not None
+
+    def coordinates(self, vec):
+        """Exact coefficients c with sum(c[i] * rows[i]) == vec."""
+        coeffs = [0] * len(self.rows)
+        if self._eliminate(vec, coeffs=coeffs) is None:
+            raise NotDivisible("vector not in the integer span of the basis")
+        return coeffs
 
     def reduce(self, vec):
         """Reduce vec by the basis as far as divisibility allows."""
@@ -503,9 +518,6 @@ class Lattice:
                                     for x, y in zip(self.rows[i], self.rows[k])]
         return self
 
-    def basis(self):
-        return [list(r) for r in self.rows]
-
     def equals(self, other):
         if self.n != other.n or self.pivots != other.pivots:
             return False
@@ -515,70 +527,6 @@ class Lattice:
 
     def __contains__(self, vec):
         return self.contains(vec)
-
-
-class AugmentedLattice:
-    """Lattice in Z^(h+g) whose first block carries image coordinates.
-
-    Built from pairs (image part, source part); echelon priority on the image
-    block makes kernels and preimages direct reads:
-
-      * rows with pivot >= h have zero image part; their source parts form an
-        echelon basis of {x : the tracked combination maps into the lattice}.
-      * solving  M x == b  (mod relator block)  reduces (b | 0) by the
-        image-pivot rows; success leaves (0 | -x).
-    """
-
-    __slots__ = ("h", "g", "lat")
-
-    def __init__(self, h, g):
-        self.h = h
-        self.g = g
-        self.lat = Lattice(h + g)
-
-    def add_pair(self, image_part, source_part):
-        self.lat.add(list(image_part) + list(source_part))
-
-    def kernel_basis(self):
-        out = []
-        for piv, row in zip(self.lat.pivots, self.lat.rows):
-            if piv >= self.h:
-                out.append(row[self.h:])
-        return out
-
-    def solve(self, target):
-        """Return x with (target | 0) == combo + (0 | -x), or None."""
-        v = list(target) + [0] * self.g
-        for j in range(self.h):
-            if not v[j]:
-                continue
-            i = self.lat._pivot_at.get(j)
-            if i is None or v[j] % self.lat.rows[i][j] != 0:
-                return None
-            q = v[j] // self.lat.rows[i][j]
-            row = self.lat.rows[i]
-            v = [x - q * y for x, y in zip(v, row)]
-        return [-x for x in v[self.h:]]
-
-
-def express_in_basis(basis_rows, vec):
-    """Coefficients of vec in an echelon basis (exact; vec must lie in span)."""
-    v = list(vec)
-    coeffs = []
-    for row in basis_rows:
-        piv = next((j for j, x in enumerate(row) if x), None)
-        if piv is None:
-            coeffs.append(0)
-            continue
-        if v[piv] % row[piv] != 0:
-            raise NotDivisible("vector not in the integer span of the basis")
-        q = v[piv] // row[piv]
-        coeffs.append(q)
-        if q:
-            v = [x - q * y for x, y in zip(v, row)]
-    if any(v):
-        raise NotDivisible("vector not in the integer span of the basis")
-    return coeffs
 
 
 class FpAbelianGroup:
@@ -622,13 +570,7 @@ class FpAbelianGroup:
 
     @cached_property
     def relation_lattice(self):
-        lat = Lattice(self.ngens)
-        for col in self.relations.sparse_columns():
-            vec = [0] * self.ngens
-            for i, v in col.items():
-                vec[i] = v
-            lat.add(vec)
-        return lat.canonicalize()
+        return Lattice(self.ngens, self.relations.columns()).canonicalize()
 
     @property
     def is_trivial(self):
@@ -655,7 +597,7 @@ class FpAbelianGroup:
 
     def normal_form(self, vec):
         """Canonical coset representative of vec modulo the relation lattice."""
-        return tuple(self.relation_lattice.canonicalize().reduce(vec))
+        return tuple(self.relation_lattice.reduce(vec))
 
     def same_presentation(self, other):
         return (self.generators == other.generators
@@ -805,44 +747,44 @@ class AbelianHom:
 
     @cached_property
     def _augmented(self):
-        aug = AugmentedLattice(self.target.ngens, self.source.ngens)
-        for j in range(self.source.ngens):
-            src = [0] * self.source.ngens
+        """Lattice of rows (image | source) in Z^(h+g), h = target gens.
+
+        It is spanned by (M e_j | e_j) and (relator | 0).  Echelon priority on
+        the image block makes kernels and preimages direct reads: rows with
+        pivot >= h have zero image part, and solving M x == b modulo the
+        target relations clears the image block of (b | 0), leaving (0 | -x).
+        """
+        g = self.source.ngens
+        lat = Lattice(self.target.ngens + g)
+        for j in range(g):
+            src = [0] * g
             src[j] = 1
-            aug.add_pair(self.matrix.column(j), src)
-        for col in self.target.relations.sparse_columns():
-            vec = [0] * self.target.ngens
-            for i, v in col.items():
-                vec[i] = v
-            aug.add_pair(vec, [0] * self.source.ngens)
-        return aug
+            lat.add(self.matrix.column(j) + src)
+        for rel in self.target.relations.columns():
+            lat.add(rel + [0] * g)
+        return lat
 
     @cached_property
     def image_lattice(self):
-        lat = Lattice(self.target.ngens)
-        for j in range(self.matrix.cols):
-            lat.add(self.matrix.column(j))
-        for col in self.target.relations.sparse_columns():
-            vec = [0] * self.target.ngens
-            for i, v in col.items():
-                vec[i] = v
-            lat.add(vec)
+        lat = Lattice(self.target.ngens, self.matrix.columns())
+        for rel in self.target.relations.columns():
+            lat.add(rel)
         return lat.canonicalize()
 
     @cached_property
-    def kernel_lattice_basis(self):
+    def kernel_lattice(self):
         """Echelon basis of {x in Z^src : M x lies in the target lattice}."""
-        return self._augmented.kernel_basis()
-
-    def solve_preimage(self, element):
-        """Some x with h(x) == element, or None."""
-        if not element.group.same_presentation(self.target):
-            raise ShapeMismatch("element not in the target group")
-        x = self._augmented.solve(list(element.coeffs))
-        return None if x is None else self.source.element(x)
+        aug, h = self._augmented, self.target.ngens
+        return Lattice(self.source.ngens,
+                       (row[h:] for piv, row in zip(aug.pivots, aug.rows)
+                        if piv >= h))
 
     def preimage_vector(self, vec):
-        return self._augmented.solve(list(vec))
+        """Some x with M x == vec modulo the target relations, or None."""
+        h = self.target.ngens
+        rest = self._augmented._eliminate(
+            list(vec) + [0] * self.source.ngens, stop=h)
+        return None if rest is None else [-x for x in rest[h:]]
 
     def __repr__(self):
         return f"AbelianHom({self.source!r} -> {self.target!r})"
@@ -866,30 +808,10 @@ def hom_analysis(h):
     {x : h(x) in relation lattice of the target} modulo the source relations,
     which is correct in the presence of torsion on both sides.
     """
-    basis = h.kernel_lattice_basis
-    kgens = tuple(("ker", i) for i in range(len(basis)))
-    rel_cols = []
-    for col in h.source.relations.sparse_columns():
-        vec = [0] * h.source.ngens
-        for i, v in col.items():
-            vec[i] = v
-        rel_cols.append(express_in_basis(basis, vec))
-    kernel = FpAbelianGroup(kgens, IntMatrix.from_columns(rel_cols, len(basis))
-                            if rel_cols else IntMatrix.zeros(len(basis), 0))
-    inclusion = AbelianHom.from_columns(kernel, h.source, basis, check=False)
-
-    img_lat = h.image_lattice
-    img_basis = img_lat.basis()
-    igens = tuple(("im", i) for i in range(len(img_basis)))
-    img_rel = []
-    for col in h.target.relations.sparse_columns():
-        vec = [0] * h.target.ngens
-        for i, v in col.items():
-            vec[i] = v
-        img_rel.append(express_in_basis(img_basis, vec))
-    image = FpAbelianGroup(igens,
-                           IntMatrix.from_columns(img_rel, len(img_basis))
-                           if img_rel else IntMatrix.zeros(len(img_basis), 0))
+    kernel = _subgroup(h.kernel_lattice, "ker", h.source.relations)
+    inclusion = AbelianHom.from_columns(kernel, h.source, h.kernel_lattice.rows,
+                                        check=False)
+    image = _subgroup(h.image_lattice, "im", h.target.relations)
 
     cokernel = h.target.with_extra_relations(
         h.matrix.sparse_columns() or [])
@@ -900,35 +822,28 @@ def hom_analysis(h):
                        injective, surjective, injective and surjective)
 
 
-def is_isomorphism(h):
-    a = hom_analysis(h)
-    return a.isomorphism
+def _subgroup(lat, tag, relations):
+    """The group on lat's rows, related by the given relator columns."""
+    gens = tuple((tag, i) for i in range(len(lat.rows)))
+    cols = [lat.coordinates(rel) for rel in relations.columns()]
+    return FpAbelianGroup(gens, IntMatrix.from_columns(cols, len(gens))
+                          if cols else IntMatrix.zeros(len(gens), 0))
 
 
 def exact_at(f, g):
     """True iff image(f) == kernel(g) as subgroups of the middle group."""
     if not f.target.same_presentation(g.source):
         raise ShapeMismatch("maps are not composable through a middle group")
-    img = f.image_lattice
-    ker = Lattice(g.source.ngens, g.kernel_lattice_basis)
-    for col in g.source.relations.sparse_columns():
-        vec = [0] * g.source.ngens
-        for i, v in col.items():
-            vec[i] = v
-        ker.add(vec)
-    return img.equals(ker)
+    ker = Lattice(g.source.ngens, g.kernel_lattice.rows)
+    for rel in g.source.relations.columns():
+        ker.add(rel)
+    return f.image_lattice.equals(ker)
 
 
 def tensor_Z2(group):
     """G (x) Z/2: same generators, relations plus 2 * each generator."""
     extra = [{i: 2} for i in range(group.ngens)]
     return group.with_extra_relations(extra)
-
-
-def reduction_mod2_hom(group):
-    """The natural map G -> Z2 (x) G (identity on generators)."""
-    return AbelianHom(group, tensor_Z2(group),
-                      IntMatrix.identity(group.ngens), check=False)
 
 
 def direct_sum(a, b):
@@ -982,19 +897,7 @@ def solve_division(group, element, k):
         raise TorsionPresent("division is only well-defined without torsion")
     if not element.group.same_presentation(group):
         raise ShapeMismatch("element not in the given group")
-    aug = AugmentedLattice(group.ngens, group.ngens)
-    for j in range(group.ngens):
-        img = [0] * group.ngens
-        img[j] = k
-        src = [0] * group.ngens
-        src[j] = 1
-        aug.add_pair(img, src)
-    for col in group.relations.sparse_columns():
-        vec = [0] * group.ngens
-        for i, v in col.items():
-            vec[i] = v
-        aug.add_pair(vec, [0] * group.ngens)
-    x = aug.solve(list(element.coeffs))
+    x = AbelianHom.identity(group).scale(k).preimage_vector(element.coeffs)
     if x is None:
         raise NotDivisible(f"element is not divisible by {k}")
     return group.element(x)

@@ -250,6 +250,10 @@ def _parse_element(h, text):
     except (ValueError, KeyError) as e:
         raise CliError(EXIT_PARSE, f"cannot parse element {text!r} in the "
                                    f"domain of this map: {e}")
+    except RecursionError:
+        # the tree parser and canonical forms recurse once per nesting level
+        raise CliError(EXIT_PARSE, "cannot parse element: the tree is nested "
+                                   "too deeply")
 
 
 def cmd_map(args, cfg):

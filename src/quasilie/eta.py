@@ -14,13 +14,13 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .abelian import (AbelianHom, HomValidityError, IntMatrix,
-                      NotDivisible, exact_at, express_in_basis, hom_analysis,
-                      solve_division, tensor_Z2)
+                      NotDivisible, exact_at, hom_analysis, solve_division,
+                      tensor_Z2)
 from .lie import (LIE, QUASI, WellDefinednessError, add_coords, d_group,
                   d_infinity, d_tilde, lie_group, sl, sq, tensor_coords,
                   tensor_with_L1)
 from .treegroups import t_group, t_infinity, t_tilde
-from .trees import (canonical_rooted, leaf, node, rooted_trees, rootings)
+from .trees import canonical_rooted, glue, leaf, node, rooted_trees, rootings
 
 
 class ImageEscapesKernel(ValueError):
@@ -48,12 +48,11 @@ def eta_prime(n, m):
     src = t_group(n, m).group
     Dq = d_group(n, m, QUASI)
     ambient = Dq.inclusion.target
-    basis = [Dq.inclusion.matrix.column(j) for j in range(Dq.group.ngens)]
     cols = []
     for t in src.generators:
         vec = eta_vector(ambient, t.label, t.tree)
         try:
-            cols.append(express_in_basis(basis, vec))
+            cols.append(Dq.basis.coordinates(vec))
         except NotDivisible as e:
             raise ImageEscapesKernel(
                 f"eta'({n},{m}) image of {t} escapes D'") from e
@@ -80,18 +79,17 @@ def eta(n, m):
     ti = t_infinity(n, m)
     D = d_group(n, m, LIE)
     ambient = D.inclusion.target
-    basis = [D.inclusion.matrix.column(j) for j in range(D.group.ngens)]
     cols = []
     for g in ti.group.generators:
         if isinstance(g, tuple) and g[0] == "inf":
-            lab, raw = _glue_pair(g[1], g[1])
+            lab, raw = glue(g[1], g[1])
             vec = eta_vector(ambient, lab, raw)
             half = solve_division(ambient, ambient.element(vec), 2)
             vec = list(half.coeffs)
         else:
             vec = eta_vector(ambient, g.label, g.tree)
         try:
-            cols.append(express_in_basis(basis, vec))
+            cols.append(D.basis.coordinates(vec))
         except NotDivisible as e:
             raise ImageEscapesKernel(
                 f"eta({n},{m}) image of {g} escapes D") from e
@@ -125,13 +123,11 @@ def eta_infinity(n, m):
     di = d_infinity(n, m)
     e = eta(n, m)
     c = ti.maps["coker"]
-    basis = [di.p_hom.matrix.column(j) + di.sl_prime.matrix.column(j)
-             for j in range(di.group.ngens)]
     cols = []
     for j in range(ti.group.ngens):
         pair = e.matrix.column(j) + c.matrix.column(j)
         try:
-            cols.append(express_in_basis(basis, pair))
+            cols.append(di.basis.coordinates(pair))
         except NotDivisible as err:
             raise PullbackMismatch(
                 f"eta_infinity({n},{m}): sl.eta and p.coker disagree at "
@@ -149,12 +145,6 @@ def eta_infinity(n, m):
             raise PullbackMismatch(
                 f"eta_infinity({n},{m}): (J,J)^inf != sq_inf(1xJ) at J={jt}")
     return h
-
-
-def _glue_pair(i_tree, j_tree):
-    while not i_tree.is_leaf:
-        i_tree, j_tree = i_tree.left, node(i_tree.right, j_tree)
-    return i_tree.label, j_tree
 
 
 @lru_cache(maxsize=None)
@@ -213,7 +203,6 @@ def dtilde_left_map(n, m):
     dt, _ = d_tilde(2 * n - 1, m)
     beta = beta_hom(n, m)
     Dq = d_group(2 * n - 1, m, QUASI)
-    basis = [Dq.inclusion.matrix.column(j) for j in range(Dq.group.ngens)]
     cols = []
     for j in range(src.ngens):
         target = [0] * src.ngens
@@ -224,7 +213,7 @@ def dtilde_left_map(n, m):
                 f"dtilde_left_map({n},{m}): mod-2 bracket not surjective?")
         z = _sq_tensor_vector(n, m, y)
         try:
-            cols.append(express_in_basis(basis, z))
+            cols.append(Dq.basis.coordinates(z))
         except NotDivisible as e:
             raise ImageEscapesKernel(
                 f"dtilde_left_map({n},{m}): squared lift escapes D'") from e
@@ -235,13 +224,9 @@ def dtilde_left_map(n, m):
 def dtilde_to_d(n, m):
     """The projection D~_{2k-1} ->> D_{2k-1} (quasi kernel to Lie kernel)."""
     dt, _ = d_tilde(n, m)
-    Dq = d_group(n, m, QUASI)
+    Dq = d_group(n, m, QUASI)  # D~ has the generators of D'
     D = d_group(n, m, LIE)
-    basis = [D.inclusion.matrix.column(j) for j in range(D.group.ngens)]
-    cols = []
-    for j in range(dt.ngens):
-        vec = Dq.inclusion.matrix.column(j)  # same generators as D'
-        cols.append(express_in_basis(basis, vec))
+    cols = [D.basis.coordinates(z) for z in Dq.basis.rows]
     return AbelianHom.from_columns(dt, D.group, cols)
 
 
@@ -250,10 +235,7 @@ def dprime_to_d(n, m):
     """The inclusion-induced map D'_n -> D_n."""
     Dq = d_group(n, m, QUASI)
     D = d_group(n, m, LIE)
-    basis = [D.inclusion.matrix.column(j) for j in range(D.group.ngens)]
-    cols = []
-    for j in range(Dq.group.ngens):
-        cols.append(express_in_basis(basis, Dq.inclusion.matrix.column(j)))
+    cols = [D.basis.coordinates(z) for z in Dq.basis.rows]
     return AbelianHom.from_columns(Dq.group, D.group, cols)
 
 
@@ -357,8 +339,8 @@ def _claim_thm31_v(claim, params, max_order, labels):
         for n in range(2, max_order + 1, 4):
             k = (n + 2) // 4
             ti = t_infinity(n, m)
-            a = hom_analysis(eta(n, m))
-            K, incl = a.kernel, a.kernel_inclusion
+            e = eta(n, m)
+            K, ker = hom_analysis(e).kernel, e.kernel_lattice
             zl = tensor_Z2(lie_group(k, m, LIE).group)
             expected = zl.structure
             name = f"ker eta({n},{m})"
@@ -374,11 +356,10 @@ def _claim_thm31_v(claim, params, max_order, labels):
             c = ti.maps["coker"]
             sq2 = AbelianHom(tensor_Z2(sq(k, m).source), c.target,
                              sq(k, m).matrix, check=False)
-            basis = [incl.matrix.column(j) for j in range(K.ngens)]
             phi_cols = []
             ok = True
-            for j in range(K.ngens):
-                img = c.apply_vector(incl.matrix.column(j))
+            for z in ker.rows:
+                img = c.apply_vector(z)
                 x = sq2.preimage_vector(img)
                 if x is None:
                     ok = False
@@ -392,7 +373,7 @@ def _claim_thm31_v(claim, params, max_order, labels):
                     sq_tree = canonical_rooted(node(jt, jt)).tree
                     vec = [0] * ti.group.ngens
                     vec[ti.group.index[("inf", sq_tree)]] = 1
-                    coeffs = express_in_basis(basis, vec)
+                    coeffs = ker.coordinates(vec)
                     img = phi.apply_vector(coeffs)
                     want = [0] * sq2.source.ngens
                     want[sq2.source.index[jt]] = 1
@@ -542,13 +523,11 @@ def _master_rows(k, m, twisted):
         eta_hi = eta_infinity(hi, m)
         eta_plain = eta_prime(hi, m)
         Dq = d_group(hi, m, QUASI)
-        basis = [di.p_hom.matrix.column(j) + di.sl_prime.matrix.column(j)
-                 for j in range(di.group.ngens)]
         dpd = dprime_to_d(hi, m)
         jcols = []
         for j in range(Dq.group.ngens):
             amb = dpd.matrix.column(j) + [0] * di.sl_prime.target.ngens
-            jcols.append(express_in_basis(basis, amb))
+            jcols.append(di.basis.coordinates(amb))
         bottom_incl = AbelianHom.from_columns(Dq.group, di.group, jcols)
         bottom_coker = di.sl_prime
         checks["left_square"] = eta_hi.compose(top_incl).equals(

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .abelian import (AbelianHom, FpAbelianGroup, IntMatrix,
+from .abelian import (AbelianHom, FpAbelianGroup, IntMatrix, Lattice,
                       HomValidityError, exact_at, hom_analysis, tensor_Z2)
 from .trees import (canonical_rooted, leaf, node, onequad_rooted_expansions,
                     rooted_trees)
@@ -135,6 +135,7 @@ class BracketKernel:
     variant: str
     group: FpAbelianGroup
     inclusion: AbelianHom
+    basis: Lattice               # rows: the inclusion's columns, in order
     bracket_surjective: bool
 
 
@@ -144,7 +145,7 @@ def d_group(n, m, variant=LIE):
     h = bracket_hom(n, m, variant)
     a = hom_analysis(h)
     return BracketKernel(n, m, variant, a.kernel, a.kernel_inclusion,
-                         a.surjective)
+                         h.kernel_lattice, a.surjective)
 
 
 @lru_cache(maxsize=None)
@@ -167,15 +168,6 @@ def sq(k, m):
         raise WellDefinednessError(f"sq({k},{m}) relator image nonzero") from e
 
 
-def _lift_to_quasi_tensor(n, m, vec):
-    """Generator-wise section L_1 (x) L_n -> L_1 (x) L'_n on coordinates.
-
-    Both tensor groups share the same generator keys, so the section is the
-    identity on coordinate vectors.
-    """
-    return list(vec)
-
-
 @lru_cache(maxsize=None)
 def sl(two_k, m):
     """Snake-lemma epimorphism sl: D_{2k} -> Z2 (x) L_{k+1}.
@@ -191,9 +183,10 @@ def sl(two_k, m):
     quasi_br = bracket_hom(two_k, m, QUASI)
     sqmap = sq(k + 1, m)
     cols = []
-    for j in range(D.group.ngens):
-        z = D.inclusion.matrix.column(j)
-        b = quasi_br.apply_vector(_lift_to_quasi_tensor(two_k + 1, m, z))
+    for z in D.basis.rows:
+        # L_1 (x) L_{2k+1} and L_1 (x) L'_{2k+1} share their generator keys,
+        # so the lift is the identity on coordinates.
+        b = quasi_br.apply_vector(z)
         x = sqmap.preimage_vector(b)
         if x is None:
             raise LiftMismatch(
@@ -234,7 +227,7 @@ class DInfinity:
     p_hom: AbelianHom            # D^inf -> D_{4k-2}
     sl_prime: AbelianHom         # D^inf -> Z2 (x) L'_{2k}
     sq_inf: AbelianHom           # Z2 (x) L_k -> D^inf
-    inclusion: AbelianHom        # D^inf -> D + Z2 (x) L'_{2k} ambient
+    basis: Lattice               # generators as (D | Z2 (x) L'_{2k}) rows
 
 
 @lru_cache(maxsize=None)
@@ -255,49 +248,24 @@ def d_infinity(n, m):
     pbar = AbelianHom(Lq2, L2, IntMatrix.identity(Lq2.ngens), check=False)
     P, to_d, to_lq = pullback(slmap, pbar)
 
-    from .abelian import express_in_basis
+    # P is the kernel of D + Z2 (x) L'_{2k} -> Z2 (x) L_{2k}; stacking the
+    # two projections gives its generators in the ambient coordinates.
+    stacked = IntMatrix(to_d.matrix.data + to_lq.matrix.data, cols=P.ngens)
+    basis = Lattice(stacked.rows, stacked.columns())
     sq_k = sq(k, m)  # Z2 (x) L_k -> L'_{2k}; push into the Z2 tensor
-    basis = _pullback_basis(P, to_d, to_lq)
     cols = []
     for j in range(sq_k.source.ngens):
         # pair (0 in D, sq(1xJ) in Z2 (x) L'_{2k}) expressed in P's basis
         amb = [0] * slmap.source.ngens + sq_k.matrix.column(j)
-        cols.append(express_in_basis(basis, amb))
+        cols.append(basis.coordinates(amb))
     sq_inf = AbelianHom.from_columns(sq_k.source, P, cols)
-
-    incl_cols = []
-    for j in range(P.ngens):
-        incl_cols.append(to_d.matrix.column(j) + to_lq.matrix.column(j))
-    amb_group = FpAbelianGroup(
-        tuple(("d", g) for g in slmap.source.generators)
-        + tuple(("l", g) for g in Lq2.generators),
-        _block_diag(slmap.source.relations, Lq2.relations))
-    inclusion = AbelianHom.from_columns(P, amb_group, incl_cols, check=False)
 
     a_sq = hom_analysis(sq_inf)
     a_p = hom_analysis(to_d)
     if not (a_sq.injective and a_p.surjective and exact_at(sq_inf, to_d)):
         raise WellDefinednessError(
             f"d_infinity({n},{m}): row of the pullback diagram not exact")
-    return DInfinity(P, to_d, to_lq, sq_inf, inclusion)
-
-
-def _pullback_basis(P, to_d, to_lq):
-    rows = []
-    for j in range(P.ngens):
-        rows.append(to_d.matrix.column(j) + to_lq.matrix.column(j))
-    return rows
-
-
-def _block_diag(ra, rb):
-    na, nb = ra.rows, rb.rows
-    cols = []
-    for col in ra.sparse_columns():
-        cols.append(dict(col))
-    for col in rb.sparse_columns():
-        cols.append({i + na: v for i, v in col.items()})
-    return IntMatrix.from_columns(cols, na + nb) if cols \
-        else IntMatrix.zeros(na + nb, 0)
+    return DInfinity(P, to_d, to_lq, sq_inf, basis)
 
 
 def witt_rank(n, m):

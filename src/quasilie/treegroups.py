@@ -24,7 +24,7 @@ from functools import lru_cache
 from .abelian import (AbelianHom, FpAbelianGroup, HomValidityError,
                       IntMatrix, tensor_Z2)
 from .lie import WellDefinednessError, add_coords, lie_group, QUASI
-from .trees import (canonical_rooted, canonical_unrooted, leaf, node,
+from .trees import (canonical_rooted, canonical_unrooted, glue, leaf, node,
                     onequad_rooted_expansions, onequad_unrooted_expansions,
                     rooted_trees, rootings, unrooted_trees)
 
@@ -144,11 +144,10 @@ def t_infinity(n, m):
         for i in range(1, m + 1):
             for j_tree in rooted_trees(q - 1, m):
                 cols.append(unrooted_coords(
-                    tilde.group, *_glue_pair(node(leaf(i), j_tree), j_tree)))
+                    tilde.group, *glue(node(leaf(i), j_tree), j_tree)))
         group = tilde.group.with_extra_relations(cols) if cols else tilde.group
         quot = AbelianHom(tilde.group, group,
                           IntMatrix.identity(tilde.group.ngens), check=False)
-        plain = t_group(n, m).group
         from_plain = quot.compose(tilde.maps["quotient"])
         return TreeGroup("twisted", n, m, group,
                          {"quotient": quot, "from_plain": from_plain})
@@ -163,7 +162,7 @@ def t_infinity(n, m):
     cols = [dict(c) for c in plain.relations.sparse_columns()]
     for t in rooted_trees(q, m):
         col = {idx[("inf", t)]: 2}
-        lab, raw = _glue_pair(t, t)
+        lab, raw = glue(t, t)
         add_coords(col, unrooted_coords(group0, lab, raw, -1))
         cols.append(col)
     for trip in onequad_rooted_expansions(q - 2, m) if q >= 2 else ():
@@ -173,7 +172,7 @@ def t_infinity(n, m):
         col = {idx[inf_key(t1)]: 1}
         add_coords(col, {idx[inf_key(t2)]: -1})
         add_coords(col, {idx[inf_key(t3)]: -1})
-        lab, raw = _glue_pair(t2, t3)
+        lab, raw = glue(t2, t3)
         add_coords(col, unrooted_coords(group0, lab, raw, -1))
         cols.append(col)
     group = FpAbelianGroup(gens, IntMatrix.from_columns(cols, len(gens))
@@ -187,9 +186,3 @@ def t_infinity(n, m):
     coker = AbelianHom.from_columns(group, lq, ck_cols)
     return TreeGroup("twisted", n, m, group,
                      {"inclusion": incl, "coker": coker})
-
-
-def _glue_pair(i_tree, j_tree):
-    while not i_tree.is_leaf:
-        i_tree, j_tree = i_tree.left, node(i_tree.right, j_tree)
-    return i_tree.label, j_tree

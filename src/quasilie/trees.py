@@ -200,11 +200,6 @@ def canonical_unrooted(label, tree):
     return CanonSign(best[1], sign, selfneg)
 
 
-def canonical_unrooted_of(ut):
-    """Canonicalize an UnrootedTree pair that may not be minimal."""
-    return canonical_unrooted(ut.label, ut.tree)
-
-
 def root_at(ut, v):
     """Label and rooted tree obtained by re-rooting at univalent vertex v.
 

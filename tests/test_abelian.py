@@ -4,6 +4,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quasilie.abelian import (AbelianHom, FpAbelianGroup, HomValidityError,
                               IntMatrix, Lattice, NotDivisible,
@@ -291,13 +292,9 @@ class TestPullback:
         # solve for w: P-coordinates with pa w = u, pb w = v on the generator
         ab = direct_sum(Z, Z)
         target = [1, 1]
-        aug_cols = []
-        from quasilie.abelian import AugmentedLattice
-        aug = AugmentedLattice(2, P.ngens)
-        for j in range(P.ngens):
-            aug.add_pair([pa.matrix.data[0][j], pb.matrix.data[0][j]],
-                         [1 if i == j else 0 for i in range(P.ngens)])
-        w = aug.solve(target)
+        pair = AbelianHom(P, ab, IntMatrix([pa.matrix.data[0],
+                                            pb.matrix.data[0]]), check=False)
+        w = pair.preimage_vector(target)
         assert w is not None
         wv = P.element(w)
         assert pa(wv) == Z.element([1]) and pb(wv) == Z.element([1])
@@ -344,3 +341,113 @@ class TestLattice:
             shuf = vecs[:]
             rng.shuffle(shuf)
             assert lat.equals(Lattice(n, shuf))
+
+
+# Property tests on small random lattices, homs and groups.
+PROPS = settings(max_examples=60, deadline=None, derandomize=True)
+small = st.integers(-6, 6)
+
+
+def ints(size):
+    return st.lists(small, min_size=size, max_size=size)
+
+
+def vectors(n, least=0, most=4):
+    return st.lists(ints(n), min_size=least, max_size=most)
+
+
+@st.composite
+def lattices(draw):
+    n = draw(st.integers(1, 4))
+    return n, draw(vectors(n))
+
+
+@st.composite
+def groups(draw):
+    n = draw(st.integers(1, 4))
+    rels = draw(vectors(n))
+    return FpAbelianGroup(tuple(range(n)), IntMatrix.from_columns(rels, n)
+                          if rels else None)
+
+
+@st.composite
+def homs(draw):
+    target = draw(groups())
+    ngens = draw(st.integers(1, 3))
+    return AbelianHom.from_columns(FpAbelianGroup(tuple(range(ngens))), target,
+                                   draw(vectors(target.ngens, ngens, ngens)))
+
+
+def combine(coeffs, rows, start):
+    out = list(start)
+    for c, row in zip(coeffs, rows):
+        out = [x + c * y for x, y in zip(out, row)]
+    return out
+
+
+class TestLatticeProperties:
+    @PROPS
+    @given(lattices(), st.data())
+    def test_coordinates_of_a_combination(self, nv, data):
+        n, vecs = nv
+        lat = Lattice(n, vecs)
+        c = data.draw(ints(len(lat.rows)))
+        assert lat.coordinates(combine(c, lat.rows, [0] * n)) == c
+
+    @PROPS
+    @given(lattices(), ints(4), st.integers(0, 3), st.integers(2, 4))
+    def test_vector_outside_raises(self, nv, c, j, d):
+        # every vector of the lattice d*L is divisible by d; adding a unit
+        # vector leaves it
+        n, vecs = nv
+        lat = Lattice(n, [[d * x for x in v] for v in vecs])
+        vec = combine([d * x for x in c], vecs, [0] * n)
+        vec[j % n] += 1
+        assert not lat.contains(vec)
+        with pytest.raises(NotDivisible):
+            lat.coordinates(vec)
+
+    @PROPS
+    @given(lattices())
+    def test_canonicalize_idempotent(self, nv):
+        n, vecs = nv
+        lat = Lattice(n, vecs).canonicalize()
+        rows = [list(r) for r in lat.rows]
+        assert lat.canonicalize().rows == rows
+
+    @PROPS
+    @given(homs(), st.data())
+    def test_preimage_maps_back(self, h, data):
+        x0 = data.draw(ints(h.source.ngens))
+        rels = h.target.relations.columns()
+        vec = combine(data.draw(ints(len(rels))), rels,
+                      h.apply_vector(x0))
+        x = h.preimage_vector(vec)
+        assert x is not None
+        diff = [a - b for a, b in zip(h.apply_vector(x), vec)]
+        assert h.target.relation_lattice.contains(diff)
+        # two preimages of one vector differ by a kernel element
+        assert h.kernel_lattice.contains([a - b for a, b in zip(x0, x)])
+
+    @PROPS
+    @given(homs())
+    def test_kernel_rows_map_into_relations(self, h):
+        for row in h.kernel_lattice.rows:
+            assert h.target.relation_lattice.contains(h.apply_vector(row))
+
+
+class TestNormalForm:
+    @PROPS
+    @given(groups(), st.data())
+    def test_relators_do_not_change_normal_form_or_hash(self, G, data):
+        rels = G.relations.columns()
+        x = data.draw(ints(G.ngens))
+        y = combine(data.draw(ints(len(rels))), rels, x)
+        assert G.normal_form(x) == G.normal_form(y)
+        assert hash(G.element(x)) == hash(G.element(y))
+
+    def test_relation_lattice_is_canonical(self):
+        G = FpAbelianGroup(("a", "b", "c"),
+                           IntMatrix.from_columns([[4, 6, 0], [2, 0, 8]], 3))
+        rows = [list(r) for r in G.relation_lattice.rows]
+        assert G.relation_lattice.canonicalize().rows == rows

@@ -102,6 +102,15 @@ class TestMap:
                          "--labels", "2", "--element", "<1,9>")
         assert code == 4
 
+    def test_deeply_nested_element_exit4(self, capsys):
+        depth = 1200  # deeper than the interpreter's default recursion limit
+        text = "<1," + "(" * depth + "1" + ",1)" * depth + ">"
+        code, out, err = run(capsys, "map", "etaP", "--order", "0",
+                             "--labels", "2", "--element", text)
+        assert code == 4
+        assert out == "" and err.startswith("error:")
+        assert "Traceback" not in err
+
     def test_bad_map_exit3(self, capsys):
         code, _, _ = run(capsys, "map", "nosuch", "--order", "0",
                          "--labels", "2")

@@ -10,7 +10,7 @@ from quasilie.eta import (ALL_CLAIMS, beta_hom, dtilde_left_map, eta,
                           eta_tilde, eta_vector, odd_left_map, verify,
                           verify_all)
 from quasilie.lie import LIE, d_group, tensor_with_L1
-from quasilie.trees import canonical_unrooted, leaf, node, rooted_trees
+from quasilie.trees import canonical_unrooted, glue, leaf, node, rooted_trees
 
 
 class TestEtaPrime:
@@ -50,10 +50,9 @@ class TestEta:
     def test_boundary_twist_killed(self):
         for m in (1, 2):
             ambient = tensor_with_L1(2, m, LIE)
-            from quasilie.eta import _glue_pair
             for i in range(1, m + 1):
                 for jt in rooted_trees(0, m):
-                    lab, raw = _glue_pair(node(leaf(i), jt), jt)
+                    lab, raw = glue(node(leaf(i), jt), jt)
                     vec = eta_vector(ambient, lab, raw)
                     assert ambient.relation_lattice.contains(vec)
 

@@ -87,6 +87,13 @@ class TestDGroups:
     def test_d0_rank1_single_label(self):
         assert d_group(0, 1, LIE).group.structure == (1, ())
 
+    def test_basis_rows_are_inclusion_columns(self):
+        for m in (1, 2):
+            for n in range(0, 4):
+                for var in (LIE, QUASI):
+                    D = d_group(n, m, var)
+                    assert D.basis.rows == D.inclusion.matrix.columns()
+
     def test_inclusion_injective_and_exact(self):
         for m in (1, 2):
             for n in range(0, 4):
@@ -115,7 +122,7 @@ class TestProjectionSequence:
             for k in (1, 2):
                 sqm = sq(k, m)
                 p = proj_p(2 * k, m)
-                ker = Lattice(p.source.ngens, p.kernel_lattice_basis)
+                ker = Lattice(p.source.ngens, p.kernel_lattice.rows)
                 for col in p.source.relations.sparse_columns():
                     vec = [0] * p.source.ngens
                     for i, v in col.items():
@@ -198,6 +205,13 @@ class TestDInfinity:
             di = d_infinity(2, m)
             assert hom_analysis(di.sq_inf).injective
             assert exact_at(di.sq_inf, di.p_hom)
+
+    def test_basis_rows_are_projection_pairs(self):
+        for m in (1, 2):
+            di = d_infinity(2, m)
+            assert di.basis.rows == [
+                a + b for a, b in zip(di.p_hom.matrix.columns(),
+                                      di.sl_prime.matrix.columns())]
 
     def test_wrong_order_rejected(self):
         with pytest.raises(ValueError):
