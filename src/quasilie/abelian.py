@@ -10,6 +10,7 @@ echelon bases of integer lattices.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from math import gcd
@@ -47,88 +48,119 @@ def ext_gcd(a, b):
 
 
 class IntMatrix:
-    """Immutable dense integer matrix.
+    """Immutable integer matrix, stored as one sparse column per column.
+
+    Each column is a {row: nonzero int} dict with its rows in increasing
+    order.  The dense views (`data`, `column`, `columns`) are built on demand.
 
     >>> IntMatrix([[1, 2], [3, 4]]).mul(IntMatrix.identity(2)).data
     ((1, 2), (3, 4))
     """
 
-    __slots__ = ("rows", "cols", "data")
+    __slots__ = ("rows", "cols", "_sparse")
 
-    def __init__(self, data, cols=None, _trusted=False):
-        if _trusted:
-            rows = data
-        else:
-            rows = tuple(tuple(int(x) for x in row) for row in data)
-        self.data = rows
-        self.rows = len(rows)
-        if rows:
-            widths = {len(r) for r in rows}
-            if len(widths) != 1:
-                raise ShapeMismatch("ragged rows")
-            self.cols = widths.pop()
-        else:
-            self.cols = 0 if cols is None else cols
-        if cols is not None and self.rows and self.cols != cols:
+    def __init__(self, data, cols=None):
+        """Build from dense rows; `cols` gives the width when there are none."""
+        dense = [[int(x) for x in row] for row in data]
+        widths = {len(r) for r in dense}
+        if len(widths) > 1:
+            raise ShapeMismatch("ragged rows")
+        width = widths.pop() if widths else (0 if cols is None else cols)
+        if cols is not None and width != cols:
             raise ShapeMismatch("explicit column count disagrees with data")
+        sparse = [{} for _ in range(width)]
+        for i, row in enumerate(dense):
+            for j, x in enumerate(row):
+                if x:
+                    sparse[j][i] = x
+        self.rows, self.cols, self._sparse = len(dense), width, tuple(sparse)
+
+    @classmethod
+    def _of(cls, nrows, columns):
+        """Wrap a tuple of already normalised sparse columns (not copied)."""
+        m = object.__new__(cls)
+        m.rows, m.cols, m._sparse = nrows, len(columns), columns
+        return m
 
     @classmethod
     def identity(cls, n):
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        return cls._of(n, tuple({i: 1} for i in range(n)))
 
     @classmethod
     def zeros(cls, rows, cols):
-        return cls([[0] * cols for _ in range(rows)], cols=cols)
+        return cls._of(rows, ({},) * cols)
 
     @classmethod
     def from_columns(cls, columns, nrows):
         """Build from an iterable of columns, each a dense list or sparse dict."""
-        cols = list(columns)
-        data = [[0] * len(cols) for _ in range(nrows)]
-        for j, col in enumerate(cols):
+        out = []
+        for col in columns:
             if isinstance(col, dict):
-                for i, v in col.items():
-                    data[i][j] = int(v)
+                keys = sorted(col)
+                if keys and (keys[0] < 0 or keys[-1] >= nrows):
+                    raise ShapeMismatch("sparse column row out of range")
+                sparse = {i: col[i] for i in keys if col[i]}
             else:
                 if len(col) != nrows:
                     raise ShapeMismatch("column length mismatch")
-                for i, v in enumerate(col):
-                    data[i][j] = int(v)
-        return cls(tuple(map(tuple, data)), cols=len(cols), _trusted=True)
+                sparse = {i: v for i, v in enumerate(col) if v}
+            if not all(type(v) is int for v in sparse.values()):
+                sparse = {i: int(v) for i, v in sparse.items() if int(v)}
+            out.append(sparse)
+        return cls._of(nrows, tuple(out))
+
+    @property
+    def data(self):
+        """Dense rows, as a tuple of tuples."""
+        dense = [[0] * self.cols for _ in range(self.rows)]
+        for j, col in enumerate(self._sparse):
+            for i, v in col.items():
+                dense[i][j] = v
+        return tuple(map(tuple, dense))
 
     def column(self, j):
-        return [row[j] for row in self.data]
+        out = [0] * self.rows
+        for i, v in self._sparse[j].items():
+            out[i] = v
+        return out
 
     def columns(self):
         return [self.column(j) for j in range(self.cols)]
 
     def sparse_columns(self):
-        out = []
-        for j in range(self.cols):
-            out.append({i: self.data[i][j] for i in range(self.rows)
-                        if self.data[i][j]})
+        """Fresh {row: value} dicts, one per column, rows ascending."""
+        return [dict(col) for col in self._sparse]
+
+    def combine(self, terms):
+        """Dense sum of x * column(j) over the (j, x) pairs of terms."""
+        out = [0] * self.rows
+        for j, x in terms:
+            if x:
+                for i, a in self._sparse[j].items():
+                    out[i] += a * x
         return out
 
     def mul(self, other):
         if self.cols != other.rows:
             raise ShapeMismatch("matrix product shape mismatch")
-        ocols = list(zip(*other.data)) if other.data else []
         out = []
-        for row in self.data:
-            out.append([sum(a * b for a, b in zip(row, col)) for col in ocols]
-                       if ocols else [0] * other.cols)
-        return IntMatrix(out, cols=other.cols)
+        for ocol in other._sparse:
+            acc = {}
+            for j, x in ocol.items():
+                for i, a in self._sparse[j].items():
+                    acc[i] = acc.get(i, 0) + a * x
+            out.append({i: acc[i] for i in sorted(acc) if acc[i]})
+        return IntMatrix._of(self.rows, tuple(out))
 
     def mul_vector(self, vec):
         if len(vec) != self.cols:
             raise ShapeMismatch("vector length mismatch")
-        return [sum(a * b for a, b in zip(row, vec)) for row in self.data]
+        return self.combine(enumerate(vec))
 
     def hstack(self, other):
         if self.rows != other.rows:
             raise ShapeMismatch("row count mismatch")
-        return IntMatrix([ra + rb for ra, rb in zip(self.data, other.data)],
-                         cols=self.cols + other.cols)
+        return IntMatrix._of(self.rows, self._sparse + other._sparse)
 
     def det(self):
         """Determinant by fraction-free elimination (small matrices only)."""
@@ -155,11 +187,11 @@ class IntMatrix:
         return sign * a[n - 1][n - 1]
 
     def __eq__(self, other):
-        return (isinstance(other, IntMatrix) and self.cols == other.cols
-                and self.data == other.data)
+        return (isinstance(other, IntMatrix) and self.rows == other.rows
+                and self._sparse == other._sparse)
 
     def __hash__(self):
-        return hash((self.cols, self.data))
+        return hash((self.rows, tuple(tuple(c.items()) for c in self._sparse)))
 
     def __repr__(self):
         return f"IntMatrix({self.rows}x{self.cols})"
@@ -436,13 +468,12 @@ class Lattice:
             if i is None:
                 if v[j] < 0:
                     v = [-x for x in v]
-                pos = 0
-                while pos < len(self.pivots) and self.pivots[pos] < j:
-                    pos += 1
+                pivots = self.pivots
+                pos = bisect_left(pivots, j)
                 self.rows.insert(pos, v)
-                self.pivots.insert(pos, j)
-                self._pivot_at.clear()
-                self._pivot_at.update((p, k) for k, p in enumerate(self.pivots))
+                pivots.insert(pos, j)
+                for k in range(pos, len(pivots)):
+                    self._pivot_at[pivots[k]] = k
                 return True
             row = self.rows[i]
             a, b = row[j], v[j]
@@ -680,12 +711,7 @@ class AbelianHom:
         if check:
             lat = target.relation_lattice
             for col in source.relations.sparse_columns():
-                img = [0] * target.ngens
-                for j, v in col.items():
-                    mc = matrix.column(j)
-                    for i in range(target.ngens):
-                        img[i] += v * mc[i]
-                if not lat.contains(img):
+                if not lat.contains(matrix.combine(col.items())):
                     raise HomValidityError(
                         "source relator does not map to zero in the target")
 
@@ -722,15 +748,18 @@ class AbelianHom:
         if not (self.source.same_presentation(other.source)
                 and self.target.same_presentation(other.target)):
             raise ShapeMismatch("sum of homs with different end groups")
-        m = [[a + b for a, b in zip(ra, rb)]
-             for ra, rb in zip(self.matrix.data, other.matrix.data)]
-        return AbelianHom(self.source, self.target,
-                          IntMatrix(m, cols=self.matrix.cols), check=False)
+        cols = self.matrix.sparse_columns()
+        for col, ocol in zip(cols, other.matrix.sparse_columns()):
+            for i, v in ocol.items():
+                col[i] = col.get(i, 0) + v
+        return AbelianHom.from_columns(self.source, self.target, cols,
+                                       check=False)
 
     def scale(self, k):
-        m = [[k * a for a in row] for row in self.matrix.data]
-        return AbelianHom(self.source, self.target,
-                          IntMatrix(m, cols=self.matrix.cols), check=False)
+        cols = [{i: k * v for i, v in col.items()}
+                for col in self.matrix.sparse_columns()]
+        return AbelianHom.from_columns(self.source, self.target, cols,
+                                       check=False)
 
     def equals(self, other):
         """Same map: columns agree modulo the target relations."""
@@ -813,8 +842,7 @@ def hom_analysis(h):
                                         check=False)
     image = _subgroup(h.image_lattice, "im", h.target.relations)
 
-    cokernel = h.target.with_extra_relations(
-        h.matrix.sparse_columns() or [])
+    cokernel = h.target.with_extra_relations(h.matrix.sparse_columns())
 
     injective = kernel.is_trivial
     surjective = cokernel.is_trivial
@@ -826,8 +854,7 @@ def _subgroup(lat, tag, relations):
     """The group on lat's rows, related by the given relator columns."""
     gens = tuple((tag, i) for i in range(len(lat.rows)))
     cols = [lat.coordinates(rel) for rel in relations.columns()]
-    return FpAbelianGroup(gens, IntMatrix.from_columns(cols, len(gens))
-                          if cols else IntMatrix.zeros(len(gens), 0))
+    return FpAbelianGroup(gens, IntMatrix.from_columns(cols, len(gens)))
 
 
 def exact_at(f, g):
@@ -848,13 +875,10 @@ def tensor_Z2(group):
 
 def direct_sum(a, b):
     gens = tuple((0, g) for g in a.generators) + tuple((1, g) for g in b.generators)
-    cols = []
-    for col in a.relations.sparse_columns():
-        cols.append(dict(col))
+    cols = a.relations.sparse_columns()
     for col in b.relations.sparse_columns():
         cols.append({i + a.ngens: v for i, v in col.items()})
-    return FpAbelianGroup(gens, IntMatrix.from_columns(cols, len(gens))
-                          if cols else IntMatrix.zeros(len(gens), 0))
+    return FpAbelianGroup(gens, IntMatrix.from_columns(cols, len(gens)))
 
 
 def pullback(f, g):
@@ -866,22 +890,17 @@ def pullback(f, g):
     if not f.target.same_presentation(g.target):
         raise ShapeMismatch("pullback needs a common target")
     ab = direct_sum(f.source, g.source)
-    cols = [f.matrix.column(j) for j in range(f.source.ngens)]
-    cols += [[-x for x in g.matrix.column(j)] for j in range(g.source.ngens)]
+    cols = f.matrix.sparse_columns()
+    cols += [{i: -v for i, v in col.items()}
+             for col in g.matrix.sparse_columns()]
     diff = AbelianHom.from_columns(ab, f.target, cols, check=False)
     analysis = hom_analysis(diff)
     P, incl = analysis.kernel, analysis.kernel_inclusion
-    na = f.source.ngens
+    na, nb = f.source.ngens, g.source.ngens
     proj_a = AbelianHom.from_columns(
-        ab, f.source,
-        [[1 if i == j else 0 for i in range(na)] for j in range(na)]
-        + [[0] * na for _ in range(g.source.ngens)], check=False)
-    nb = g.source.ngens
+        ab, f.source, [{j: 1} for j in range(na)] + [{}] * nb, check=False)
     proj_b = AbelianHom.from_columns(
-        ab, g.source,
-        [[0] * nb for _ in range(na)]
-        + [[1 if i == j else 0 for i in range(nb)] for j in range(nb)],
-        check=False)
+        ab, g.source, [{}] * na + [{j: 1} for j in range(nb)], check=False)
     return P, proj_a.compose(incl), proj_b.compose(incl)
 
 

@@ -250,8 +250,9 @@ def d_infinity(n, m):
 
     # P is the kernel of D + Z2 (x) L'_{2k} -> Z2 (x) L_{2k}; stacking the
     # two projections gives its generators in the ambient coordinates.
-    stacked = IntMatrix(to_d.matrix.data + to_lq.matrix.data, cols=P.ngens)
-    basis = Lattice(stacked.rows, stacked.columns())
+    basis = Lattice(to_d.matrix.rows + to_lq.matrix.rows,
+                    (a + b for a, b in zip(to_d.matrix.columns(),
+                                           to_lq.matrix.columns())))
     sq_k = sq(k, m)  # Z2 (x) L_k -> L'_{2k}; push into the Z2 tensor
     cols = []
     for j in range(sq_k.source.ngens):

@@ -410,14 +410,10 @@ def universal_commutative(form):
     gens = tuple(("m", g) for g in M.generators) \
         + tuple(("q", g) for g in A.generators)
     nm = M.ngens
-    cols = []
-    for col in M.relations.sparse_columns():
-        cols.append(dict(col))
-    ident = IntMatrix.identity(nm)
-    for j in range(nm):
-        diff = [form.involution.matrix.data[i][j] - ident.data[i][j]
-                for i in range(nm)]
-        col = {i: v for i, v in enumerate(diff) if v}
+    cols = M.relations.sparse_columns()
+    for j, col in enumerate(form.involution.matrix.sparse_columns()):
+        col[j] = col.get(j, 0) - 1       # m* - m
+        col = {i: v for i, v in col.items() if v}
         if col:
             cols.append(col)
     for rel in A.relations.sparse_columns():
@@ -500,7 +496,7 @@ def presented_noncommutative(form):
     gens = tuple(("m", g) for g in M.generators) \
         + tuple(("q", g) for g in A.generators)
     nm = M.ngens
-    cols = [dict(c) for c in M.relations.sparse_columns()]
+    cols = M.relations.sparse_columns()
     for rel in A.relations.sparse_columns():
         seq = _signed_occurrences(rel, A.ngens)
         col = {}

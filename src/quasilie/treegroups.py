@@ -114,7 +114,7 @@ def t_tilde(n, m):
         quot = AbelianHom.identity(plain.group)
         return TreeGroup("tilde", n, m, plain.group, {"quotient": quot})
     dl = delta((n + 1) // 2, m)
-    cols = [dl.matrix.sparse_columns()[j] for j in range(dl.source.ngens)]
+    cols = dl.matrix.sparse_columns()
     group = plain.group.with_extra_relations(cols) if cols else plain.group
     quot = AbelianHom(plain.group, group,
                       IntMatrix.identity(plain.group.ngens), check=False)
@@ -159,7 +159,7 @@ def t_infinity(n, m):
     np = plain.ngens
     group0 = FpAbelianGroup(gens)
     idx = group0.index
-    cols = [dict(c) for c in plain.relations.sparse_columns()]
+    cols = plain.relations.sparse_columns()
     for t in rooted_trees(q, m):
         col = {idx[("inf", t)]: 2}
         lab, raw = glue(t, t)

@@ -2,12 +2,13 @@
 
 import itertools
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from quasilie.abelian import (AbelianHom, FpAbelianGroup, HomValidityError,
-                              IntMatrix, Lattice, NotDivisible,
+                              IntMatrix, Lattice, NotDivisible, ShapeMismatch,
                               TorsionPresent, direct_sum, exact_at,
                               hom_analysis, pullback, relation_divisors, snf,
                               solve_division, tensor_Z2)
@@ -451,3 +452,116 @@ class TestNormalForm:
                            IntMatrix.from_columns([[4, 6, 0], [2, 0, 8]], 3))
         rows = [list(r) for r in G.relation_lattice.rows]
         assert G.relation_lattice.canonicalize().rows == rows
+
+
+# IntMatrix stores sparse columns; plain lists of lists are the reference.
+def ref_columns(r, c, rows):
+    return [[rows[i][j] for i in range(r)] for j in range(c)]
+
+
+def ref_mul(a, b, k, c):
+    return [[sum(row[t] * b[t][j] for t in range(k)) for j in range(c)]
+            for row in a]
+
+
+@st.composite
+def dense(draw, r=None, c=None):
+    r = draw(st.integers(0, 4)) if r is None else r
+    c = draw(st.integers(0, 4)) if c is None else c
+    return r, c, draw(st.lists(ints(c), min_size=r, max_size=r))
+
+
+@st.composite
+def built(draw, r=None, c=None):
+    """A dense reference and the same matrix built one of five ways."""
+    r, c, rows = draw(dense(r, c))
+    cols = ref_columns(r, c, rows)
+    way = draw(st.sampled_from(("rows", "dense_cols", "dict_cols",
+                                "identity", "zeros")))
+    if way == "identity" and r == c:
+        rows = [[int(i == j) for j in range(c)] for i in range(r)]
+        return r, c, rows, IntMatrix.identity(r)
+    if way == "zeros":
+        return r, c, [[0] * c for _ in range(r)], IntMatrix.zeros(r, c)
+    if way == "dense_cols":
+        return r, c, rows, IntMatrix.from_columns(cols, r)
+    if way == "dict_cols":
+        # shuffled keys with some stored zeros: from_columns normalises
+        dicts = []
+        for col in cols:
+            keys = draw(st.permutations(range(r)))
+            keep = draw(st.lists(st.booleans(), min_size=r, max_size=r))
+            dicts.append({i: col[i] for i, k in zip(keys, keep)
+                          if col[i] or k})
+        return r, c, rows, IntMatrix.from_columns(dicts, r)
+    return r, c, rows, IntMatrix(rows, cols=c)
+
+
+class TestIntMatrixAgainstDense:
+    @PROPS
+    @given(built())
+    def test_views(self, rcm):
+        r, c, rows, m = rcm
+        assert (m.rows, m.cols) == (r, c)
+        assert m.data == tuple(map(tuple, rows))
+        assert m.columns() == ref_columns(r, c, rows)
+        sparse = m.sparse_columns()
+        assert sparse == [{i: v for i, v in enumerate(col) if v}
+                          for col in ref_columns(r, c, rows)]
+        for col in sparse:
+            assert list(col) == sorted(col) and all(col.values())
+            col[0] = 99  # the returned dicts are copies
+        assert m.data == tuple(map(tuple, rows))
+
+    @PROPS
+    @given(built(), st.data())
+    def test_equal_builds_agree(self, rcm, data):
+        r, c, rows, m = rcm
+        same = IntMatrix.from_columns(ref_columns(r, c, rows), r)
+        assert m == same and hash(m) == hash(same)
+        r2, c2, rows2, other = data.draw(built())
+        assert (m == other) == ((r, c, rows) == (r2, c2, rows2))
+
+    @PROPS
+    @given(built(), st.data())
+    def test_products_and_stack(self, rcm, data):
+        r, c, rows, m = rcm
+        k = data.draw(st.integers(0, 4))
+        _, _, rows2, other = data.draw(built(c, k))
+        assert m.mul(other).data == tuple(map(tuple, ref_mul(rows, rows2,
+                                                             c, k)))
+        vec = data.draw(ints(c))
+        assert m.mul_vector(vec) == [sum(a * b for a, b in zip(row, vec))
+                                     for row in rows]
+        _, _, rows3, right = data.draw(built(r, k))
+        assert m.hstack(right).data == tuple(
+            tuple(a + b) for a, b in zip(rows, rows3))
+        assert m.hstack(right).cols == c + k
+
+    def test_empty_shapes(self):
+        assert IntMatrix.zeros(0, 3) != IntMatrix.zeros(3, 0)
+        assert IntMatrix([], cols=3) == IntMatrix.from_columns([[]] * 3, 0)
+        assert IntMatrix([[], []]) == IntMatrix.from_columns([], 2)
+        assert IntMatrix.zeros(2, 0).data == ((), ())
+        assert IntMatrix.zeros(0, 2).mul(IntMatrix.zeros(2, 3)).data == ()
+
+    def test_bad_shapes_raise(self):
+        with pytest.raises(ShapeMismatch):
+            IntMatrix([[1, 2], [3]])
+        with pytest.raises(ShapeMismatch):
+            IntMatrix([[1, 2]], cols=3)
+        for row in (-1, 3):
+            with pytest.raises(ShapeMismatch):
+                IntMatrix.from_columns([{0: 1, row: 1}], 3)
+        with pytest.raises(ShapeMismatch):
+            IntMatrix.from_columns([[1, 2]], 3)
+
+    def test_sparse_columns_stay_sparse(self):
+        tracemalloc.start()
+        try:
+            m = IntMatrix.from_columns([{0: 1, 999_999: -1}], 1_000_000)
+            assert m.sparse_columns() == [{0: 1, 999_999: -1}]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000

@@ -1,7 +1,7 @@
 """Tree groups T, T~, T^inf and the framing map."""
 
 from quasilie.abelian import exact_at, hom_analysis
-from quasilie.lie import LIE, d_group
+from quasilie.lie import LIE, d_group, witt_rank
 from quasilie.treegroups import delta, t_group, t_infinity, t_tilde
 from quasilie.trees import canonical_unrooted, leaf, node
 
@@ -16,6 +16,32 @@ class TestPlain:
         # <(1,2),(1,2)> generates free rank in T_2(2)
         assert t_group(2, 2).group.structure == (1, ())
         assert t_group(2, 1).group.structure == (0, ())
+
+
+class TestRankOracle:
+    """Free ranks from the Witt formula alone.
+
+    The bracket L_1 (x) L_{n+1} -> L_{n+2} is onto, so its kernel D_n(m) has
+    rank m*W(n+1, m) - W(n+2, m); eta' makes T_n(m) rationally isomorphic to
+    D_n(m).
+    """
+
+    @staticmethod
+    def rank(n, m):
+        return m * witt_rank(n + 1, m) - witt_rank(n + 2, m)
+
+    def test_t_two_labels(self):
+        for n in range(7):
+            assert t_group(n, 2).group.free_rank == self.rank(n, 2), n
+
+    def test_t4_three_labels(self):
+        assert t_group(4, 3).group.free_rank == self.rank(4, 3) == 28
+
+    def test_d_group(self):
+        for m, top in ((1, 4), (2, 4), (3, 3)):
+            for n in range(top + 1):
+                assert d_group(n, m, LIE).group.free_rank == self.rank(n, m), \
+                    (n, m)
 
 
 class TestDelta:
