@@ -2,7 +2,7 @@
 quadratic refinements, with exact integer linear algebra throughout."""
 
 from .abelian import (AbelianHom, FpAbelianGroup, GroupElement, IntMatrix,
-                      Lattice, exact_at, hom_analysis, pullback, snf,
+                      Lattice, exact_at, hom_analysis, pullback,
                       solve_division, tensor_Z2)
 from .trees import (CanonSign, RootedTree, UnrootedTree, canonical_rooted,
                     canonical_unrooted, enumerate_trees, inner_product, leaf,

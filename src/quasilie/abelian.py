@@ -13,6 +13,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
+from heapq import heappop, heappush
 from math import gcd
 
 
@@ -45,6 +46,43 @@ def ext_gcd(a, b):
     if old_r < 0:
         old_r, old_x, old_y = -old_r, -old_x, -old_y
     return old_r, old_x, old_y
+
+
+def _sparse_vector(vec, n):
+    """A fresh {index: nonzero} dict of a length-n dense sequence or dict."""
+    if isinstance(vec, dict):
+        if vec and (min(vec) < 0 or max(vec) >= n):
+            raise ShapeMismatch("sparse vector index out of range")
+        return {k: x for k, x in vec.items() if x}
+    if len(vec) != n:
+        raise ShapeMismatch("vector has wrong ambient dimension")
+    return {k: x for k, x in enumerate(vec) if x}
+
+
+def _add_multiple(v, q, row):
+    """v += q * row in place, dropping the entries that cancel (q != 0)."""
+    for k, x in row.items():
+        y = v.get(k, 0) + q * x
+        if y:
+            v[k] = y
+        else:
+            del v[k]
+
+
+def _combination(p, u, q, w):
+    """The sparse vector p * u + q * w."""
+    out = {k: p * x for k, x in u.items()} if p else {}
+    if q:
+        _add_multiple(out, q, w)
+    return out
+
+
+def _dense(v, n):
+    """The length-n list with the entries of the sparse v."""
+    out = [0] * n
+    for k, x in v.items():
+        out[k] = x
+    return out
 
 
 class IntMatrix:
@@ -95,15 +133,9 @@ class IntMatrix:
         """Build from an iterable of columns, each a dense list or sparse dict."""
         out = []
         for col in columns:
+            sparse = _sparse_vector(col, nrows)
             if isinstance(col, dict):
-                keys = sorted(col)
-                if keys and (keys[0] < 0 or keys[-1] >= nrows):
-                    raise ShapeMismatch("sparse column row out of range")
-                sparse = {i: col[i] for i in keys if col[i]}
-            else:
-                if len(col) != nrows:
-                    raise ShapeMismatch("column length mismatch")
-                sparse = {i: v for i, v in enumerate(col) if v}
+                sparse = {i: sparse[i] for i in sorted(sparse)}
             if not all(type(v) is int for v in sparse.values()):
                 sparse = {i: int(v) for i, v in sparse.items() if int(v)}
             out.append(sparse)
@@ -119,10 +151,7 @@ class IntMatrix:
         return tuple(map(tuple, dense))
 
     def column(self, j):
-        out = [0] * self.rows
-        for i, v in self._sparse[j].items():
-            out[i] = v
-        return out
+        return _dense(self._sparse[j], self.rows)
 
     def columns(self):
         return [self.column(j) for j in range(self.cols)]
@@ -130,15 +159,6 @@ class IntMatrix:
     def sparse_columns(self):
         """Fresh {row: value} dicts, one per column, rows ascending."""
         return [dict(col) for col in self._sparse]
-
-    def combine(self, terms):
-        """Dense sum of x * column(j) over the (j, x) pairs of terms."""
-        out = [0] * self.rows
-        for j, x in terms:
-            if x:
-                for i, a in self._sparse[j].items():
-                    out[i] += a * x
-        return out
 
     def mul(self, other):
         if self.cols != other.rows:
@@ -155,36 +175,17 @@ class IntMatrix:
     def mul_vector(self, vec):
         if len(vec) != self.cols:
             raise ShapeMismatch("vector length mismatch")
-        return self.combine(enumerate(vec))
+        out = [0] * self.rows
+        for j, x in enumerate(vec):
+            if x:
+                for i, a in self._sparse[j].items():
+                    out[i] += a * x
+        return out
 
     def hstack(self, other):
         if self.rows != other.rows:
             raise ShapeMismatch("row count mismatch")
         return IntMatrix._of(self.rows, self._sparse + other._sparse)
-
-    def det(self):
-        """Determinant by fraction-free elimination (small matrices only)."""
-        if self.rows != self.cols:
-            raise ShapeMismatch("determinant of non-square matrix")
-        n = self.rows
-        a = [list(r) for r in self.data]
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if a[k][k] == 0:
-                for i in range(k + 1, n):
-                    if a[i][k]:
-                        a[k], a[i] = a[i], a[k]
-                        sign = -sign
-                        break
-                else:
-                    return 0
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-                a[i][k] = 0
-            prev = a[k][k]
-        return sign * a[n - 1][n - 1]
 
     def __eq__(self, other):
         return (isinstance(other, IntMatrix) and self.rows == other.rows
@@ -195,120 +196,6 @@ class IntMatrix:
 
     def __repr__(self):
         return f"IntMatrix({self.rows}x{self.cols})"
-
-
-def snf(m):
-    """Smith normal form with transforms: returns (S, U, V), S = U*M*V.
-
-    S is diagonal with a divisibility chain d1 | d2 | ...; U and V are
-    unimodular.  Row/column reduction with pivoting on the entry of minimal
-    absolute value.
-
-    >>> S, U, V = snf(IntMatrix([[2, 0], [0, 3]]))
-    >>> [S.data[i][i] for i in range(2)]
-    [1, 6]
-    """
-    R, C = m.rows, m.cols
-    a = [list(row) for row in m.data]
-    u = [[1 if i == j else 0 for j in range(R)] for i in range(R)]
-    v = [[1 if i == j else 0 for j in range(C)] for i in range(C)]
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-
-    def addmul_row(dst, src, k):
-        a[dst] = [x + k * y for x, y in zip(a[dst], a[src])]
-        u[dst] = [x + k * y for x, y in zip(u[dst], u[src])]
-
-    def addmul_col(dst, src, k):
-        for row in a:
-            row[dst] += k * row[src]
-        for row in v:
-            row[dst] += k * row[src]
-
-    t = 0
-    while True:
-        pivot = None
-        best = None
-        for i in range(t, R):
-            for j in range(t, C):
-                x = a[i][j]
-                if x and (best is None or abs(x) < best):
-                    best = abs(x)
-                    pivot = (i, j)
-                    if best == 1:
-                        break
-            if best == 1:
-                break
-        if pivot is None:
-            break
-        swap_rows(t, pivot[0])
-        swap_cols(t, pivot[1])
-        while True:
-            # Clear column t, restarting with a smaller pivot on any residue.
-            restart = False
-            for i in range(R):
-                if i != t and a[i][t]:
-                    q = a[i][t] // a[t][t]
-                    addmul_row(i, t, -q)
-                    if a[i][t]:
-                        swap_rows(t, i)
-                        restart = True
-                        break
-            if restart:
-                continue
-            for j in range(C):
-                if j != t and a[t][j]:
-                    q = a[t][j] // a[t][t]
-                    addmul_col(j, t, -q)
-                    if a[t][j]:
-                        swap_cols(t, j)
-                        restart = True
-                        break
-            if not restart:
-                break
-        t += 1
-
-    # Positive diagonal, then enforce the divisibility chain.
-    r = min(R, C)
-    for i in range(r):
-        if a[i][i] < 0:
-            addmul_row(i, i, -2)
-    i = 0
-    while i < r - 1:
-        x, y = a[i][i], a[i + 1][i + 1]
-        if x and y and y % x != 0 or (x == 0 and y != 0):
-            # Stack the two diagonal entries into one column and re-reduce.
-            addmul_col(i, i + 1, 1)
-            g, s, tt = ext_gcd(x, y)
-            # [x 0; y y] -> row reduce to gcd: replace rows by Bezout combo.
-            row_i = [s * p + tt * q for p, q in zip(a[i], a[i + 1])]
-            urow_i = [s * p + tt * q for p, q in zip(u[i], u[i + 1])]
-            row_j = [(-(y // g)) * p + (x // g) * q
-                     for p, q in zip(a[i], a[i + 1])]
-            urow_j = [(-(y // g)) * p + (x // g) * q
-                      for p, q in zip(u[i], u[i + 1])]
-            a[i], a[i + 1] = row_i, row_j
-            u[i], u[i + 1] = urow_i, urow_j
-            # Clear the off-diagonal residue in column i+1 / row i.
-            q = a[i][i + 1] // a[i][i]
-            addmul_col(i + 1, i, -q)
-            q = a[i + 1][i] // a[i][i]
-            addmul_row(i + 1, i, -q)
-            if a[i + 1][i + 1] < 0:
-                addmul_row(i + 1, i + 1, -2)
-            i = max(i - 1, 0)
-        else:
-            i += 1
-
-    return IntMatrix(a, cols=C), IntMatrix(u, cols=R), IntMatrix(v, cols=C)
 
 
 def _normalize_divisors(values):
@@ -438,123 +325,136 @@ class Lattice:
     """Integer lattice in Z^n with an incrementally maintained echelon basis.
 
     Rows are kept in Hermite echelon form (each row has a pivot column, pivot
-    columns strictly increase, pivots positive).  Supports membership tests,
-    canonical forms for equality of lattices, and exact coordinates over the
-    rows.  The rows are read by callers and must not be mutated.
+    columns strictly increase, pivots positive) and stored as sparse
+    {column: nonzero} dicts, so a row's pivot is its least key and every step
+    touches only nonzeros.  Vectors are given as dense sequences of length n
+    or as sparse dicts; dicts are copied, never kept.  Supports membership
+    tests, canonical forms for equality of lattices, and exact coordinates
+    over the rows.
+
+    >>> lat = Lattice(3, [[2, 4, 0], {1: 3, 2: 1}])
+    >>> lat.rows, lat.pivots
+    ([[2, 4, 0], [0, 3, 1]], [0, 1])
+    >>> lat.coordinates([4, 5, -1])
+    [2, -1]
     """
 
-    __slots__ = ("n", "rows", "pivots", "_pivot_at")
+    __slots__ = ("n", "_rows", "pivots", "_pivot_at")
 
     def __init__(self, n, vectors=()):
         self.n = n
-        self.rows = []
+        self._rows = []
         self.pivots = []
         self._pivot_at = {}
         for v in vectors:
             self.add(v)
 
+    @property
+    def rows(self):
+        """Dense rows, as fresh lists, in pivot order."""
+        return [_dense(row, self.n) for row in self._rows]
+
     def add(self, vec):
         """Insert a vector; returns True if the lattice grew or changed."""
-        v = list(vec)
-        if len(v) != self.n:
-            raise ShapeMismatch("vector has wrong ambient dimension")
+        v = _sparse_vector(vec, self.n)
+        rows, pivot_at = self._rows, self._pivot_at
         changed = False
-        j = 0
-        while j < self.n:
-            if not v[j]:
-                j += 1
-                continue
-            i = self._pivot_at.get(j)
+        while v:
+            j = min(v)
+            i = pivot_at.get(j)
             if i is None:
                 if v[j] < 0:
-                    v = [-x for x in v]
+                    v = {k: -x for k, x in v.items()}
                 pivots = self.pivots
                 pos = bisect_left(pivots, j)
-                self.rows.insert(pos, v)
+                rows.insert(pos, v)
                 pivots.insert(pos, j)
                 for k in range(pos, len(pivots)):
-                    self._pivot_at[pivots[k]] = k
+                    pivot_at[pivots[k]] = k
                 return True
-            row = self.rows[i]
+            row = rows[i]
             a, b = row[j], v[j]
             if b % a == 0:
-                q = b // a
-                v = [x - q * y for x, y in zip(v, row)]
+                _add_multiple(v, -(b // a), row)
             else:
                 g, x, y = ext_gcd(a, b)
-                new_row = [x * p + y * q for p, q in zip(row, v)]
-                v = [(a // g) * q - (b // g) * p for p, q in zip(row, v)]
-                self.rows[i] = new_row
+                rows[i] = _combination(x, row, y, v)
+                v = _combination(a // g, v, -(b // g), row)
                 changed = True
         return changed
 
-    def _eliminate(self, vec, stop=None, coeffs=None):
-        """Subtract rows from vec until its first `stop` entries are zero.
+    def _eliminate(self, v, stop=None, coeffs=None):
+        """Subtract rows from the sparse v, in place, until it has no entry
+        below `stop` (below n when stop is None).
 
-        Returns the remainder, or None when an entry has no pivot row or is
-        not divisible by its pivot.  The multiple of row i that was
-        subtracted is stored in coeffs[i] when coeffs is given.
+        Returns v, or None when an entry has no pivot row or is not
+        divisible by its pivot.  The multiple of row i that was subtracted is
+        stored in coeffs[i] when coeffs is given.
         """
-        v = list(vec)
-        for j in range(self.n if stop is None else stop):
-            if not v[j]:
-                continue
+        while v:
+            j = min(v)
+            if stop is not None and j >= stop:
+                break
             i = self._pivot_at.get(j)
             if i is None:
                 return None
-            row = self.rows[i]
-            if v[j] % row[j] != 0:
+            row = self._rows[i]
+            q, r = divmod(v[j], row[j])
+            if r:
                 return None
-            q = v[j] // row[j]
             if coeffs is not None:
                 coeffs[i] = q
-            v = [x - q * y for x, y in zip(v, row)]
+            _add_multiple(v, -q, row)
+        return v
+
+    def _reduce(self, v, after=-1):
+        """Floor-reduce, in place, the entries of v at pivot columns beyond
+        `after`, in increasing column order; returns v."""
+        rows, pivot_at = self._rows, self._pivot_at
+        todo = sorted(k for k in v if k > after and k in pivot_at)
+        while todo:
+            j = heappop(todo)
+            row = rows[pivot_at[j]]
+            q = v.get(j, 0) // row[j]
+            if q:
+                for k in (row.keys() - v.keys()) & pivot_at.keys():
+                    heappush(todo, k)
+                _add_multiple(v, -q, row)
         return v
 
     def contains(self, vec):
-        return self._eliminate(vec) is not None
+        return self._eliminate(_sparse_vector(vec, self.n)) is not None
 
-    def coordinates(self, vec):
-        """Exact coefficients c with sum(c[i] * rows[i]) == vec."""
-        coeffs = [0] * len(self.rows)
-        if self._eliminate(vec, coeffs=coeffs) is None:
+    def _coefficients(self, vec):
+        """Sparse coordinates {i: c} with sum(c * rows[i]) == vec."""
+        coeffs = {}
+        if self._eliminate(_sparse_vector(vec, self.n), coeffs=coeffs) is None:
             raise NotDivisible("vector not in the integer span of the basis")
         return coeffs
 
+    def coordinates(self, vec):
+        """Exact coefficients c with sum(c[i] * rows[i]) == vec."""
+        return _dense(self._coefficients(vec), len(self._rows))
+
     def reduce(self, vec):
-        """Reduce vec by the basis as far as divisibility allows."""
-        v = list(vec)
-        for j in range(self.n):
-            if not v[j]:
-                continue
-            i = self._pivot_at.get(j)
-            if i is None:
-                continue
-            row = self.rows[i]
-            q = v[j] // row[j]
-            if q:
-                v = [x - q * y for x, y in zip(v, row)]
-        return v
+        """Reduce vec by the basis as far as divisibility allows; the result
+        is a dense list."""
+        return _dense(self._reduce(_sparse_vector(vec, self.n)), self.n)
 
     def canonicalize(self):
         """Bring the basis to the unique Hermite normal form."""
-        for k, j in enumerate(self.pivots):
-            p = self.rows[k][j]
-            for i in range(len(self.rows)):
-                if i == k:
-                    continue
-                q = self.rows[i][j] // p
-                if q:
-                    self.rows[i] = [x - q * y
-                                    for x, y in zip(self.rows[i], self.rows[k])]
+        # Row i is reduced by the rows below it, which are not yet reduced
+        # themselves: the order of the classical column sweep.
+        for i, j in enumerate(self.pivots):
+            self._reduce(self._rows[i], j)
         return self
 
     def equals(self, other):
         if self.n != other.n or self.pivots != other.pivots:
             return False
-        a = Lattice(self.n, self.rows).canonicalize()
-        b = Lattice(other.n, other.rows).canonicalize()
-        return a.rows == b.rows
+        a = Lattice(self.n, self._rows).canonicalize()
+        b = Lattice(other.n, other._rows).canonicalize()
+        return a._rows == b._rows
 
     def __contains__(self, vec):
         return self.contains(vec)
@@ -601,7 +501,7 @@ class FpAbelianGroup:
 
     @cached_property
     def relation_lattice(self):
-        return Lattice(self.ngens, self.relations.columns()).canonicalize()
+        return Lattice(self.ngens, self.relations._sparse).canonicalize()
 
     @property
     def is_trivial(self):
@@ -710,8 +610,11 @@ class AbelianHom:
         self.matrix = matrix
         if check:
             lat = target.relation_lattice
-            for col in source.relations.sparse_columns():
-                if not lat.contains(matrix.combine(col.items())):
+            for col in source.relations._sparse:
+                image = {}
+                for j, x in col.items():
+                    _add_multiple(image, x, matrix._sparse[j])
+                if not lat.contains(image):
                     raise HomValidityError(
                         "source relator does not map to zero in the target")
 
@@ -783,20 +686,18 @@ class AbelianHom:
         pivot >= h have zero image part, and solving M x == b modulo the
         target relations clears the image block of (b | 0), leaving (0 | -x).
         """
-        g = self.source.ngens
-        lat = Lattice(self.target.ngens + g)
-        for j in range(g):
-            src = [0] * g
-            src[j] = 1
-            lat.add(self.matrix.column(j) + src)
-        for rel in self.target.relations.columns():
-            lat.add(rel + [0] * g)
+        h = self.target.ngens
+        lat = Lattice(h + self.source.ngens)
+        for j, col in enumerate(self.matrix._sparse):
+            lat.add(col | {h + j: 1})
+        for rel in self.target.relations._sparse:
+            lat.add(rel)
         return lat
 
     @cached_property
     def image_lattice(self):
-        lat = Lattice(self.target.ngens, self.matrix.columns())
-        for rel in self.target.relations.columns():
+        lat = Lattice(self.target.ngens, self.matrix._sparse)
+        for rel in self.target.relations._sparse:
             lat.add(rel)
         return lat.canonicalize()
 
@@ -805,15 +706,20 @@ class AbelianHom:
         """Echelon basis of {x in Z^src : M x lies in the target lattice}."""
         aug, h = self._augmented, self.target.ngens
         return Lattice(self.source.ngens,
-                       (row[h:] for piv, row in zip(aug.pivots, aug.rows)
+                       ({k - h: x for k, x in row.items()}
+                        for piv, row in zip(aug.pivots, aug._rows)
                         if piv >= h))
 
     def preimage_vector(self, vec):
         """Some x with M x == vec modulo the target relations, or None."""
         h = self.target.ngens
-        rest = self._augmented._eliminate(
-            list(vec) + [0] * self.source.ngens, stop=h)
-        return None if rest is None else [-x for x in rest[h:]]
+        rest = self._augmented._eliminate(_sparse_vector(vec, h), stop=h)
+        if rest is None:
+            return None
+        x = [0] * self.source.ngens
+        for k, v in rest.items():
+            x[k - h] = -v
+        return x
 
     def __repr__(self):
         return f"AbelianHom({self.source!r} -> {self.target!r})"
@@ -838,8 +744,8 @@ def hom_analysis(h):
     which is correct in the presence of torsion on both sides.
     """
     kernel = _subgroup(h.kernel_lattice, "ker", h.source.relations)
-    inclusion = AbelianHom.from_columns(kernel, h.source, h.kernel_lattice.rows,
-                                        check=False)
+    inclusion = AbelianHom.from_columns(kernel, h.source,
+                                        h.kernel_lattice._rows, check=False)
     image = _subgroup(h.image_lattice, "im", h.target.relations)
 
     cokernel = h.target.with_extra_relations(h.matrix.sparse_columns())
@@ -852,8 +758,8 @@ def hom_analysis(h):
 
 def _subgroup(lat, tag, relations):
     """The group on lat's rows, related by the given relator columns."""
-    gens = tuple((tag, i) for i in range(len(lat.rows)))
-    cols = [lat.coordinates(rel) for rel in relations.columns()]
+    gens = tuple((tag, i) for i in range(len(lat.pivots)))
+    cols = [lat._coefficients(rel) for rel in relations._sparse]
     return FpAbelianGroup(gens, IntMatrix.from_columns(cols, len(gens)))
 
 
@@ -861,8 +767,8 @@ def exact_at(f, g):
     """True iff image(f) == kernel(g) as subgroups of the middle group."""
     if not f.target.same_presentation(g.source):
         raise ShapeMismatch("maps are not composable through a middle group")
-    ker = Lattice(g.source.ngens, g.kernel_lattice.rows)
-    for rel in g.source.relations.columns():
+    ker = Lattice(g.source.ngens, g.kernel_lattice._rows)
+    for rel in g.source.relations._sparse:
         ker.add(rel)
     return f.image_lattice.equals(ker)
 

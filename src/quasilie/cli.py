@@ -35,7 +35,6 @@ class Config:
     max_order: int = 4
     max_labels: int = 2
     fmt: str = "json"
-    jobs: int = 1
     seed: int = 0
 
     def allows(self, tree_order, labels):
@@ -43,8 +42,9 @@ class Config:
             return False
         if tree_order <= self.max_order and labels <= self.max_labels:
             return True
-        # default allowance: three labels up to order two
-        return labels == 3 and tree_order <= 2
+        # default allowance: three labels up to order two, unless the label
+        # cap was lowered below the default
+        return labels == 3 and tree_order <= 2 and self.max_labels >= 2
 
 
 class CliError(Exception):
@@ -292,10 +292,15 @@ def cmd_map(args, cfg):
 
 
 def cmd_verify(args, cfg):
-    max_order = args.order if args.order is not None else args.max_order
+    max_order = (args.order if args.order is not None
+                 else args.verify_max_order)
+    if not cfg.allows(max_order, args.labels):
+        raise CliError(EXIT_BUDGET,
+                       f"budget exceeded for verify order={max_order} "
+                       f"labels={args.labels} (raise the global "
+                       f"--max-order/--max-labels)")
     if args.claim == "all":
-        reports = verify_all(max_order, args.labels, cfg.seed,
-                             jobs=cfg.jobs)
+        reports = verify_all(max_order, args.labels, cfg.seed)
     else:
         if args.claim not in ALL_CLAIMS:
             raise CliError(EXIT_BAD_NAME, f"unknown claim: {args.claim} "
@@ -382,17 +387,19 @@ def cmd_table(args, cfg):
     names = args.names.split(",") if args.names else ["L", "Lq", "T",
                                                       "Ttilde", "Tinf"]
     rows = [("name", "n", "m", "free_rank", "torsion")]
+    skipped = set()
     for name in names:
         if name not in GROUP_NAMES:
             raise CliError(EXIT_BAD_NAME, f"unknown group name: {name}")
         start = 1 if name in ("L", "Lq", "Z2L", "Z2Lq") else 0
         for m in range(1, args.labels + 1):
             for n in range(start, args.max_order + 1):
-                if not cfg.allows(_tree_order(name, n), m):
-                    continue
                 if name == "Dtilde" and n % 2 != 1:
                     continue
                 if name == "Dinf" and n % 4 != 2:
+                    continue
+                if not cfg.allows(_tree_order(name, n), m):
+                    skipped.add(n)
                     continue
                 try:
                     g = _build_group(name, n, m)
@@ -403,6 +410,11 @@ def cmd_table(args, cfg):
     w = csv.writer(sys.stdout)
     for r in rows:
         w.writerow(r)
+    if skipped:
+        print("note: over the budget, skipped orders "
+              + ",".join(map(str, sorted(skipped)))
+              + " (raise the global --max-order/--max-labels)",
+              file=sys.stderr)
     return 0
 
 
@@ -419,9 +431,11 @@ def build_parser():
     ap.add_argument("--format", choices=("json", "csv", "text"),
                     default="json")
     ap.add_argument("--jobs", type=int, default=1,
-                    help="parallel claim evaluation for verify")
+                    help="accepted and ignored: verify runs its claims "
+                         "serially")
     ap.add_argument("--seed", type=int, default=0,
-                    help="seed for randomized property checks")
+                    help="reserved: echoed in verify reports, read by no "
+                         "claim")
     sub = ap.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("group", help="compute a group's structure")
@@ -442,7 +456,9 @@ def build_parser():
 
     v = sub.add_parser("verify", help="run verification claims")
     v.add_argument("claim", help="claim id or 'all'")
-    v.add_argument("--max-order", type=int, default=2)
+    v.add_argument("--max-order", dest="verify_max_order", type=int,
+                   default=2, help="highest order to check (default 2; "
+                                   "within the global budget)")
     v.add_argument("--order", type=int, default=None,
                    help="exact order (overrides --max-order)")
     v.add_argument("--labels", type=int, default=2)
@@ -470,7 +486,7 @@ def main(argv=None):
     ap = build_parser()
     args = ap.parse_args(argv)
     cfg = Config(max_order=args.max_order, max_labels=args.max_labels,
-                 fmt=args.format, jobs=args.jobs, seed=args.seed)
+                 fmt=args.format, seed=args.seed)
     if args.command == "table" and args.table_max_order is not None:
         args.max_order = args.table_max_order
     try:

@@ -1,0 +1,267 @@
+"""Dense reference implementations that the tests check the engine against.
+
+The engine (`quasilie.abelian`) works on sparse vectors: `relation_divisors`
+for group structure and a sparse-row `Lattice` for echelon bases.  These are
+the plain dense-row algorithms they replaced: Smith normal form with
+transforms, a fraction-free determinant, and a dense-row Hermite echelon
+lattice that does the same arithmetic in the same order as `Lattice`, so the
+two must agree row for row.
+"""
+
+from bisect import bisect_left
+
+from quasilie.abelian import (IntMatrix, NotDivisible, ShapeMismatch,
+                              ext_gcd)
+
+
+def det(m):
+    """Determinant by fraction-free elimination (small matrices only)."""
+    if m.rows != m.cols:
+        raise ShapeMismatch("determinant of non-square matrix")
+    n = m.rows
+    a = [list(r) for r in m.data]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            for i in range(k + 1, n):
+                if a[i][k]:
+                    a[k], a[i] = a[i], a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+            a[i][k] = 0
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]
+
+
+def snf(m):
+    """Smith normal form with transforms: returns (S, U, V), S = U*M*V.
+
+    S is diagonal with a divisibility chain d1 | d2 | ...; U and V are
+    unimodular.  Row/column reduction with pivoting on the entry of minimal
+    absolute value.
+
+    >>> S, U, V = snf(IntMatrix([[2, 0], [0, 3]]))
+    >>> [S.data[i][i] for i in range(2)]
+    [1, 6]
+    """
+    R, C = m.rows, m.cols
+    a = [list(row) for row in m.data]
+    u = [[1 if i == j else 0 for j in range(R)] for i in range(R)]
+    v = [[1 if i == j else 0 for j in range(C)] for i in range(C)]
+
+    def swap_rows(i, j):
+        a[i], a[j] = a[j], a[i]
+        u[i], u[j] = u[j], u[i]
+
+    def swap_cols(i, j):
+        for row in a:
+            row[i], row[j] = row[j], row[i]
+        for row in v:
+            row[i], row[j] = row[j], row[i]
+
+    def addmul_row(dst, src, k):
+        a[dst] = [x + k * y for x, y in zip(a[dst], a[src])]
+        u[dst] = [x + k * y for x, y in zip(u[dst], u[src])]
+
+    def addmul_col(dst, src, k):
+        for row in a:
+            row[dst] += k * row[src]
+        for row in v:
+            row[dst] += k * row[src]
+
+    t = 0
+    while True:
+        pivot = None
+        best = None
+        for i in range(t, R):
+            for j in range(t, C):
+                x = a[i][j]
+                if x and (best is None or abs(x) < best):
+                    best = abs(x)
+                    pivot = (i, j)
+                    if best == 1:
+                        break
+            if best == 1:
+                break
+        if pivot is None:
+            break
+        swap_rows(t, pivot[0])
+        swap_cols(t, pivot[1])
+        while True:
+            # Clear column t, restarting with a smaller pivot on any residue.
+            restart = False
+            for i in range(R):
+                if i != t and a[i][t]:
+                    q = a[i][t] // a[t][t]
+                    addmul_row(i, t, -q)
+                    if a[i][t]:
+                        swap_rows(t, i)
+                        restart = True
+                        break
+            if restart:
+                continue
+            for j in range(C):
+                if j != t and a[t][j]:
+                    q = a[t][j] // a[t][t]
+                    addmul_col(j, t, -q)
+                    if a[t][j]:
+                        swap_cols(t, j)
+                        restart = True
+                        break
+            if not restart:
+                break
+        t += 1
+
+    # Positive diagonal, then enforce the divisibility chain.
+    r = min(R, C)
+    for i in range(r):
+        if a[i][i] < 0:
+            addmul_row(i, i, -2)
+    i = 0
+    while i < r - 1:
+        x, y = a[i][i], a[i + 1][i + 1]
+        if x and y and y % x != 0 or (x == 0 and y != 0):
+            # Stack the two diagonal entries into one column and re-reduce.
+            addmul_col(i, i + 1, 1)
+            g, s, tt = ext_gcd(x, y)
+            # [x 0; y y] -> row reduce to gcd: replace rows by Bezout combo.
+            row_i = [s * p + tt * q for p, q in zip(a[i], a[i + 1])]
+            urow_i = [s * p + tt * q for p, q in zip(u[i], u[i + 1])]
+            row_j = [(-(y // g)) * p + (x // g) * q
+                     for p, q in zip(a[i], a[i + 1])]
+            urow_j = [(-(y // g)) * p + (x // g) * q
+                      for p, q in zip(u[i], u[i + 1])]
+            a[i], a[i + 1] = row_i, row_j
+            u[i], u[i + 1] = urow_i, urow_j
+            # Clear the off-diagonal residue in column i+1 / row i.
+            q = a[i][i + 1] // a[i][i]
+            addmul_col(i + 1, i, -q)
+            q = a[i + 1][i] // a[i][i]
+            addmul_row(i + 1, i, -q)
+            if a[i + 1][i + 1] < 0:
+                addmul_row(i + 1, i + 1, -2)
+            i = max(i - 1, 0)
+        else:
+            i += 1
+
+    return IntMatrix(a, cols=C), IntMatrix(u, cols=R), IntMatrix(v, cols=C)
+
+
+class DenseLattice:
+    """Integer lattice in Z^n with a Hermite echelon basis of dense rows.
+
+    Each step scans all n entries of a vector; `Lattice` visits only the
+    nonzeros, in the same order.
+    """
+
+    def __init__(self, n, vectors=()):
+        self.n = n
+        self.rows = []
+        self.pivots = []
+        self._pivot_at = {}
+        for v in vectors:
+            self.add(v)
+
+    def add(self, vec):
+        """Insert a vector; returns True if the lattice grew or changed."""
+        v = list(vec)
+        if len(v) != self.n:
+            raise ShapeMismatch("vector has wrong ambient dimension")
+        changed = False
+        j = 0
+        while j < self.n:
+            if not v[j]:
+                j += 1
+                continue
+            i = self._pivot_at.get(j)
+            if i is None:
+                if v[j] < 0:
+                    v = [-x for x in v]
+                pivots = self.pivots
+                pos = bisect_left(pivots, j)
+                self.rows.insert(pos, v)
+                pivots.insert(pos, j)
+                for k in range(pos, len(pivots)):
+                    self._pivot_at[pivots[k]] = k
+                return True
+            row = self.rows[i]
+            a, b = row[j], v[j]
+            if b % a == 0:
+                q = b // a
+                v = [x - q * y for x, y in zip(v, row)]
+            else:
+                g, x, y = ext_gcd(a, b)
+                new_row = [x * p + y * q for p, q in zip(row, v)]
+                v = [(a // g) * q - (b // g) * p for p, q in zip(row, v)]
+                self.rows[i] = new_row
+                changed = True
+        return changed
+
+    def _eliminate(self, vec, coeffs=None):
+        """Subtract rows from vec until it is zero; None when that fails."""
+        v = list(vec)
+        for j in range(self.n):
+            if not v[j]:
+                continue
+            i = self._pivot_at.get(j)
+            if i is None:
+                return None
+            row = self.rows[i]
+            if v[j] % row[j] != 0:
+                return None
+            q = v[j] // row[j]
+            if coeffs is not None:
+                coeffs[i] = q
+            v = [x - q * y for x, y in zip(v, row)]
+        return v
+
+    def contains(self, vec):
+        return self._eliminate(vec) is not None
+
+    def coordinates(self, vec):
+        """Exact coefficients c with sum(c[i] * rows[i]) == vec."""
+        coeffs = [0] * len(self.rows)
+        if self._eliminate(vec, coeffs=coeffs) is None:
+            raise NotDivisible("vector not in the integer span of the basis")
+        return coeffs
+
+    def reduce(self, vec):
+        """Reduce vec by the basis as far as divisibility allows."""
+        v = list(vec)
+        for j in range(self.n):
+            if not v[j]:
+                continue
+            i = self._pivot_at.get(j)
+            if i is None:
+                continue
+            row = self.rows[i]
+            q = v[j] // row[j]
+            if q:
+                v = [x - q * y for x, y in zip(v, row)]
+        return v
+
+    def canonicalize(self):
+        """Bring the basis to the unique Hermite normal form."""
+        for k, j in enumerate(self.pivots):
+            p = self.rows[k][j]
+            for i in range(len(self.rows)):
+                if i == k:
+                    continue
+                q = self.rows[i][j] // p
+                if q:
+                    self.rows[i] = [x - q * y
+                                    for x, y in zip(self.rows[i], self.rows[k])]
+        return self
+
+    def equals(self, other):
+        if self.n != other.n or self.pivots != other.pivots:
+            return False
+        a = DenseLattice(self.n, self.rows).canonicalize()
+        b = DenseLattice(other.n, other.rows).canonicalize()
+        return a.rows == b.rows

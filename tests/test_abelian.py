@@ -10,8 +10,10 @@ from hypothesis import given, settings, strategies as st
 from quasilie.abelian import (AbelianHom, FpAbelianGroup, HomValidityError,
                               IntMatrix, Lattice, NotDivisible, ShapeMismatch,
                               TorsionPresent, direct_sum, exact_at,
-                              hom_analysis, pullback, relation_divisors, snf,
+                              hom_analysis, pullback, relation_divisors,
                               solve_division, tensor_Z2)
+
+from oracles import DenseLattice, det, snf
 
 Z = FpAbelianGroup(("x",))
 Z2 = FpAbelianGroup(("q",), IntMatrix([[2]]))
@@ -26,7 +28,7 @@ class TestSnf:
         S, U, V = snf(IntMatrix([[2, 0], [0, 3]]))
         assert diag(S) == [1, 6]
         assert U.mul(IntMatrix([[2, 0], [0, 3]])).mul(V) == S
-        assert abs(U.det()) == 1 and abs(V.det()) == 1
+        assert abs(det(U)) == 1 and abs(det(V)) == 1
 
     def test_zero_matrix(self):
         S, U, V = snf(IntMatrix.zeros(3, 2))
@@ -47,7 +49,7 @@ class TestSnf:
                            for _ in range(r)])
             S, U, V = snf(m)
             assert U.mul(m).mul(V) == S
-            assert abs(U.det()) == 1 and abs(V.det()) == 1
+            assert abs(det(U)) == 1 and abs(det(V)) == 1
             d = diag(S)
             for a, b in zip(d, d[1:]):
                 assert a >= 0 and b >= 0
@@ -435,6 +437,80 @@ class TestLatticeProperties:
     def test_kernel_rows_map_into_relations(self, h):
         for row in h.kernel_lattice.rows:
             assert h.target.relation_lattice.contains(h.apply_vector(row))
+
+
+@st.composite
+def dense_or_dict(draw, n):
+    """A vector of length n, as a dense list or as a dict that may store
+    zeros; returns (the input, its dense value)."""
+    vec = draw(ints(n))
+    if draw(st.booleans()):
+        return vec, vec
+    keep = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    order = draw(st.permutations(range(n)))
+    return {k: vec[k] for k in order if vec[k] or keep[k]}, vec
+
+
+@st.composite
+def paired_lattices(draw):
+    """The sparse Lattice and the dense oracle, built by the same adds; every
+    add must return the same flag and leave the same rows and pivots."""
+    n = draw(st.integers(1, 5))
+    lat, ref = Lattice(n), DenseLattice(n)
+    for _ in range(draw(st.integers(0, 5))):
+        vec, want = draw(dense_or_dict(n))
+        assert lat.add(vec) == ref.add(want)
+        assert (lat.rows, lat.pivots) == (ref.rows, ref.pivots)
+        assert all(all(row.values()) for row in lat._rows)
+        if isinstance(vec, dict):
+            before = lat.rows
+            for k in range(n):
+                vec[k] = 7
+            assert lat.rows == before
+    return n, lat, ref
+
+
+class TestLatticeAgainstDense:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(paired_lattices(), st.data())
+    def test_queries_agree(self, pair, data):
+        n, lat, ref = pair
+        # a lattice vector, and one with a unit perturbation that may leave it
+        c = data.draw(ints(len(ref.rows)))
+        inside = combine(c, ref.rows, [0] * n)
+        shifted = list(inside)
+        shifted[data.draw(st.integers(0, n - 1))] += data.draw(small)
+        other, want = data.draw(dense_or_dict(n))
+        for vec, dense in ((inside, inside), (shifted, shifted),
+                           (other, want)):
+            assert lat.reduce(vec) == ref.reduce(dense)
+            assert lat.contains(vec) == ref.contains(dense)
+            try:
+                expected = ref.coordinates(dense)
+            except NotDivisible:
+                with pytest.raises(NotDivisible):
+                    lat.coordinates(vec)
+            else:
+                assert lat.coordinates(vec) == expected
+        assert lat.coordinates(inside) == c
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(paired_lattices(), paired_lattices())
+    def test_canonical_forms_and_equality_agree(self, pa, pb):
+        (_, lat, ref), (_, lat2, ref2) = pa, pb
+        assert lat.equals(lat2) == ref.equals(ref2)
+        assert lat.canonicalize().rows == ref.canonicalize().rows
+        assert lat.pivots == ref.pivots
+        assert all(all(row.values()) for row in lat._rows)
+        assert lat.equals(Lattice(lat.n, reversed(ref.rows)))
+
+    def test_bad_shapes_raise(self):
+        lat = Lattice(3, [[1, 2, 3]])
+        for vec in ([1, 2], {3: 1}, {-1: 1}, {0: 1, 5: 0}):
+            for method in (lat.add, lat.contains, lat.coordinates,
+                           lat.reduce):
+                with pytest.raises(ShapeMismatch):
+                    method(vec)
 
 
 class TestNormalForm:

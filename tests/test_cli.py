@@ -56,6 +56,11 @@ class TestGroup:
                            "--labels", "3")
         assert code == 0
 
+    def test_three_labels_refused_under_lowered_label_cap(self, capsys):
+        code, out, _ = run(capsys, "--max-labels", "1", "group", "L",
+                           "--order", "2", "--labels", "3")
+        assert code == 2 and out == ""
+
     def test_routing_matches_library(self, capsys):
         for name, order, builder in (
                 ("L", 3, lambda: lie_group(3, 2, LIE).group),
@@ -140,6 +145,17 @@ class TestVerify:
         assert code == 0
         assert json.loads(out)[0]["status"] == "verified"
 
+    def test_budget_exit2_and_override(self, capsys):
+        # verify's own --max-order picks the orders; the global caps bound it
+        for argv in (("--max-order", "5", "--labels", "1"),
+                     ("--max-order", "3", "--labels", "3")):
+            code, out, err = run(capsys, "verify", "thm31_i", *argv)
+            assert code == 2 and out == "" and err.startswith("error:")
+        code, out, _ = run(capsys, "--max-order", "5", "verify", "thm31_i",
+                           "--max-order", "5", "--labels", "1")
+        assert code == 0
+        assert json.loads(out)[0]["params"]["max_order"] == 5
+
     def test_unknown_claim_exit3(self, capsys):
         code, _, _ = run(capsys, "verify", "nonsense")
         assert code == 3
@@ -214,3 +230,13 @@ class TestTable:
         lines = out.strip().splitlines()
         assert lines[0] == "name,n,m,free_rank,torsion"
         assert "T,1,2,0,2;2;2;2" in lines
+
+    def test_budget_cut_is_noted_on_stderr(self, capsys):
+        code, out, err = run(capsys, "table", "--names", "T,Dinf",
+                             "--max-order", "6", "--labels", "2")
+        assert code == 0
+        _, capped, none = run(capsys, "table", "--names", "T,Dinf",
+                              "--max-order", "4", "--labels", "2")
+        assert out == capped and none == ""
+        assert err.count("\n") == 1
+        assert "skipped orders 5,6 " in err
