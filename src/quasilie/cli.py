@@ -2,7 +2,7 @@
 
 This module is a thin shell over the library; it does no mathematics itself.
 Exit codes: 0 success, 1 failed verification claim, 2 budget exceeded,
-3 invalid name, 4 element parse error, 5 schema validation error.
+3 invalid name or order, 4 element parse error, 5 schema validation error.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ import csv
 import io
 import json
 import sys
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from . import abelian, lie, quadratic, treegroups, trees
@@ -23,11 +24,6 @@ EXIT_BUDGET = 2
 EXIT_BAD_NAME = 3
 EXIT_PARSE = 4
 EXIT_SCHEMA = 5
-
-GROUP_NAMES = ("L", "Lq", "D", "Dq", "Dtilde", "Dinf",
-               "T", "Ttilde", "Tinf", "Z2L", "Z2Lq")
-MAP_NAMES = ("etaP", "eta", "etaTilde", "etaInf", "delta",
-             "sq", "sl", "p", "bracket")
 
 
 @dataclass
@@ -53,38 +49,91 @@ class CliError(Exception):
         self.code = code
 
 
-def _tree_order(name, order):
-    if name in ("L", "Lq", "Z2L", "Z2Lq"):
-        return order - 1
-    if name in ("D", "Dq", "Dtilde", "Dinf"):
-        return order + 1
-    return order
+@dataclass(frozen=True)
+class Entry:
+    """How to build one group or map, and where it is defined.
+
+    The name is defined in the orders first, first + step, ... with at least
+    one label; the budget is checked on tree_order(order).  For the eta maps
+    into a bracket kernel, `ambient` names the variant whose inclusion
+    renders --element images in tensor coordinates.
+    """
+    build: Callable[[int, int], object]
+    tree_order: Callable[[int], int]
+    first: int = 0
+    step: int = 1
+    ambient: str | None = None
+
+    def defined(self, order, labels):
+        return (labels >= 1 and order >= self.first
+                and (order - self.first) % self.step == 0)
 
 
-def _build_group(name, order, labels):
-    if name == "L":
-        return lie.lie_group(order, labels, lie.LIE).group
-    if name == "Lq":
-        return lie.lie_group(order, labels, lie.QUASI).group
-    if name == "Z2L":
-        return abelian.tensor_Z2(lie.lie_group(order, labels, lie.LIE).group)
-    if name == "Z2Lq":
-        return abelian.tensor_Z2(lie.lie_group(order, labels, lie.QUASI).group)
-    if name == "D":
-        return lie.d_group(order, labels, lie.LIE).group
-    if name == "Dq":
-        return lie.d_group(order, labels, lie.QUASI).group
-    if name == "Dtilde":
-        return lie.d_tilde(order, labels)[0]
-    if name == "Dinf":
-        return lie.d_infinity(order, labels).group
-    if name == "T":
-        return treegroups.t_group(order, labels).group
-    if name == "Ttilde":
-        return treegroups.t_tilde(order, labels).group
-    if name == "Tinf":
-        return treegroups.t_infinity(order, labels).group
-    raise CliError(EXIT_BAD_NAME, f"unknown group name: {name}")
+def _grade(n):        # a Lie grade of degree n has trees of order n - 1
+    return n - 1
+
+
+def _kernel(n):       # D_n and the maps into it: trees of order n + 1
+    return n + 1
+
+
+def _same(n):
+    return n
+
+
+# Every group and map of `group`, `map` and `table`.  Builders look their
+# library functions up when called, so they always call the current ones.
+REGISTRY = {
+    "group": {
+        "L": Entry(lambda n, m: lie.lie_group(n, m, lie.LIE).group,
+                   _grade, 1),
+        "Lq": Entry(lambda n, m: lie.lie_group(n, m, lie.QUASI).group,
+                    _grade, 1),
+        "D": Entry(lambda n, m: lie.d_group(n, m, lie.LIE).group, _kernel),
+        "Dq": Entry(lambda n, m: lie.d_group(n, m, lie.QUASI).group,
+                    _kernel),
+        "Dtilde": Entry(lambda n, m: lie.d_tilde(n, m)[0], _kernel, 1, 2),
+        "Dinf": Entry(lambda n, m: lie.d_infinity(n, m).group, _kernel, 2, 4),
+        "T": Entry(lambda n, m: treegroups.t_group(n, m).group, _same),
+        "Ttilde": Entry(lambda n, m: treegroups.t_tilde(n, m).group, _same),
+        "Tinf": Entry(lambda n, m: treegroups.t_infinity(n, m).group, _same),
+        "Z2L": Entry(lambda n, m: abelian.tensor_Z2(
+            lie.lie_group(n, m, lie.LIE).group), _grade, 1),
+        "Z2Lq": Entry(lambda n, m: abelian.tensor_Z2(
+            lie.lie_group(n, m, lie.QUASI).group), _grade, 1),
+    },
+    "map": {
+        "etaP": Entry(lambda n, m: eta_prime(n, m), _kernel,
+                      ambient=lie.QUASI),
+        "eta": Entry(lambda n, m: eta_map(n, m), _kernel, ambient=lie.LIE),
+        "etaTilde": Entry(lambda n, m: eta_tilde(n, m), _kernel, 1, 2),
+        "etaInf": Entry(lambda n, m: eta_infinity(n, m), _kernel, 2, 4),
+        "delta": Entry(lambda n, m: treegroups.delta((n + 1) // 2, m),
+                       _kernel, 1, 2),
+        "sq": Entry(lambda n, m: lie.sq(n, m), lambda n: 2 * n - 1, 1),
+        "sl": Entry(lambda n, m: lie.sl(n, m), _kernel, 0, 2),
+        "p": Entry(lambda n, m: lie.proj_p(n, m), _grade, 1),
+        "bracket": Entry(lambda n, m: lie.bracket_hom(n, m), _kernel),
+    },
+}
+GROUP_NAMES = tuple(REGISTRY["group"])
+MAP_NAMES = tuple(REGISTRY["map"])
+
+
+def _entry(kind, name, order, labels, cfg):
+    """The registry entry of a request that is in its domain and budget."""
+    entry = REGISTRY[kind].get(name)
+    if entry is None:
+        raise CliError(EXIT_BAD_NAME, f"unknown {kind} name: {name}")
+    if not entry.defined(order, labels):
+        raise CliError(EXIT_BAD_NAME,
+                       f"{name} is defined in orders {entry.first}, "
+                       f"{entry.first + entry.step}, ... with labels >= 1")
+    if not cfg.allows(entry.tree_order(order), labels):
+        raise CliError(EXIT_BUDGET,
+                       f"budget exceeded for {name} order={order} "
+                       f"labels={labels} (raise --max-order/--max-labels)")
+    return entry
 
 
 def render_key(key):
@@ -170,58 +219,13 @@ def _textual(obj, indent=0):
 
 def cmd_group(args, cfg):
     name, order, labels = args.name, args.order, args.labels
-    if name not in GROUP_NAMES:
-        raise CliError(EXIT_BAD_NAME, f"unknown group name: {name}")
-    if not cfg.allows(_tree_order(name, order), labels):
-        raise CliError(EXIT_BUDGET,
-                       f"budget exceeded for {name} order={order} "
-                       f"labels={labels} (raise --max-order/--max-labels)")
-    try:
-        g = _build_group(name, order, labels)
-    except ValueError as e:
-        raise CliError(EXIT_BAD_NAME, str(e))
+    g = _entry("group", name, order, labels, cfg).build(order, labels)
     out = {"group": name, "order": order, "labels": labels,
            "free_rank": g.free_rank, "torsion": g.torsion}
     if args.generators:
         out["generators"] = [render_key(k) for k in g.generators]
     _emit(out, cfg)
     return 0
-
-
-def _build_map(name, order, labels):
-    if name == "etaP":
-        return eta_prime(order, labels)
-    if name == "eta":
-        return eta_map(order, labels)
-    if name == "etaTilde":
-        return eta_tilde(order, labels)
-    if name == "etaInf":
-        return eta_infinity(order, labels)
-    if name == "delta":
-        if order % 2 != 1:
-            raise CliError(EXIT_BAD_NAME, "delta lives in odd orders")
-        return treegroups.delta((order + 1) // 2, labels)
-    if name == "sq":
-        return lie.sq(order, labels)
-    if name == "sl":
-        return lie.sl(order, labels)
-    if name == "p":
-        return lie.proj_p(order, labels)
-    if name == "bracket":
-        return lie.bracket_hom(order, labels)
-    raise CliError(EXIT_BAD_NAME, f"unknown map name: {name}")
-
-
-def _map_tree_order(name, order):
-    if name in ("etaP", "eta", "etaTilde", "etaInf", "delta"):
-        return order + 1
-    if name == "sq":
-        return 2 * order - 1
-    if name in ("sl", "bracket"):
-        return order + 1
-    if name == "p":
-        return order - 1
-    return order
 
 
 def _parse_element(h, text):
@@ -258,26 +262,13 @@ def _parse_element(h, text):
 
 def cmd_map(args, cfg):
     name, order, labels = args.name, args.order, args.labels
-    if name not in MAP_NAMES:
-        raise CliError(EXIT_BAD_NAME, f"unknown map name: {name}")
-    if not cfg.allows(_map_tree_order(name, order), labels):
-        raise CliError(EXIT_BUDGET, "budget exceeded (raise --max-order)")
-    try:
-        h = _build_map(name, order, labels)
-    except CliError:
-        raise
-    except ValueError as e:
-        raise CliError(EXIT_BAD_NAME, str(e))
-    via = None
-    if name in ("eta", "etaP", "etaTilde"):
-        # kernel-presented targets read best in ambient tensor coordinates
-        variant = lie.LIE if name == "eta" else lie.QUASI
-        D = lie.d_group(order, labels, variant)
-        if name in ("eta", "etaP"):
-            via = D.inclusion
+    entry = _entry("map", name, order, labels, cfg)
+    h = entry.build(order, labels)
     if args.element is not None:
-        el = _parse_element(h, args.element)
-        img = h(el)
+        img = h(_parse_element(h, args.element))
+        # kernel-presented targets read best in ambient tensor coordinates
+        via = (None if entry.ambient is None
+               else lie.d_group(order, labels, entry.ambient).inclusion)
         print(render_element(img.group, img.coeffs, via=via))
         return 0
     a = abelian.hom_analysis(h)
@@ -389,22 +380,15 @@ def cmd_table(args, cfg):
     rows = [("name", "n", "m", "free_rank", "torsion")]
     skipped = set()
     for name in names:
-        if name not in GROUP_NAMES:
+        entry = REGISTRY["group"].get(name)
+        if entry is None:
             raise CliError(EXIT_BAD_NAME, f"unknown group name: {name}")
-        start = 1 if name in ("L", "Lq", "Z2L", "Z2Lq") else 0
         for m in range(1, args.labels + 1):
-            for n in range(start, args.max_order + 1):
-                if name == "Dtilde" and n % 2 != 1:
-                    continue
-                if name == "Dinf" and n % 4 != 2:
-                    continue
-                if not cfg.allows(_tree_order(name, n), m):
+            for n in range(entry.first, args.max_order + 1, entry.step):
+                if not cfg.allows(entry.tree_order(n), m):
                     skipped.add(n)
                     continue
-                try:
-                    g = _build_group(name, n, m)
-                except ValueError:
-                    continue
+                g = entry.build(n, m)
                 rows.append((name, n, m, g.free_rank,
                              ";".join(str(t) for t in g.torsion)))
     w = csv.writer(sys.stdout)

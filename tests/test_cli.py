@@ -2,8 +2,8 @@
 
 import json
 
-from quasilie import cli
-from quasilie.lie import LIE, lie_group
+from quasilie import cli, lie
+from quasilie.lie import LIE, QUASI, lie_group
 from quasilie.treegroups import t_group, t_infinity
 
 
@@ -240,3 +240,64 @@ class TestTable:
         assert out == capped and none == ""
         assert err.count("\n") == 1
         assert "skipped orders 5,6 " in err
+
+
+class TestDomain:
+    """Name, then order/labels domain (exit 3), then budget (exit 2)."""
+
+    def test_out_of_domain_exit3(self, capsys):
+        for argv in (("group", "L", "--order", "0", "--labels", "2"),
+                     ("group", "T", "--order", "-1", "--labels", "2"),
+                     ("group", "T", "--order", "2", "--labels", "0"),
+                     ("map", "sq", "--order", "0", "--labels", "2"),
+                     ("map", "p", "--order", "0", "--labels", "2"),
+                     ("map", "delta", "--order", "20", "--labels", "2"),
+                     ("group", "Dinf", "--order", "8", "--labels", "2"),
+                     ("map", "etaTilde", "--order", "20", "--labels", "2")):
+            code, out, err = run(capsys, *argv)
+            assert code == 3 and out == "", argv
+            assert err.startswith("error:") and "budget" not in err, argv
+
+    def test_name_is_checked_before_the_domain(self, capsys):
+        code, _, err = run(capsys, "group", "Nope", "--order", "-1",
+                           "--labels", "0")
+        assert code == 3 and "unknown group name" in err
+        code, _, err = run(capsys, "map", "nosuch", "--order", "20",
+                           "--labels", "2")
+        assert code == 3 and "unknown map name" in err
+
+    def test_in_domain_over_budget_exit2(self, capsys):
+        for argv in (("group", "Dinf", "--order", "10", "--labels", "2"),
+                     ("map", "delta", "--order", "21", "--labels", "2"),
+                     ("map", "sq", "--order", "3", "--labels", "2")):
+            code, out, err = run(capsys, *argv)
+            assert code == 2 and out == "", argv
+            assert err.startswith("error: budget exceeded"), argv
+
+    def test_names_keep_their_order(self):
+        assert cli.GROUP_NAMES == ("L", "Lq", "D", "Dq", "Dtilde", "Dinf",
+                                   "T", "Ttilde", "Tinf", "Z2L", "Z2Lq")
+        assert cli.MAP_NAMES == ("etaP", "eta", "etaTilde", "etaInf",
+                                 "delta", "sq", "sl", "p", "bracket")
+
+    def test_table_skips_out_of_domain_cells_silently(self, capsys):
+        code, out, err = run(capsys, "table", "--names", "Dtilde,Dinf",
+                             "--max-order", "6", "--labels", "1")
+        assert code == 0
+        cells = [line.split(",")[:2] for line in out.splitlines()[1:]]
+        assert cells == [["Dtilde", "1"], ["Dtilde", "3"], ["Dinf", "2"]]
+        assert "skipped orders 5,6 " in err
+
+    def test_element_images_use_the_ambient_kernel_only_for_eta(
+            self, capsys, monkeypatch):
+        argv = ("--element", "<1,(1,2)>")
+        for name in ("etaTilde", "etaP", "eta"):
+            assert run(capsys, "map", name, "--order", "1", "--labels", "2",
+                       *argv)[0] == 0
+        seen = []
+        real = lie.d_group
+        monkeypatch.setattr(lie, "d_group",
+                            lambda *a: seen.append(a) or real(*a))
+        for name in ("etaTilde", "etaP", "eta"):
+            run(capsys, "map", name, "--order", "1", "--labels", "2", *argv)
+        assert seen == [(1, 2, QUASI), (1, 2, LIE)]
