@@ -670,12 +670,8 @@ class AbelianHom:
                 and self.target.same_presentation(other.target)):
             return False
         lat = self.target.relation_lattice
-        for j in range(self.matrix.cols):
-            diff = [a - b for a, b in zip(self.matrix.column(j),
-                                          other.matrix.column(j))]
-            if not lat.contains(diff):
-                return False
-        return True
+        return all(lat.contains(_combination(1, a, -1, b)) for a, b in
+                   zip(self.matrix._sparse, other.matrix._sparse))
 
     @cached_property
     def _augmented(self):

@@ -19,7 +19,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .abelian import (AbelianHom, FpAbelianGroup, IntMatrix, Lattice,
-                      HomValidityError, exact_at, hom_analysis, tensor_Z2)
+                      HomValidityError, _add_multiple, exact_at, hom_analysis,
+                      tensor_Z2)
 from .trees import (canonical_rooted, leaf, node, onequad_rooted_expansions,
                     rooted_trees)
 
@@ -41,33 +42,26 @@ def tree_coords(group, raw_tree, coeff=1):
     return {group.index[c.tree]: coeff * c.sign}
 
 
-def add_coords(acc, extra):
-    for i, v in extra.items():
-        nv = acc.get(i, 0) + v
-        if nv:
-            acc[i] = nv
-        else:
-            acc.pop(i, None)
+def signed_sum(columns):
+    """The sparse sum of {index: coeff} columns, without the entries that
+    cancel."""
+    acc = {}
+    for col in columns:
+        _add_multiple(acc, 1, col)
     return acc
 
 
-def _jacobi_columns(group, degree, labels):
-    cols = []
-    seen = set()
-    for trip in onequad_rooted_expansions(degree - 3, labels):
-        acc = {}
-        for t, s in trip:
-            add_coords(acc, tree_coords(group, t, s))
-        if not acc:
-            continue
-        items = tuple(sorted(acc.items()))
-        lead = items[0][1]
-        if lead < 0:
-            items = tuple((i, -v) for i, v in items)
-        if items not in seen:
-            seen.add(items)
-            cols.append(dict(items))
-    return cols
+def distinct_relators(columns):
+    """The nonzero columns, each signed so that its entry at the least index
+    is positive, once each in the order of first appearance."""
+    seen = {}
+    for col in columns:
+        if col:
+            items = tuple(sorted(col.items()))
+            if items[0][1] < 0:
+                items = tuple((i, -v) for i, v in items)
+            seen[items] = None
+    return [dict(items) for items in seen]
 
 
 @dataclass(frozen=True)
@@ -92,9 +86,10 @@ def lie_group(n, m, variant=LIE):
         if canonical_rooted(t).self_negating:
             cols.append({j: 1} if variant == LIE else {j: 2})
     if n >= 3:
-        cols.extend(_jacobi_columns(group, n, m))
-    group = FpAbelianGroup(gens, IntMatrix.from_columns(cols, len(gens))
-                           if cols else None)
+        cols.extend(distinct_relators(
+            signed_sum(tree_coords(group, t, s) for t, s in trip)
+            for trip in onequad_rooted_expansions(n - 3, m)))
+    group = FpAbelianGroup(gens, IntMatrix.from_columns(cols, len(gens)))
     return LieGrade(n, m, variant, group)
 
 
@@ -108,8 +103,7 @@ def tensor_with_L1(n, m, variant=LIE):
     for col in base.relations.sparse_columns():
         for i in range(m):
             cols.append({i * k + j: v for j, v in col.items()})
-    return FpAbelianGroup(gens, IntMatrix.from_columns(cols, len(gens))
-                          if cols else None)
+    return FpAbelianGroup(gens, IntMatrix.from_columns(cols, len(gens)))
 
 
 def tensor_coords(group, i, raw_tree, coeff=1):
@@ -211,11 +205,8 @@ def d_tilde(n, m):
     Dq = d_group(n, m, QUASI)
     ep = eta_prime(n, m)
     dl = delta(half, m)
-    cols = []
-    for j in range(dl.source.ngens):
-        img = dl.matrix.column(j)
-        cols.append(ep.apply_vector(img))
-    quotient = Dq.group.with_extra_relations(cols) if cols else Dq.group
+    quotient = Dq.group.with_extra_relations(
+        ep.compose(dl).matrix.sparse_columns())
     qhom = AbelianHom(Dq.group, quotient,
                       IntMatrix.identity(Dq.group.ngens), check=False)
     return quotient, qhom

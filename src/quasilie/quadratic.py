@@ -435,8 +435,7 @@ def universal_commutative(form):
             if v:
                 col[i] = col.get(i, 0) - v
         cols.append(col)
-    e_group = FpAbelianGroup(gens, IntMatrix.from_columns(cols, len(gens))
-                             if cols else None)
+    e_group = FpAbelianGroup(gens, IntMatrix.from_columns(cols, len(gens)))
 
     h_cols = []
     for j in range(nm):
@@ -511,8 +510,7 @@ def presented_noncommutative(form):
                 col[i] = col.get(i, 0) + v
         if col:
             cols.append(col)
-    return FpAbelianGroup(gens, IntMatrix.from_columns(cols, len(gens))
-                          if cols else None)
+    return FpAbelianGroup(gens, IntMatrix.from_columns(cols, len(gens)))
 
 
 def enumerate_extension(Q, limit=20000):
@@ -709,8 +707,7 @@ def presentation_from_json(data, what):
         if len(r) != len(gens):
             raise SchemaError(f"{what}: relation length != generator count")
         cols.append([int(x) for x in r])
-    return FpAbelianGroup(gens, IntMatrix.from_columns(cols, len(gens))
-                          if cols else None)
+    return FpAbelianGroup(gens, IntMatrix.from_columns(cols, len(gens)))
 
 
 def form_from_json(data):

@@ -23,7 +23,8 @@ from functools import lru_cache
 
 from .abelian import (AbelianHom, FpAbelianGroup, HomValidityError,
                       IntMatrix, tensor_Z2)
-from .lie import WellDefinednessError, add_coords, lie_group, QUASI
+from .lie import (WellDefinednessError, distinct_relators, lie_group,
+                  signed_sum, QUASI)
 from .trees import (canonical_rooted, canonical_unrooted, glue, leaf, node,
                     onequad_rooted_expansions, onequad_unrooted_expansions,
                     rooted_trees, rootings, unrooted_trees)
@@ -33,24 +34,6 @@ def unrooted_coords(group, label, raw_tree, coeff=1):
     """Sparse coordinates of a raw unrooted pair in a tree group."""
     c = canonical_unrooted(label, raw_tree)
     return {group.index[c.tree]: coeff * c.sign}
-
-
-def _ihx_columns(group, order, labels):
-    cols = []
-    seen = set()
-    for trip in onequad_unrooted_expansions(order, labels):
-        acc = {}
-        for (lab, t), s in trip:
-            add_coords(acc, unrooted_coords(group, lab, t, s))
-        if not acc:
-            continue
-        items = tuple(sorted(acc.items()))
-        if items[0][1] < 0:
-            items = tuple((i, -v) for i, v in items)
-        if items not in seen:
-            seen.add(items)
-            cols.append(dict(items))
-    return cols
 
 
 @dataclass(frozen=True)
@@ -73,33 +56,29 @@ def t_group(n, m):
     for j, t in enumerate(gens):
         if canonical_unrooted(t.label, t.tree).self_negating:
             cols.append({j: 2})
-    cols.extend(_ihx_columns(group, n, m))
-    return TreeGroup("plain", n, m,
-                     FpAbelianGroup(gens, IntMatrix.from_columns(cols, len(gens))
-                                    if cols else None))
-
-
-def delta_coords(group, ut):
-    """Delta(t) = sum over univalent vertices v of <i(v), (T_v, T_v)>."""
-    acc = {}
-    for lab, b in rootings(ut.label, ut.tree):
-        add_coords(acc, unrooted_coords(group, lab, node(b, b)))
-    return acc
+    cols.extend(distinct_relators(
+        signed_sum(unrooted_coords(group, lab, t, s) for (lab, t), s in trip)
+        for trip in onequad_unrooted_expansions(n, m)))
+    group = FpAbelianGroup(gens, IntMatrix.from_columns(cols, len(gens)))
+    return TreeGroup("plain", n, m, group)
 
 
 @lru_cache(maxsize=None)
 def delta(n, m):
     """The framing map Delta: Z2 (x) T_{n-1} -> T_{2n-1}.
 
-    Each summand glues two copies of a branch at a new vertex and is
-    therefore self-negating; well-definedness over Z2 and over the AS/IHX
-    relators is checked at construction.
+    Delta(t) = sum over univalent vertices v of <i(v), (T_v, T_v)>.  Each
+    summand glues two copies of a branch at a new vertex and is therefore
+    self-negating; well-definedness over Z2 and over the AS/IHX relators is
+    checked at construction.
     """
     if n < 1:
         raise ValueError("delta needs n >= 1")
     src = tensor_Z2(t_group(n - 1, m).group)
     dst = t_group(2 * n - 1, m).group
-    cols = [delta_coords(dst, t) for t in src.generators]
+    cols = [signed_sum(unrooted_coords(dst, lab, node(b, b))
+                       for lab, b in rootings(t.label, t.tree))
+            for t in src.generators]
     try:
         return AbelianHom.from_columns(src, dst, cols)
     except HomValidityError as e:
@@ -114,8 +93,7 @@ def t_tilde(n, m):
         quot = AbelianHom.identity(plain.group)
         return TreeGroup("tilde", n, m, plain.group, {"quotient": quot})
     dl = delta((n + 1) // 2, m)
-    cols = dl.matrix.sparse_columns()
-    group = plain.group.with_extra_relations(cols) if cols else plain.group
+    group = plain.group.with_extra_relations(dl.matrix.sparse_columns())
     quot = AbelianHom(plain.group, group,
                       IntMatrix.identity(plain.group.ngens), check=False)
     return TreeGroup("tilde", n, m, group, {"quotient": quot})
@@ -145,7 +123,7 @@ def t_infinity(n, m):
             for j_tree in rooted_trees(q - 1, m):
                 cols.append(unrooted_coords(
                     tilde.group, *glue(node(leaf(i), j_tree), j_tree)))
-        group = tilde.group.with_extra_relations(cols) if cols else tilde.group
+        group = tilde.group.with_extra_relations(cols)
         quot = AbelianHom(tilde.group, group,
                           IntMatrix.identity(tilde.group.ngens), check=False)
         from_plain = quot.compose(tilde.maps["quotient"])
@@ -161,22 +139,16 @@ def t_infinity(n, m):
     idx = group0.index
     cols = plain.relations.sparse_columns()
     for t in rooted_trees(q, m):
-        col = {idx[("inf", t)]: 2}
-        lab, raw = glue(t, t)
-        add_coords(col, unrooted_coords(group0, lab, raw, -1))
-        cols.append(col)
+        cols.append(signed_sum([{idx[("inf", t)]: 2},
+                                unrooted_coords(group0, *glue(t, t), -1)]))
     for trip in onequad_rooted_expansions(q - 2, m) if q >= 2 else ():
         (t1, s1), (t2, s2), (t3, s3) = trip
         # relation t1 = t2 + t3 in L'; refinement law gives
         # t1^inf = t2^inf + t3^inf + <t2, t3>
-        col = {idx[inf_key(t1)]: 1}
-        add_coords(col, {idx[inf_key(t2)]: -1})
-        add_coords(col, {idx[inf_key(t3)]: -1})
-        lab, raw = glue(t2, t3)
-        add_coords(col, unrooted_coords(group0, lab, raw, -1))
-        cols.append(col)
-    group = FpAbelianGroup(gens, IntMatrix.from_columns(cols, len(gens))
-                           if cols else None)
+        cols.append(signed_sum([{idx[inf_key(t1)]: 1}, {idx[inf_key(t2)]: -1},
+                                {idx[inf_key(t3)]: -1},
+                                unrooted_coords(group0, *glue(t2, t3), -1)]))
+    group = FpAbelianGroup(gens, IntMatrix.from_columns(cols, len(gens)))
     incl = AbelianHom.from_columns(
         plain, group, [{j: 1} for j in range(np)], check=False)
     lq = tensor_Z2(lie_group(q + 1, m, QUASI).group)
