@@ -531,8 +531,8 @@ class FpAbelianGroup:
         return tuple(self.relation_lattice.reduce(vec))
 
     def same_presentation(self, other):
-        return (self.generators == other.generators
-                and self.relations == other.relations)
+        return self is other or (self.generators == other.generators
+                                 and self.relations == other.relations)
 
     def with_extra_relations(self, columns):
         """New group on the same generators with additional relator columns."""
@@ -581,10 +581,14 @@ class GroupElement:
     def __eq__(self, other):
         if not isinstance(other, GroupElement):
             return NotImplemented
-        return (self - other).is_zero
+        # elements of different presentations are unequal, not an error,
+        # since they may share a hash
+        return self.group.same_presentation(other.group) and \
+            (self - other).is_zero
 
     def __hash__(self):
-        return hash((id(self.group), self.group.normal_form(self.coeffs)))
+        # equal elements have equal presentations, hence equal normal forms
+        return hash(self.group.normal_form(self.coeffs))
 
     def __repr__(self):
         terms = [f"{v}*{g!r}" for g, v in zip(self.group.generators, self.coeffs)

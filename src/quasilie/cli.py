@@ -283,8 +283,14 @@ def cmd_map(args, cfg):
 
 
 def cmd_verify(args, cfg):
+    if args.claim != "all" and args.claim not in ALL_CLAIMS:
+        raise CliError(EXIT_BAD_NAME, f"unknown claim: {args.claim} "
+                       f"(choose from {', '.join(ALL_CLAIMS)})")
     max_order = (args.order if args.order is not None
                  else args.verify_max_order)
+    if max_order < 0 or args.labels < 1:
+        raise CliError(EXIT_BAD_NAME,
+                       "verify needs an order >= 0 and labels >= 1")
     if not cfg.allows(max_order, args.labels):
         raise CliError(EXIT_BUDGET,
                        f"budget exceeded for verify order={max_order} "
@@ -293,9 +299,6 @@ def cmd_verify(args, cfg):
     if args.claim == "all":
         reports = verify_all(max_order, args.labels, cfg.seed)
     else:
-        if args.claim not in ALL_CLAIMS:
-            raise CliError(EXIT_BAD_NAME, f"unknown claim: {args.claim} "
-                           f"(choose from {', '.join(ALL_CLAIMS)})")
         reports = [verify(args.claim, max_order, args.labels, cfg.seed)]
     payload = json.dumps([r.to_dict() for r in reports],
                          sort_keys=True, indent=2) + "\n"
@@ -314,11 +317,16 @@ def _hom_table(h, label):
 def cmd_quadratic(args, cfg):
     sub = args.subcommand
     if sub == "bridge":
-        if args.order is None or args.order % 2 != 0:
-            raise CliError(EXIT_BAD_NAME, "bridge needs an even --order (2n)")
+        if (args.order is None or args.order < 0 or args.order % 2 != 0
+                or args.labels < 1):
+            raise CliError(EXIT_BAD_NAME, "bridge needs an even --order "
+                                          "(2n >= 0) and labels >= 1")
         n = args.order // 2
         if not cfg.allows(args.order, args.labels):
-            raise CliError(EXIT_BUDGET, "budget exceeded")
+            raise CliError(EXIT_BUDGET,
+                           f"budget exceeded for bridge order={args.order} "
+                           f"labels={args.labels} (raise the global "
+                           f"--max-order/--max-labels)")
         br = quadratic.bridge_T_infinity(n, args.labels)
         out = {"isomorphic": br.isomorphic,
                "checks": br.checks,

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from math import comb
 
 from .abelian import (AbelianHom, FpAbelianGroup, GroupElement, IntMatrix,
                       hom_analysis)
@@ -375,26 +376,18 @@ def induced_morphism(alpha, beta_ee, source_form, target_form):
     return beta_e, diagrams
 
 
-def _signed_occurrences(col, ngens):
-    """Relator column -> ordered list of (generator index, sign)."""
-    seq = []
-    for k in range(ngens):
-        c = col.get(k, 0)
-        s = 1 if c > 0 else -1
-        for _ in range(abs(c)):
-            seq.append((k, s))
-    return seq
+def _cross_terms(form, coeffs):
+    """sum_{k<l} c_k c_l lambda(a_k, a_l) over (k, c_k) pairs, k increasing.
 
-
-def _cocycle_word(form, seq):
-    """sum_{i<j} lambda(a'_i, a'_j) over a signed occurrence sequence."""
+    The cocycle of the word that spells a relator, |c_k| letters a_k (-a_k
+    where c_k < 0) for k increasing, is this sum plus C(|c_k|, 2)
+    lambda(a_k, a_k) for each k: its cost does not grow with the c_k.
+    """
+    terms = [(k, c) for k, c in coeffs if c]
     acc = form.M.zero()
-    prefix = form.A.zero()
-    for k, s in seq:
-        a = form.A.gen(form.A.generators[k])
-        term = a if s > 0 else -a
-        acc = acc + form.lam(prefix, term)
-        prefix = prefix + term
+    for i, (k, c) in enumerate(terms):
+        for l, d in terms[i + 1:]:
+            acc = acc + (c * d) * form.table[k][l]
     return acc
 
 
@@ -417,14 +410,11 @@ def universal_commutative(form):
         if col:
             cols.append(col)
     for rel in A.relations.sparse_columns():
-        seq = _signed_occurrences(rel, A.ngens)
-        col = {}
-        for k, _s in seq:
-            col[nm + k] = col.get(nm + k, 0) + 1   # mu(-a) = mu(a)
-        w = _cocycle_word(form, seq)
-        for i, v in enumerate(w.coeffs):
-            if v:
-                col[i] = col.get(i, 0) + v
+        w = _cross_terms(form, rel.items())
+        for k, c in rel.items():
+            w = w + comb(abs(c), 2) * form.table[k][k]
+        col = {nm + k: abs(c) for k, c in rel.items()}   # mu(-a) = mu(a)
+        col.update((i, v) for i, v in enumerate(w.coeffs) if v)
         if col:
             cols.append(col)
     for k, gk in enumerate(A.generators):
@@ -449,19 +439,9 @@ def universal_commutative(form):
     Q = AbelianQuadraticGroup(e_group, M, h, p, model="presented")
 
     def mu(a_el):
-        coeffs = a_el.coeffs
-        vec = {}
-        for k, c in enumerate(coeffs):
-            if c:
-                vec[nm + k] = vec.get(nm + k, 0) + c * c
-        acc = M.zero()
-        for k in range(A.ngens):
-            for l in range(k + 1, A.ngens):
-                if coeffs[k] and coeffs[l]:
-                    acc = acc + (coeffs[k] * coeffs[l]) * form.table[k][l]
-        for i, v in enumerate(acc.coeffs):
-            if v:
-                vec[i] = vec.get(i, 0) + v
+        vec = {nm + k: c * c for k, c in enumerate(a_el.coeffs) if c}
+        acc = _cross_terms(form, enumerate(a_el.coeffs))
+        vec.update((i, v) for i, v in enumerate(acc.coeffs) if v)
         return e_group.element(vec)
 
     return QuadraticForm(form, Q, mu=mu)
@@ -497,17 +477,13 @@ def presented_noncommutative(form):
     nm = M.ngens
     cols = M.relations.sparse_columns()
     for rel in A.relations.sparse_columns():
-        seq = _signed_occurrences(rel, A.ngens)
-        col = {}
-        w = _cocycle_word(form, seq)
-        for k, s in seq:
-            col[nm + k] = col.get(nm + k, 0) + s
-            if s < 0:
-                a = A.gen(A.generators[k])
-                w = w + form.lam(a, a)
-        for i, v in enumerate(w.coeffs):
-            if v:
-                col[i] = col.get(i, 0) + v
+        w = _cross_terms(form, rel.items())
+        for k, c in rel.items():
+            # each of the |c| sections of -a_k adds lambda(a_k, a_k)
+            diag = comb(abs(c), 2) + (abs(c) if c < 0 else 0)
+            w = w + diag * form.table[k][k]
+        col = {nm + k: c for k, c in rel.items()}
+        col.update((i, v) for i, v in enumerate(w.coeffs) if v)
         if col:
             cols.append(col)
     return FpAbelianGroup(gens, IntMatrix.from_columns(cols, len(gens)))
@@ -695,18 +671,26 @@ def bridge_T_infinity(n, m):
 # JSON input for hermitian forms
 
 
+def _int_vector(v, n, what):
+    """v itself, if it is a JSON list of n integers."""
+    if not (isinstance(v, list) and len(v) == n
+            and all(type(x) is int for x in v)):
+        raise SchemaError(f"{what} must be lists of {n} integers")
+    return v
+
+
 def presentation_from_json(data, what):
     if not isinstance(data, dict) or "generators" not in data:
         raise SchemaError(f"{what}: expected an object with 'generators'")
-    gens = tuple(data["generators"])
+    gens = data["generators"]
+    if not (isinstance(gens, list) and all(isinstance(g, str) for g in gens)):
+        raise SchemaError(f"{what}: generators must be a list of strings")
     if len(set(gens)) != len(gens):
         raise SchemaError(f"{what}: duplicate generator names")
     rels = data.get("relations", [])
-    cols = []
-    for r in rels:
-        if len(r) != len(gens):
-            raise SchemaError(f"{what}: relation length != generator count")
-        cols.append([int(x) for x in r])
+    if not isinstance(rels, list):
+        raise SchemaError(f"{what}: relations must be a list")
+    cols = [_int_vector(r, len(gens), f"{what}: relations") for r in rels]
     return FpAbelianGroup(gens, IntMatrix.from_columns(cols, len(gens)))
 
 
@@ -727,24 +711,20 @@ def form_from_json(data):
     if inv is None:
         invh = AbelianHom.identity(M)
     else:
-        if len(inv) != M.ngens or any(len(r) != M.ngens for r in inv):
+        if not isinstance(inv, list) or len(inv) != M.ngens:
             raise SchemaError("involution matrix must be square on M")
+        for r in inv:
+            _int_vector(r, M.ngens, "involution rows")
         try:
             invh = AbelianHom(M, M, IntMatrix(inv))
         except Exception as e:
             raise SchemaError(f"involution is not a valid endomorphism: {e}")
     table = data["lambda"]
-    if len(table) != A.ngens or any(len(r) != A.ngens for r in table):
+    if not (isinstance(table, list) and len(table) == A.ngens and all(
+            isinstance(r, list) and len(r) == A.ngens for r in table)):
         raise SchemaError("lambda table must be square on A")
-    rows = []
-    for r in table:
-        row = []
-        for v in r:
-            if not isinstance(v, (list, tuple)) or len(v) != M.ngens:
-                raise SchemaError("lambda entries must be M-coefficient "
-                                  "vectors")
-            row.append(M.element([int(x) for x in v]))
-        rows.append(row)
+    rows = [[M.element(_int_vector(v, M.ngens, "lambda entries")) for v in r]
+            for r in table]
     try:
         return HermitianForm(A, M, invh, rows)
     except (NotAMorphism, SchemaError):

@@ -6,6 +6,9 @@ the plain dense-row algorithms they replaced: Smith normal form with
 transforms, a fraction-free determinant, and a dense-row Hermite echelon
 lattice that does the same arithmetic in the same order as `Lattice`, so the
 two must agree row for row.
+
+For `quasilie.quadratic` they hold the letter-by-letter cocycle of a relator:
+the engine sums it in closed form.
 """
 
 from bisect import bisect_left
@@ -265,3 +268,54 @@ class DenseLattice:
         a = DenseLattice(self.n, self.rows).canonicalize()
         b = DenseLattice(other.n, other.rows).canonicalize()
         return a.rows == b.rows
+
+
+def signed_occurrences(col, ngens):
+    """Relator column -> ordered list of (generator index, sign), one item
+    per letter."""
+    seq = []
+    for k in range(ngens):
+        c = col.get(k, 0)
+        s = 1 if c > 0 else -1
+        for _ in range(abs(c)):
+            seq.append((k, s))
+    return seq
+
+
+def cocycle_word(form, seq):
+    """sum_{i<j} lambda(a'_i, a'_j) over a signed occurrence sequence."""
+    acc = form.M.zero()
+    prefix = form.A.zero()
+    for k, s in seq:
+        a = form.A.gen(form.A.generators[k])
+        term = a if s > 0 else -a
+        acc = acc + form.lam(prefix, term)
+        prefix = prefix + term
+    return acc
+
+
+def relator_words(form, commutative):
+    """The relator column of each nonzero relation of A in the presented
+    refinement, walking the relation one letter at a time.
+
+    A letter adds mu(a_k) to the column (commutative model), or +-mu(a_k)
+    plus lambda(a_k, a_k) for a negative letter (non-commutative model),
+    and its pairing with the letters before it to the cocycle.
+    """
+    nm = form.M.ngens
+    out = []
+    for rel in form.A.relations.sparse_columns():
+        seq = signed_occurrences(rel, form.A.ngens)
+        col = {}
+        w = cocycle_word(form, seq)
+        for k, s in seq:
+            col[nm + k] = col.get(nm + k, 0) + (1 if commutative else s)
+            if s < 0 and not commutative:
+                a = form.A.gen(form.A.generators[k])
+                w = w + form.lam(a, a)
+        for i, v in enumerate(w.coeffs):
+            if v:
+                col[i] = col.get(i, 0) + v
+        if col:
+            out.append({i: col[i] for i in sorted(col)})
+    return out

@@ -12,6 +12,7 @@ from quasilie.abelian import (AbelianHom, FpAbelianGroup, HomValidityError,
                               TorsionPresent, direct_sum, exact_at,
                               hom_analysis, pullback, relation_divisors,
                               solve_division, tensor_Z2)
+from quasilie.lie import LIE, lie_group, sq
 
 from oracles import DenseLattice, det, snf
 
@@ -522,6 +523,20 @@ class TestNormalForm:
         y = combine(data.draw(ints(len(rels))), rels, x)
         assert G.normal_form(x) == G.normal_form(y)
         assert hash(G.element(x)) == hash(G.element(y))
+
+    def test_equal_elements_of_equal_presentations_hash_alike(self):
+        # sq builds its source as Z2 (x) L_2 itself: an equal, separate group
+        src = sq(2, 2).source
+        other = tensor_Z2(lie_group(2, 2, LIE).group)
+        assert src is not other
+        g0 = src.generators[0]
+        a, b = src.gen(g0), other.gen(g0)
+        assert a == b and len({a, b}) == 1
+
+    def test_elements_of_different_presentations_are_unequal(self):
+        G = FpAbelianGroup(("a",))
+        zeros = {G.zero(), tensor_Z2(G).zero()}  # equal normal forms
+        assert len(zeros) == 2 and G.zero() != tensor_Z2(G).zero()
 
     def test_relation_lattice_is_canonical(self):
         G = FpAbelianGroup(("a", "b", "c"),

@@ -1,6 +1,9 @@
 """The command-line surface: routing, formats, and exit codes."""
 
 import json
+import time
+
+import pytest
 
 from quasilie import cli, lie
 from quasilie.lie import LIE, QUASI, lie_group
@@ -212,6 +215,41 @@ class TestQuadratic:
         assert code == 0
         assert json.loads(out)["isomorphic"] is True
 
+    @pytest.mark.parametrize("bad", [
+        {"A": {"generators": ["a"], "relations": [["x"]]}},
+        {"lambda": [[["x"]]]},
+        {"A": {"generators": ["a"], "relations": 5}},
+        {"A": {"generators": [["a"]]}},
+        {"A": {"generators": [2]}},
+        # integer names would be read as generator positions
+        {"A": {"generators": [1, 0]}, "lambda": [[[1], [0]], [[0], [0]]]},
+    ], ids=["relation_entry", "lambda_entry", "relations_not_list",
+            "unhashable_generator", "integer_generator", "integer_names"])
+    def test_malformed_form_exit5(self, capsys, tmp_path, bad):
+        data = {"A": {"generators": ["a"], "relations": [[2]]},
+                "M": {"generators": ["m"], "relations": [[2]]},
+                "lambda": [[[1]]]}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({**data, **bad}))
+        code, out, err = run(capsys, "quadratic", "commutative",
+                             "--input", str(path))
+        assert code == 5 and out == "" and err.startswith("error:")
+
+    def test_huge_relator_coefficient_is_fast(self, capsys, tmp_path):
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(
+            {"A": {"generators": ["a"], "relations": [[10 ** 9]]},
+             "M": {"generators": ["m"], "relations": [[2]]},
+             "lambda": [[[1]]]}))
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "quadratic", "commutative",
+                           "--input", str(path))
+        assert time.perf_counter() - start < 5
+        assert code == 0
+        # 2 mu(a) = m has order 2, and the relator word 10^9 mu(a) +
+        # C(10^9, 2) m vanishes, as 4 divides 10^9 and C(10^9, 2) is even
+        assert json.loads(out)["M_c_e"] == {"free_rank": 0, "torsion": [4]}
+
     def test_schema_error_exit5(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"A": 5}')
@@ -265,6 +303,18 @@ class TestDomain:
         code, _, err = run(capsys, "map", "nosuch", "--order", "20",
                            "--labels", "2")
         assert code == 3 and "unknown map name" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("verify", "thm31_i", "--labels", "0"),
+        ("verify", "all", "--max-order", "-1"),
+        ("verify", "nosuch", "--max-order", "9"),
+        ("quadratic", "bridge", "--order", "-2", "--labels", "2"),
+        ("quadratic", "bridge", "--order", "2", "--labels", "0"),
+    ], ids=" ".join)
+    def test_verify_and_bridge_out_of_domain_exit3(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 3 and out == ""
+        assert err.startswith("error:") and "budget" not in err
 
     def test_in_domain_over_budget_exit2(self, capsys):
         for argv in (("group", "Dinf", "--order", "10", "--labels", "2"),

@@ -4,7 +4,9 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from oracles import relator_words
 from quasilie.abelian import AbelianHom, FpAbelianGroup, IntMatrix, \
     hom_analysis
 from quasilie.lie import QUASI, lie_group
@@ -248,6 +250,54 @@ class TestUniversalSymmetric:
         form = HermitianForm(A, M, swap, [[M.element([1, 1])]])
         with pytest.raises(NotAMorphism):
             universal_symmetric(form)
+
+
+@st.composite
+def relator_forms(draw):
+    """Forms into (Z/2)^nm whose relators have several even coefficients of
+    either sign, which any lambda kills; the involution is the identity or
+    swaps two generators of M."""
+    na, nm = draw(st.integers(1, 3)), draw(st.integers(1, 2))
+    even = st.integers(-3, 3).map(lambda x: 2 * x)
+    rels = draw(st.lists(st.lists(even, min_size=na, max_size=na),
+                         max_size=3))
+    A = FpAbelianGroup(tuple(f"a{i}" for i in range(na)),
+                       IntMatrix.from_columns(rels, na))
+    M = FpAbelianGroup(tuple(f"m{i}" for i in range(nm)),
+                       IntMatrix.from_columns(
+                           [{i: 2} for i in range(nm)], nm))
+    swap = nm == 2 and draw(st.booleans())
+    inv = (AbelianHom(M, M, IntMatrix([[0, 1], [1, 0]])) if swap
+           else AbelianHom.identity(M))
+    vec = st.lists(st.integers(-2, 2), min_size=nm, max_size=nm)
+    table = [[None] * na for _ in range(na)]
+    for i in range(na):
+        for j in range(i, na):
+            el = M.element(draw(vec))
+            if i == j and swap:
+                el = el + inv(el)      # the diagonal is *-fixed
+            table[i][j], table[j][i] = el, inv(el)
+    return HermitianForm(A, M, inv, table)
+
+
+class TestClosedFormRelators:
+    """The presented refinements sum each relator's cocycle in closed form;
+    walking its letters one at a time gives the same columns."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(relator_forms())
+    def test_columns_match_the_letter_walk(self, form):
+        first = form.M.relations.cols
+        symmetrizers = sum(
+            1 for j, col in enumerate(form.involution.matrix.sparse_columns())
+            if col != {j: 1})
+        want = relator_words(form, commutative=True)
+        cols = universal_commutative(form).target.e.relations.sparse_columns()
+        start = first + symmetrizers
+        assert cols[start:start + len(want)] == want
+        if form.symmetric_values:
+            cols = presented_noncommutative(form).relations.sparse_columns()
+            assert cols[first:] == relator_words(form, commutative=False)
 
 
 class TestCrossModel:
