@@ -43,8 +43,8 @@ def tree_coords(group, raw_tree, coeff=1):
 
 
 def signed_sum(columns):
-    """The sparse sum of {index: coeff} columns, without the entries that
-    cancel."""
+    """The sparse sum of {index: nonzero coeff} columns, without the entries
+    that cancel."""
     acc = {}
     for col in columns:
         _add_multiple(acc, 1, col)
