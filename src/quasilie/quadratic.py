@@ -145,10 +145,16 @@ class ExtensionQuadraticGroup:
         return self.add(x, self.neg(y))
 
     def scalar(self, n, x):
+        """n x by double-and-add; multiples of one element commute."""
         acc = self.zero()
         step = x if n >= 0 else self.neg(x)
-        for _ in range(abs(int(n))):
-            acc = self.add(acc, step)
+        n = abs(int(n))
+        while n:
+            if n & 1:
+                acc = self.add(acc, step)
+            n >>= 1
+            if n:
+                step = self.add(step, step)
         return acc
 
     def h(self, x):

@@ -12,6 +12,11 @@ tree.  Its canonical form minimizes over re-rootings at every leaf.  A tree
 is self-negating when some orientation move carries it to itself with sign
 -1; in every antisymmetry quotient built on trees this forces 2t = 0.
 
+Re-rooting is sign-free, so <i, T> = sign(T) <i, canon(T)>, where canon(T)
+and sign(T) are the canonical rooted form of T and its swap parity.  Hence
+canonical_unrooted computes each form once per canonical content, in one
+re-rooting pass over canonical halves, and memoises it on (i, canon(T)).
+
 Text grammar (used verbatim by the CLI):
 
     tree      :=  label  |  "(" tree "," tree ")"
@@ -92,6 +97,23 @@ class CanonSign(NamedTuple):
     self_negating: bool
 
 
+def _join(a, b):
+    """Canonical form of node(A, B) from the canonical forms a, b of A, B.
+
+    The children are ordered under the shortlex key; putting them out of
+    order costs one antisymmetry sign.  The result is self-negating when a
+    child is, or when the two canonical children are identical.
+    """
+    sign = a.sign * b.sign
+    if a.tree.sort_key <= b.tree.sort_key:
+        tree = node(a.tree, b.tree)
+    else:
+        tree = node(b.tree, a.tree)
+        sign = -sign
+    return CanonSign(tree, sign,
+                     a.self_negating or b.self_negating or a.tree is b.tree)
+
+
 def canonical_rooted(t):
     """Canonical form of a rooted tree under child-swapping.
 
@@ -104,16 +126,7 @@ def canonical_rooted(t):
     if t.is_leaf:
         res = CanonSign(t, 1, False)
     else:
-        la = canonical_rooted(t.left)
-        rb = canonical_rooted(t.right)
-        sign = la.sign * rb.sign
-        if la.tree.sort_key <= rb.tree.sort_key:
-            tree = node(la.tree, rb.tree)
-        else:
-            tree = node(rb.tree, la.tree)
-            sign = -sign
-        selfneg = la.self_negating or rb.self_negating or la.tree is rb.tree
-        res = CanonSign(tree, sign, selfneg)
+        res = _join(canonical_rooted(t.left), canonical_rooted(t.right))
     t._canon = res
     return res
 
@@ -174,30 +187,62 @@ def edge_splits(label, tree):
     return out
 
 
+_unrooted = {}
+
+
 def canonical_unrooted(label, tree):
     """Canonical form of the unrooted tree <label, tree>, with sign.
 
     Minimizes (label, canonical rooted key) over all re-rootings.  The tree
     is self-negating if any rooted part is, or if some encoding occurs with
     both signs (an orientation-reversing symmetry).
+
+    Re-rooting is sign-free, so <i, T> = sign(T) <i, canon(T)> with
+    canon(T), sign(T) from canonical_rooted: the form is computed once per
+    canonical content and memoised on (label, canon(T)).  A self-negating
+    tree keeps sign 1.
     """
-    seen = {}
-    selfneg = False
-    best = None
-    for lab, t in rootings(label, tree):
-        c = canonical_rooted(t)
-        enc = (lab, c.tree)
-        selfneg = selfneg or c.self_negating
+    c = canonical_rooted(tree)
+    key = (label, c.tree)
+    res = _unrooted.get(key)
+    if res is None:
+        res = _unrooted[key] = _canonical_content(label, c.tree)
+    if c.sign == 1 or res.self_negating:
+        return res
+    return CanonSign(res.tree, -res.sign, False)
+
+
+def _canonical_content(label, tree):
+    """canonical_unrooted for a canonical rooted tree, by one re-rooting pass.
+
+    Walks the directed edges away from the root leaf, carrying the canonical
+    form of the context (everything above the edge) and building each new
+    context with _join, as rootings() does with raw nodes.
+    """
+    root = canonical_rooted(tree)
+    seen = {(label, tree): 1}
+    selfneg = root.self_negating
+    best = ((label, tree.sort_key), label, root)
+    stack = [(tree, CanonSign(leaf(label), 1, False))]
+    while stack:
+        t, ctx = stack.pop()
+        if not t.is_leaf:
+            stack.append((t.left, _join(canonical_rooted(t.right), ctx)))
+            stack.append((t.right, _join(ctx, canonical_rooted(t.left))))
+            continue
+        selfneg = selfneg or ctx.self_negating
+        enc = (t.label, ctx.tree)
         prev = seen.get(enc)
         if prev is None:
-            seen[enc] = c.sign
-        elif prev != c.sign:
+            seen[enc] = ctx.sign
+        elif prev != ctx.sign:
             selfneg = True
-        cand = (lab, c.tree.sort_key)
-        if best is None or cand < best[0]:
-            best = (cand, UnrootedTree(lab, c.tree), c.sign)
-    sign = 1 if selfneg else best[2]
-    return CanonSign(best[1], sign, selfneg)
+        cand = (t.label, ctx.tree.sort_key)
+        if cand < best[0]:
+            best = (cand, t.label, ctx)
+    _, lab, c = best
+    return CanonSign(UnrootedTree(lab, c.tree), 1 if selfneg else c.sign,
+                     selfneg)
 
 
 def root_at(ut, v):

@@ -9,12 +9,18 @@ two must agree row for row.
 
 For `quasilie.quadratic` they hold the letter-by-letter cocycle of a relator:
 the engine sums it in closed form.
+
+For `quasilie.trees` they hold the unrooted canonical form taken by
+canonicalising every raw re-rooting: the engine memoises it on canonical
+content and re-roots over canonical halves.
 """
 
 from bisect import bisect_left
 
 from quasilie.abelian import (IntMatrix, NotDivisible, ShapeMismatch,
                               ext_gcd)
+from quasilie.trees import (CanonSign, UnrootedTree, canonical_rooted,
+                            rootings)
 
 
 def det(m):
@@ -319,3 +325,28 @@ def relator_words(form, commutative):
         if col:
             out.append({i: col[i] for i in sorted(col)})
     return out
+
+
+def canonical_unrooted_by_rootings(label, tree):
+    """Canonical form of <label, tree> over every raw re-rooting.
+
+    Minimizes (label, canonical rooted key) over rootings(); self-negating
+    if any rooted part is, or if some encoding occurs with both signs.
+    """
+    seen = {}
+    selfneg = False
+    best = None
+    for lab, t in rootings(label, tree):
+        c = canonical_rooted(t)
+        enc = (lab, c.tree)
+        selfneg = selfneg or c.self_negating
+        prev = seen.get(enc)
+        if prev is None:
+            seen[enc] = c.sign
+        elif prev != c.sign:
+            selfneg = True
+        cand = (lab, c.tree.sort_key)
+        if best is None or cand < best[0]:
+            best = (cand, UnrootedTree(lab, c.tree), c.sign)
+    sign = 1 if selfneg else best[2]
+    return CanonSign(best[1], sign, selfneg)

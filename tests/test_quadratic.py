@@ -2,6 +2,7 @@
 
 import math
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -333,6 +334,45 @@ class TestCrossModel:
                         g = Q.mu(form.A.element({idx - nm: 1}))
                     acc = Q.add(acc, Q.scalar(v, g))
                 assert acc == Q.zero()
+
+
+class TestScalar:
+    README_FORM = {"A": {"generators": ["a"], "relations": [[2]]},
+                   "M": {"generators": ["s"], "relations": [[2]]},
+                   "involution": [[1]], "lambda": [[[1]]]}
+
+    @staticmethod
+    def repeated(Q, n, x):
+        acc = Q.zero()
+        for _ in range(abs(n)):
+            acc = Q.add(acc, x if n >= 0 else Q.neg(x))
+        return acc
+
+    def test_matches_repeated_addition(self):
+        rng = random.Random(5)
+        forms = [form_from_json(self.README_FORM)]
+        forms += [random_hermitian(rng) for _ in range(4)]
+        for form in forms:
+            Q = universal_refinement(form).target
+            els = [Q.add(Q.p(form.M.element(
+                        [rng.randint(-3, 3) for _ in form.M.generators])),
+                          Q.mu(form.A.element(
+                        [rng.randint(-3, 3) for _ in form.A.generators])))
+                   for _ in range(3)] + Q.e_generators()
+            for x in els:
+                for n in range(-20, 21):
+                    assert Q.scalar(n, x) == self.repeated(Q, n, x), (n, x)
+
+    def test_huge_multiple_is_fast(self):
+        form = HermitianForm(Z, Z, AbelianHom.identity(Z),
+                             [[Z.element([1])]])
+        Q = universal_refinement(form).target
+        start = time.perf_counter()
+        y = Q.scalar(10**9, Q.mu(Z.element([1])))
+        assert time.perf_counter() - start < 1
+        # n mu(a) = (-C(n, 2) lambda(a, a), n a)
+        assert y == PairElement(Z.element([-(10**9 * (10**9 - 1) // 2)]),
+                                Z.element([10**9]))
 
 
 class TestPsiFactorization:

@@ -3,10 +3,13 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from oracles import canonical_unrooted_by_rootings
 from quasilie.trees import (UnrootedTree, canonical_rooted, canonical_unrooted,
                             edge_splits, enumerate_trees, inner_product,
-                            leaf, node, parse_tree, parse_unrooted, root_at,
+                            leaf, node, onequad_unrooted_expansions,
+                            parse_tree, parse_unrooted, root_at,
                             rooted_product, rooted_trees, rootings,
                             unrooted_trees)
 
@@ -93,6 +96,57 @@ class TestCanonicalUnrooted:
                         again = canonical_unrooted(lab, rt)
                         assert again.tree == base.tree
                         assert again.self_negating == base.self_negating
+
+
+def exact(c):
+    return (c.tree.key, c.sign, c.self_negating)
+
+
+def raw_pairs(order, m):
+    """Every rooting of every canonical unrooted tree, each also with the
+    children of its root swapped, and every IHX term."""
+    for u in unrooted_trees(order, m):
+        for lab, t in rootings(u.label, u.tree):
+            yield lab, t
+            if not t.is_leaf:
+                yield lab, node(t.right, t.left)
+    for trip in onequad_unrooted_expansions(order, m):
+        for pair, _sign in trip:
+            yield pair
+
+
+@st.composite
+def reoriented_trees(draw):
+    """A raw pair <i, T> of order 7 or 8 with random shape, labels and
+    child order, then re-rooted by root_at at a random vertex."""
+    m = draw(st.integers(1, 3))
+
+    def tree(order):
+        if order == 0:
+            return leaf(draw(st.integers(1, m)))
+        k = draw(st.integers(0, order - 1))
+        a, b = tree(k), tree(order - 1 - k)
+        return node(b, a) if draw(st.booleans()) else node(a, b)
+
+    order = draw(st.integers(7, 8))
+    label, t = draw(st.integers(1, m)), tree(order)
+    return root_at(UnrootedTree(label, t), draw(st.integers(0, order + 1)))
+
+
+class TestAgainstRootingsOracle:
+    @pytest.mark.parametrize("order,m", [(o, 2) for o in range(7)]
+                             + [(o, 3) for o in range(5)])
+    def test_exhaustive(self, order, m):
+        for lab, t in raw_pairs(order, m):
+            assert exact(canonical_unrooted(lab, t)) \
+                == exact(canonical_unrooted_by_rootings(lab, t)), (lab, t)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(reoriented_trees())
+    def test_random_reoriented(self, pair):
+        lab, t = pair
+        assert exact(canonical_unrooted(lab, t)) \
+            == exact(canonical_unrooted_by_rootings(lab, t))
 
 
 class TestEnumerate:
