@@ -152,9 +152,8 @@ class ExtensionQuadraticGroup:
         while n:
             if n & 1:
                 acc = self.add(acc, step)
+            step = self.add(step, step)
             n >>= 1
-            if n:
-                step = self.add(step, step)
         return acc
 
     def h(self, x):
