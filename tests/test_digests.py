@@ -4,8 +4,10 @@ Kernel bases depend on the order of the relators, and so do the rendered
 --element images, so a refactor of the code that builds relator columns or
 map columns must keep both identical in content and in order.  The digests
 were taken before the builders were folded onto the shared helpers in lie,
-and those of T_6(2), T_7(2), T_4(3), T_5(3) and Tinf_6(2) before unrooted
-canonical forms were memoised on canonical content.
+those of T_6(2), T_7(2), T_4(3), T_5(3) and Tinf_6(2) before unrooted
+canonical forms were memoised on canonical content, and those of L_8(2),
+L_6(3) and Lq_8(2) before Jacobi triples were built from canonical
+branches.
 """
 
 import hashlib
@@ -26,6 +28,12 @@ RELATORS = {
             "f2d7b7232842f963a4bb63ab45a87e00e8c9188942fa727493ed8ee4f036ce54"),
     "Lq_6(2)": (lambda: lie_group(6, 2, QUASI).group,
             "4d0282e92e12768e4e143f8298ed73da05f48eeb66ede0c28ae069030ab18abe"),
+    "L_8(2)": (lambda: lie_group(8, 2, LIE).group,
+            "3b702a45e4a94cbf11dc40373a51efdef4dc95377d84cb80b54bc6e3d2db9592"),
+    "L_6(3)": (lambda: lie_group(6, 3, LIE).group,
+            "44e160bbdbc52cb33e6c8f537657a64b5fefef5c3fd5a98cf9d157e1e8e593fd"),
+    "Lq_8(2)": (lambda: lie_group(8, 2, QUASI).group,
+            "ddd0522a39e2c194e72adcc569e7db9a5c9197871eb39f5d368adbaeb374c0ee"),
     "T_5(2)": (lambda: t_group(5, 2).group,
             "d53ac04dc059b995669a1f79a0e3ebaf02b7e1b8f6a161b0361ec862c6933c7e"),
     "T_6(2)": (lambda: t_group(6, 2).group,
