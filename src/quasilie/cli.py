@@ -2,7 +2,8 @@
 
 This module is a thin shell over the library; it does no mathematics itself.
 Exit codes: 0 success, 1 failed verification claim, 2 budget exceeded,
-3 invalid name or order, 4 element parse error, 5 schema validation error.
+3 invalid name or order, 4 element parse error, 5 schema validation error,
+6 usage error (bad command line, reported by argparse).
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ EXIT_BUDGET = 2
 EXIT_BAD_NAME = 3
 EXIT_PARSE = 4
 EXIT_SCHEMA = 5
+EXIT_USAGE = 6
 
 
 @dataclass
@@ -410,8 +412,18 @@ def cmd_table(args, cfg):
     return 0
 
 
+class ArgumentParser(argparse.ArgumentParser):
+    """argparse with its own exit code for usage errors, which argparse would
+    report with 2, the code of a budget refusal.  Subcommand parsers share
+    the class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
 def build_parser():
-    ap = argparse.ArgumentParser(
+    ap = ArgumentParser(
         prog="quasilie",
         description="Tree groups, quasi-Lie bracket kernels, and universal "
                     "quadratic refinements over Z.")

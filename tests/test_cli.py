@@ -316,6 +316,21 @@ class TestDomain:
         assert code == 3 and out == ""
         assert err.startswith("error:") and "budget" not in err
 
+    def test_usage_error_exit6(self, capsys):
+        # a global flag after the subcommand is a usage error, not a refusal
+        with pytest.raises(SystemExit) as e:
+            cli.main(["group", "T", "--order", "1", "--labels", "2",
+                      "--max-order", "5"])
+        err = capsys.readouterr().err
+        assert e.value.code == 6
+        assert err.startswith("usage:") and "error: unrecognized" in err
+        with pytest.raises(SystemExit) as e:
+            cli.main(["group", "T", "--order", "x", "--labels", "2"])
+        assert e.value.code == 6
+        with pytest.raises(SystemExit) as e:
+            cli.main(["--help"])
+        assert e.value.code == 0
+
     def test_in_domain_over_budget_exit2(self, capsys):
         for argv in (("group", "Dinf", "--order", "10", "--labels", "2"),
                      ("map", "delta", "--order", "21", "--labels", "2"),
