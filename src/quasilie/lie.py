@@ -51,6 +51,21 @@ def signed_sum(columns):
     return acc
 
 
+def relator_column(index, trip):
+    """The sparse column T1 - T2 - T3 of a triple of canonical terms
+    (CanonSign) over a generator index, without the entries that cancel."""
+    t1, t2, t3 = trip
+    col = {index[t1.tree]: t1.sign}
+    for t in (t2, t3):
+        j = index[t.tree]
+        v = col.get(j, 0) - t.sign
+        if v:
+            col[j] = v
+        else:
+            del col[j]
+    return col
+
+
 def distinct_relators(columns):
     """The nonzero columns, each signed so that its entry at the least index
     is positive, once each in the order of first appearance."""
@@ -87,7 +102,7 @@ def lie_group(n, m, variant=LIE):
             cols.append({j: 1} if variant == LIE else {j: 2})
     if n >= 3:
         cols.extend(distinct_relators(
-            signed_sum(tree_coords(group, t, s) for t, s in trip)
+            relator_column(group.index, trip)
             for trip in onequad_rooted_expansions(n - 3, m)))
     group = FpAbelianGroup(gens, IntMatrix.from_columns(cols, len(gens)))
     return LieGrade(n, m, variant, group)

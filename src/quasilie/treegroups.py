@@ -24,10 +24,10 @@ from functools import lru_cache
 from .abelian import (AbelianHom, FpAbelianGroup, HomValidityError,
                       IntMatrix, tensor_Z2)
 from .lie import (WellDefinednessError, distinct_relators, lie_group,
-                  signed_sum, QUASI)
-from .trees import (canonical_rooted, canonical_unrooted, glue, leaf, node,
-                    onequad_rooted_expansions, onequad_unrooted_expansions,
-                    rooted_trees, rootings, unrooted_trees)
+                  relator_column, signed_sum, QUASI)
+from .trees import (canonical_unrooted, glued, ihx_relators, inner_product,
+                    leaf, node, onequad_rooted_expansions, rooted_trees,
+                    rootings, unrooted_trees)
 
 
 def unrooted_coords(group, label, raw_tree, coeff=1):
@@ -57,8 +57,7 @@ def t_group(n, m):
         if canonical_unrooted(t.label, t.tree).self_negating:
             cols.append({j: 2})
     cols.extend(distinct_relators(
-        signed_sum(unrooted_coords(group, lab, t, s) for (lab, t), s in trip)
-        for trip in onequad_unrooted_expansions(n, m)))
+        relator_column(group.index, trip) for trip in ihx_relators(n, m)))
     group = FpAbelianGroup(gens, IntMatrix.from_columns(cols, len(gens)))
     return TreeGroup("plain", n, m, group)
 
@@ -99,11 +98,6 @@ def t_tilde(n, m):
     return TreeGroup("tilde", n, m, group, {"quotient": quot})
 
 
-def inf_key(raw_tree):
-    """Key of an infinity generator: canonical tree, sign discarded."""
-    return ("inf", canonical_rooted(raw_tree).tree)
-
-
 @lru_cache(maxsize=None)
 def t_infinity(n, m):
     """T^inf_n with its canonical maps.
@@ -121,8 +115,8 @@ def t_infinity(n, m):
         cols = []
         for i in range(1, m + 1):
             for j_tree in rooted_trees(q - 1, m):
-                cols.append(unrooted_coords(
-                    tilde.group, *glue(node(leaf(i), j_tree), j_tree)))
+                c = inner_product(node(leaf(i), j_tree), j_tree)
+                cols.append({tilde.group.index[c.tree]: c.sign})
         group = tilde.group.with_extra_relations(cols)
         quot = AbelianHom(tilde.group, group,
                           IntMatrix.identity(tilde.group.ngens), check=False)
@@ -139,15 +133,17 @@ def t_infinity(n, m):
     idx = group0.index
     cols = plain.relations.sparse_columns()
     for t in rooted_trees(q, m):
-        cols.append(signed_sum([{idx[("inf", t)]: 2},
-                                unrooted_coords(group0, *glue(t, t), -1)]))
-    for trip in onequad_rooted_expansions(q - 2, m) if q >= 2 else ():
-        (t1, s1), (t2, s2), (t3, s3) = trip
+        c = inner_product(t, t)
+        cols.append(signed_sum([{idx[("inf", t)]: 2}, {idx[c.tree]: -c.sign}]))
+    for t1, t2, t3 in onequad_rooted_expansions(q - 2, m) if q >= 2 else ():
         # relation t1 = t2 + t3 in L'; refinement law gives
-        # t1^inf = t2^inf + t3^inf + <t2, t3>
-        cols.append(signed_sum([{idx[inf_key(t1)]: 1}, {idx[inf_key(t2)]: -1},
-                                {idx[inf_key(t3)]: -1},
-                                unrooted_coords(group0, *glue(t2, t3), -1)]))
+        # t1^inf = t2^inf + t3^inf + <t2, t3>; infinity generators are keyed
+        # by the canonical tree, sign discarded
+        c = glued(t2, t3)
+        cols.append(signed_sum([{idx[("inf", t1.tree)]: 1},
+                                {idx[("inf", t2.tree)]: -1},
+                                {idx[("inf", t3.tree)]: -1},
+                                {idx[c.tree]: -c.sign}]))
     group = FpAbelianGroup(gens, IntMatrix.from_columns(cols, len(gens)))
     incl = AbelianHom.from_columns(
         plain, group, [{j: 1} for j in range(np)], check=False)

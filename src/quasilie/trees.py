@@ -14,8 +14,22 @@ is self-negating when some orientation move carries it to itself with sign
 
 Re-rooting is sign-free, so <i, T> = sign(T) <i, canon(T)>, where canon(T)
 and sign(T) are the canonical rooted form of T and its swap parity.  Hence
-canonical_unrooted computes each form once per canonical content, in one
-re-rooting pass over canonical halves, and memoises it on (i, canon(T)).
+canonical_unrooted computes each form once per unrooted tree, in one
+re-rooting pass over canonical halves, and memoises it in _unrooted on every
+encoding (i, canon(T)) that the pass meets.
+
+Write <p | q> for the unrooted tree that joins the root edges of two rooted
+trees p and q.  It is symmetric, and <p | q> = sign(p) sign(q) <canon p |
+canon q> (sign 1 when the tree is self-negating); glued() memoises the form
+of <canon p | canon q> in _glued on the unordered pair of canonical trees.
+For branches a, b, c, d the three terms of an IHX relator re-root to
+
+    ((a,b),c) | d  =  <ab | cd>
+    ((a,c),b) | d  =  <ac | bd>
+    (a,(b,c)) | d  =  <bc | da>
+
+so ihx_relators() builds every term from canonical halves, and no raw glued
+tree is interned.
 
 Text grammar (used verbatim by the CLI):
 
@@ -80,7 +94,7 @@ def leaf(label):
 
 
 def node(left, right):
-    key = (id(left), id(right))
+    key = (left, right)
     t = _interned.get(key)
     if t is None:
         t = _interned[key] = RootedTree(
@@ -195,29 +209,39 @@ def canonical_unrooted(label, tree):
 
     Minimizes (label, canonical rooted key) over all re-rootings.  The tree
     is self-negating if any rooted part is, or if some encoding occurs with
-    both signs (an orientation-reversing symmetry).
-
-    Re-rooting is sign-free, so <i, T> = sign(T) <i, canon(T)> with
-    canon(T), sign(T) from canonical_rooted: the form is computed once per
-    canonical content and memoised on (label, canon(T)).  A self-negating
-    tree keeps sign 1.
+    both signs (an orientation-reversing symmetry).  A self-negating tree
+    keeps sign 1.
     """
-    c = canonical_rooted(tree)
+    return _canonical_unrooted_of(label, canonical_rooted(tree))
+
+
+def _canonical_unrooted_of(label, c):
+    """canonical_unrooted(label, T) from c = canonical_rooted(T).
+
+    Re-rooting is sign-free, so <label, T> = sign(T) <label, canon(T)>: the
+    form is looked up on (label, canon(T)), and a miss runs one re-rooting
+    pass that stores every encoding of the tree.
+    """
     key = (label, c.tree)
     res = _unrooted.get(key)
     if res is None:
-        res = _unrooted[key] = _canonical_content(label, c.tree)
+        _canonical_content(label, c.tree)
+        res = _unrooted[key]
     if c.sign == 1 or res.self_negating:
         return res
     return CanonSign(res.tree, -res.sign, False)
 
 
 def _canonical_content(label, tree):
-    """canonical_unrooted for a canonical rooted tree, by one re-rooting pass.
+    """Store in _unrooted the form of every encoding of <label, tree>, for a
+    canonical rooted tree, from one re-rooting pass.
 
     Walks the directed edges away from the root leaf, carrying the canonical
     form of the context (everything above the edge) and building each new
-    context with _join, as rootings() does with raw nodes.
+    context with _join, as rootings() does with raw nodes.  The leaf with
+    context ctx gives the encoding (leaf label, ctx.tree), which is ctx.sign
+    times <label, tree>; so its entry is the form with sign ctx.sign times
+    that of <label, tree>, or sign 1 when the tree is self-negating.
     """
     root = canonical_rooted(tree)
     seen = {(label, tree): 1}
@@ -241,8 +265,42 @@ def _canonical_content(label, tree):
         if cand < best[0]:
             best = (cand, t.label, ctx)
     _, lab, c = best
-    return CanonSign(UnrootedTree(lab, c.tree), 1 if selfneg else c.sign,
-                     selfneg)
+    form = UnrootedTree(lab, c.tree)
+    if selfneg:
+        same = opposite = CanonSign(form, 1, True)
+    else:
+        same = CanonSign(form, c.sign, False)
+        opposite = CanonSign(form, -c.sign, False)
+    for enc, sign in seen.items():
+        _unrooted[enc] = same if sign == 1 else opposite
+
+
+_glued = {}
+
+
+def glued(p, q):
+    """<p | q>: the canonical unrooted tree joining the root edges of the
+    canonical rooted trees p.tree and q.tree (CanonSign), with sign.
+
+    The form of <canon p | canon q> is memoised on the unordered pair
+    (p.tree, q.tree); the result carries sign(p) sign(q) times its sign, or
+    sign 1 when the tree is self-negating.
+    """
+    a, b = p.tree, q.tree
+    if b.sort_key < a.sort_key:
+        a, b = b, a
+    key = (a, b)
+    res = _glued.get(key)
+    if res is None:
+        # glue() over canonical halves: walk down the left spine of a
+        ctx = canonical_rooted(b)
+        while not a.is_leaf:
+            ctx = _join(canonical_rooted(a.right), ctx)
+            a = a.left
+        res = _glued[key] = _canonical_unrooted_of(a.label, ctx)
+    if p.sign == q.sign or res.self_negating:
+        return res
+    return CanonSign(res.tree, -res.sign, False)
 
 
 def root_at(ut, v):
@@ -271,8 +329,7 @@ def glue(i_tree, j_tree):
 
 def inner_product(i_tree, j_tree):
     """<I, J>: glue roots and canonicalize.  Symmetric and invariant."""
-    lab, t = glue(i_tree, j_tree)
-    return canonical_unrooted(lab, t)
+    return glued(canonical_rooted(i_tree), canonical_rooted(j_tree))
 
 
 @lru_cache(maxsize=None)
@@ -309,43 +366,46 @@ def unrooted_trees(order, labels):
 def onequad_rooted_expansions(binaries, labels):
     """Local Jacobi configurations inside rooted trees.
 
-    Each entry is the three-term expansion ((T1, +1), (T2, -1), (T3, -1)) of
-    a tree having one trivalent internal vertex (three children A, B, C) at
-    an arbitrary position, with `binaries` ordinary nodes elsewhere.  The
-    expansions are rooted trees of order binaries + 2 and the signed sum is
-    a relator wherever antisymmetry and the Jacobi identity hold.
+    Each entry is the three-term expansion (T1, T2, T3) of a tree having one
+    trivalent internal vertex (three children A, B, C) at an arbitrary
+    position, with `binaries` ordinary nodes elsewhere: the canonical forms
+    (CanonSign) of ((A,B),C), ((A,C),B) and (A,(B,C)), each under the same
+    nodes.  They have order binaries + 2, and T1 - T2 - T3 is a relator
+    wherever antisymmetry and the Jacobi identity hold.
     """
     out = []
     for o1 in range(binaries + 1):
         for o2 in range(binaries + 1 - o1):
             o3 = binaries - o1 - o2
             for a in rooted_trees(o1, labels):
+                a = canonical_rooted(a)
                 for b in rooted_trees(o2, labels):
-                    if o2 == o1 and b.sort_key < a.sort_key:
+                    if o2 == o1 and b.sort_key < a.tree.sort_key:
                         continue
+                    b = canonical_rooted(b)
+                    ab = _join(a, b)
                     for c in rooted_trees(o3, labels):
-                        if o3 == o2 and c.sort_key < b.sort_key:
+                        if o3 == o2 and c.sort_key < b.tree.sort_key:
                             continue
-                        out.append(((node(node(a, b), c), 1),
-                                    (node(node(a, c), b), -1),
-                                    (node(a, node(b, c)), -1)))
+                        c = canonical_rooted(c)
+                        out.append((_join(ab, c), _join(_join(a, c), b),
+                                    _join(a, _join(b, c))))
     # Embed deeper configurations under an extra node; the mirror embedding
-    # node(R, .) is the same relator up to one antisymmetry move.
+    # (R, .) is the same relator up to one antisymmetry move.
     for inner_b in range(binaries):
         rest = binaries - 1 - inner_b
         for trip in onequad_rooted_expansions(inner_b, labels):
             for r in rooted_trees(rest, labels):
-                out.append(tuple((node(t, r), s) for t, s in trip))
+                r = canonical_rooted(r)
+                out.append(tuple(_join(t, r) for t in trip))
     return tuple(out)
 
 
-def onequad_unrooted_expansions(order, labels):
-    """Local Jacobi configurations around a 4-valent vertex of an unrooted
-    tree, indexed by branch tuples (A, B, C | D); expansions have the given
-    order.  Yields triples of ((label, raw tree), sign)."""
+def _ihx_branches(order, labels):
+    """The branches (A, B, C, o(D)) of the IHX relators at a 4-valent vertex
+    (A, B, C | D) whose terms have the given order, one relator per D in
+    rooted_trees(o(D), labels)."""
     total = order - 2
-    if total < 0:
-        return
     for o1 in range(total + 1):
         for o2 in range(total + 1 - o1):
             for o3 in range(total + 1 - o1 - o2):
@@ -357,10 +417,34 @@ def onequad_unrooted_expansions(order, labels):
                         for c in rooted_trees(o3, labels):
                             if o3 == o2 and c.sort_key < b.sort_key:
                                 continue
-                            for d in rooted_trees(o4, labels):
-                                yield ((glue(node(node(a, b), c), d), 1),
-                                       (glue(node(node(a, c), b), d), -1),
-                                       (glue(node(a, node(b, c)), d), -1))
+                            yield a, b, c, o4
+
+
+def ihx_relators(order, labels):
+    """The IHX relators I - H - X among unrooted trees of the given order,
+    as triples (I, H, X) of canonical unrooted terms (CanonSign): the terms
+    ((A,B),C)|D, ((A,C),B)|D and (A,(B,C))|D, built as glued canonical
+    halves <AB | CD>, <AC | BD> and <BC | DA>."""
+    halves = {}
+
+    def with_each_d(x, o4, x_first):
+        # the halves (X, D), or (D, X), for every D of order o4; a branch
+        # meets the same D list in many relators
+        key = (x.tree, o4, x_first)
+        out = halves.get(key)
+        if out is None:
+            ds = [canonical_rooted(d) for d in rooted_trees(o4, labels)]
+            out = halves[key] = [_join(x, d) if x_first else _join(d, x)
+                                 for d in ds]
+        return out
+
+    for a, b, c, o4 in _ihx_branches(order, labels):
+        a, b, c = canonical_rooted(a), canonical_rooted(b), canonical_rooted(c)
+        ab, ac, bc = _join(a, b), _join(a, c), _join(b, c)
+        for cd, bd, da in zip(with_each_d(c, o4, True),
+                              with_each_d(b, o4, True),
+                              with_each_d(a, o4, False)):
+            yield glued(ab, cd), glued(ac, bd), glued(bc, da)
 
 
 def enumerate_trees(kind, order, labels):
@@ -374,10 +458,14 @@ def enumerate_trees(kind, order, labels):
         return list(unrooted_trees(order, labels))
     if kind == "one_quad":
         seen = {}
-        for trip in onequad_unrooted_expansions(order, labels):
-            key = tuple(sorted((canonical_unrooted(lab, t).tree.key, s)
-                               for (lab, t), s in trip))
-            seen.setdefault(key, trip)
+        for a, b, c, o4 in _ihx_branches(order, labels):
+            for d in rooted_trees(o4, labels):
+                trip = ((glue(node(node(a, b), c), d), 1),
+                        (glue(node(node(a, c), b), d), -1),
+                        (glue(node(a, node(b, c)), d), -1))
+                key = tuple(sorted((canonical_unrooted(lab, t).tree.key, s)
+                                   for (lab, t), s in trip))
+                seen.setdefault(key, trip)
         return [seen[k] for k in sorted(seen)]
     raise ValueError(f"unknown tree kind: {kind}")
 

@@ -11,16 +11,17 @@ For `quasilie.quadratic` they hold the letter-by-letter cocycle of a relator:
 the engine sums it in closed form.
 
 For `quasilie.trees` they hold the unrooted canonical form taken by
-canonicalising every raw re-rooting: the engine memoises it on canonical
-content and re-roots over canonical halves.
+canonicalising every raw re-rooting, and the IHX and Jacobi relator terms as
+raw trees: the engine memoises forms on canonical content and builds every
+term from canonical halves.
 """
 
 from bisect import bisect_left
 
 from quasilie.abelian import (IntMatrix, NotDivisible, ShapeMismatch,
                               ext_gcd)
-from quasilie.trees import (CanonSign, UnrootedTree, canonical_rooted,
-                            rootings)
+from quasilie.trees import (CanonSign, UnrootedTree, canonical_rooted, glue,
+                            node, rooted_trees, rootings)
 
 
 def det(m):
@@ -350,3 +351,51 @@ def canonical_unrooted_by_rootings(label, tree):
             best = (cand, UnrootedTree(lab, c.tree), c.sign)
     sign = 1 if selfneg else best[2]
     return CanonSign(best[1], sign, selfneg)
+
+
+def onequad_unrooted_expansions(order, labels):
+    """The IHX relators among unrooted trees of the given order as raw glued
+    terms, in the engine's order: triples of ((label, raw tree), sign) for
+    ((A,B),C)|D, ((A,C),B)|D and (A,(B,C))|D."""
+    total = order - 2
+    if total < 0:
+        return
+    for o1 in range(total + 1):
+        for o2 in range(total + 1 - o1):
+            for o3 in range(total + 1 - o1 - o2):
+                o4 = total - o1 - o2 - o3
+                for a in rooted_trees(o1, labels):
+                    for b in rooted_trees(o2, labels):
+                        if o2 == o1 and b.sort_key < a.sort_key:
+                            continue
+                        for c in rooted_trees(o3, labels):
+                            if o3 == o2 and c.sort_key < b.sort_key:
+                                continue
+                            for d in rooted_trees(o4, labels):
+                                yield ((glue(node(node(a, b), c), d), 1),
+                                       (glue(node(node(a, c), b), d), -1),
+                                       (glue(node(a, node(b, c)), d), -1))
+
+
+def onequad_rooted_raw(binaries, labels):
+    """The Jacobi relators inside rooted trees as raw trees, in the engine's
+    order: triples ((A,B),C), ((A,C),B), (A,(B,C)), each embedded as the
+    left child of further nodes (., R) up to `binaries` ordinary nodes."""
+    out = []
+    for o1 in range(binaries + 1):
+        for o2 in range(binaries + 1 - o1):
+            o3 = binaries - o1 - o2
+            for a in rooted_trees(o1, labels):
+                for b in rooted_trees(o2, labels):
+                    if o2 == o1 and b.sort_key < a.sort_key:
+                        continue
+                    for c in rooted_trees(o3, labels):
+                        if o3 == o2 and c.sort_key < b.sort_key:
+                            continue
+                        out.append((node(node(a, b), c), node(node(a, c), b),
+                                    node(a, node(b, c))))
+    for inner_b in range(binaries):
+        for trip in onequad_rooted_raw(inner_b, labels):
+            for r in rooted_trees(binaries - 1 - inner_b, labels):
+                out.append(tuple(node(t, r) for t in trip))
+    return out

@@ -5,13 +5,15 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import canonical_unrooted_by_rootings
+from oracles import (canonical_unrooted_by_rootings, onequad_rooted_raw,
+                     onequad_unrooted_expansions)
+from quasilie import trees
 from quasilie.trees import (UnrootedTree, canonical_rooted, canonical_unrooted,
-                            edge_splits, enumerate_trees, inner_product,
-                            leaf, node, onequad_unrooted_expansions,
-                            parse_tree, parse_unrooted, root_at,
-                            rooted_product, rooted_trees, rootings,
-                            unrooted_trees)
+                            edge_splits, enumerate_trees, ihx_relators,
+                            inner_product, leaf, node,
+                            onequad_rooted_expansions, parse_tree,
+                            parse_unrooted, root_at, rooted_product,
+                            rooted_trees, rootings, unrooted_trees)
 
 
 def raw_trees(order, m):
@@ -147,6 +149,46 @@ class TestAgainstRootingsOracle:
         lab, t = pair
         assert exact(canonical_unrooted(lab, t)) \
             == exact(canonical_unrooted_by_rootings(lab, t))
+
+
+SMALL = [(o, 2) for o in range(7)] + [(o, 3) for o in range(5)]
+
+
+class TestCanonicalHalves:
+    """Relator terms built from canonical halves against raw-tree oracles."""
+
+    @pytest.mark.parametrize("order,m", SMALL)
+    def test_ihx_terms(self, order, m):
+        got = list(ihx_relators(order, m))
+        want = list(onequad_unrooted_expansions(order, m))
+        assert len(got) == len(want)
+        for terms, trip in zip(got, want):
+            for c, ((lab, t), _sign) in zip(terms, trip):
+                assert exact(c) == exact(canonical_unrooted_by_rootings(lab, t))
+
+    @pytest.mark.parametrize("binaries,m", [(b, 2) for b in range(5)]
+                             + [(b, 3) for b in range(3)])
+    def test_jacobi_triples(self, binaries, m):
+        got = onequad_rooted_expansions(binaries, m)
+        want = onequad_rooted_raw(binaries, m)
+        assert len(got) == len(want)
+        for trip, raw in zip(got, want):
+            assert [exact(c) for c in trip] \
+                == [exact(canonical_rooted(t)) for t in raw]
+
+    @pytest.mark.parametrize("order,m", SMALL)
+    def test_memo_holds_every_encoding(self, order, m, monkeypatch):
+        # unrooted_trees meets each tree first at its least encoding, whose
+        # own sign is +1; start every pass at the greatest one instead, on an
+        # empty memo, so that the sign of the pass's start counts
+        monkeypatch.setattr(trees, "_unrooted", {})
+        pairs = [(i, t) for i in range(1, m + 1)
+                 for t in rooted_trees(order, m)]
+        for i, t in reversed(pairs):
+            canonical_unrooted(i, t)
+        assert set(trees._unrooted) == set(pairs)
+        for (i, t), form in trees._unrooted.items():
+            assert exact(form) == exact(canonical_unrooted_by_rootings(i, t))
 
 
 class TestEnumerate:
