@@ -134,7 +134,7 @@ def t_infinity(n, m):
     cols = plain.relations.sparse_columns()
     for t in rooted_trees(q, m):
         c = inner_product(t, t)
-        cols.append(signed_sum([{idx[("inf", t)]: 2}, {idx[c.tree]: -c.sign}]))
+        cols.append({idx[("inf", t)]: 2, idx[c.tree]: -c.sign})
     for t1, t2, t3 in onequad_rooted_expansions(q - 2, m) if q >= 2 else ():
         # relation t1 = t2 + t3 in L'; refinement law gives
         # t1^inf = t2^inf + t3^inf + <t2, t3>; infinity generators are keyed
