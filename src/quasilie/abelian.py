@@ -14,6 +14,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from heapq import heappop, heappush
+from itertools import chain
 from math import gcd
 
 
@@ -356,7 +357,12 @@ class Lattice:
 
     def add(self, vec):
         """Insert a vector; returns True if the lattice grew or changed."""
-        v = _sparse_vector(vec, self.n)
+        return self._insert(_sparse_vector(vec, self.n))
+
+    def _insert(self, v):
+        """`add` for a sparse v that is already normalised (indices below n,
+        no zero entries).  v is taken over and may be stored or changed, so
+        callers pass a fresh dict, or `dict(col)` of a stored column."""
         rows, pivot_at = self._rows, self._pivot_at
         changed = False
         while v:
@@ -501,7 +507,10 @@ class FpAbelianGroup:
 
     @cached_property
     def relation_lattice(self):
-        return Lattice(self.ngens, self.relations._sparse).canonicalize()
+        lat = Lattice(self.ngens)
+        for col in self.relations._sparse:
+            lat._insert(dict(col))
+        return lat.canonicalize()
 
     @property
     def is_trivial(self):
@@ -689,26 +698,32 @@ class AbelianHom:
         h = self.target.ngens
         lat = Lattice(h + self.source.ngens)
         for j, col in enumerate(self.matrix._sparse):
-            lat.add(col | {h + j: 1})
+            lat._insert(col | {h + j: 1})
         for rel in self.target.relations._sparse:
-            lat.add(rel)
+            lat._insert(dict(rel))
         return lat
 
     @cached_property
     def image_lattice(self):
-        lat = Lattice(self.target.ngens, self.matrix._sparse)
-        for rel in self.target.relations._sparse:
-            lat.add(rel)
+        lat = Lattice(self.target.ngens)
+        for col in chain(self.matrix._sparse, self.target.relations._sparse):
+            lat._insert(dict(col))
         return lat.canonicalize()
 
     @cached_property
     def kernel_lattice(self):
         """Echelon basis of {x in Z^src : M x lies in the target lattice}."""
         aug, h = self._augmented, self.target.ngens
-        return Lattice(self.source.ngens,
-                       ({k - h: x for k, x in row.items()}
-                        for piv, row in zip(aug.pivots, aug._rows)
-                        if piv >= h))
+        lat = Lattice(self.source.ngens)
+        for piv, row in zip(aug.pivots, aug._rows):
+            if piv >= h:
+                lat._insert({k - h: x for k, x in row.items()})
+        return lat
+
+    @cached_property
+    def _analysis(self):
+        """This map's `HomAnalysis`, built once and read lazily."""
+        return HomAnalysis(self)
 
     def preimage_vector(self, vec):
         """Some x with M x == vec modulo the target relations, or None."""
@@ -725,35 +740,68 @@ class AbelianHom:
         return f"AbelianHom({self.source!r} -> {self.target!r})"
 
 
-@dataclass(frozen=True)
 class HomAnalysis:
-    kernel: FpAbelianGroup
-    kernel_inclusion: AbelianHom
-    image: FpAbelianGroup
-    cokernel: FpAbelianGroup
-    injective: bool
-    surjective: bool
-    isomorphism: bool
+    """Kernel (with inclusion), image and cokernel of a map h, and its flags.
+
+    Each part is built on first read, and the flags need no Smith reduction:
+    they are decided on lattices that h caches anyway.  The kernel is
+    L_ker / R_src with R_src inside L_ker (L_ker = `h.kernel_lattice`, R_src
+    the source relations), so h is injective iff every row of L_ker lies in
+    R_src.  The cokernel is Z^t / `h.image_lattice`, so h is surjective iff
+    that Hermite normal form has t pivots, each of them 1.
+    """
+
+    def __init__(self, hom):
+        self.hom = hom
+
+    @cached_property
+    def kernel(self):
+        """The lift {x : h(x) in the target relations} modulo the source
+        relations, which is correct with torsion on both sides."""
+        h = self.hom
+        return _subgroup(h.kernel_lattice, "ker", h.source.relations)
+
+    @cached_property
+    def kernel_inclusion(self):
+        h = self.hom
+        return AbelianHom.from_columns(self.kernel, h.source,
+                                       h.kernel_lattice._rows, check=False)
+
+    @cached_property
+    def image(self):
+        h = self.hom
+        return _subgroup(h.image_lattice, "im", h.target.relations)
+
+    @cached_property
+    def cokernel(self):
+        h = self.hom
+        return h.target.with_extra_relations(h.matrix._sparse)
+
+    @cached_property
+    def injective(self):
+        relations = self.hom.source.relation_lattice
+        return all(relations.contains(row)
+                   for row in self.hom.kernel_lattice._rows)
+
+    @cached_property
+    def surjective(self):
+        lat = self.hom.image_lattice
+        return (len(lat.pivots) == self.hom.target.ngens
+                and all(row[j] == 1 for j, row in zip(lat.pivots, lat._rows)))
+
+    @cached_property
+    def isomorphism(self):
+        return self.injective and self.surjective
 
 
 def hom_analysis(h):
-    """Kernel (with inclusion), image, cokernel and the derived flags.
+    """The kernel/image/cokernel analysis of h, memoised per map.
 
-    The kernel is computed through a presentation lift: the lattice
-    {x : h(x) in relation lattice of the target} modulo the source relations,
-    which is correct in the presence of torsion on both sides.
+    One `HomAnalysis` is kept per `AbelianHom`; its parts are built on first
+    read, and `injective`, `surjective` and `isomorphism` are decided on the
+    kernel, image and relation lattices, with no Smith reduction.
     """
-    kernel = _subgroup(h.kernel_lattice, "ker", h.source.relations)
-    inclusion = AbelianHom.from_columns(kernel, h.source,
-                                        h.kernel_lattice._rows, check=False)
-    image = _subgroup(h.image_lattice, "im", h.target.relations)
-
-    cokernel = h.target.with_extra_relations(h.matrix.sparse_columns())
-
-    injective = kernel.is_trivial
-    surjective = cokernel.is_trivial
-    return HomAnalysis(kernel, inclusion, image, cokernel,
-                       injective, surjective, injective and surjective)
+    return h._analysis
 
 
 def _subgroup(lat, tag, relations):
@@ -767,9 +815,9 @@ def exact_at(f, g):
     """True iff image(f) == kernel(g) as subgroups of the middle group."""
     if not f.target.same_presentation(g.source):
         raise ShapeMismatch("maps are not composable through a middle group")
-    ker = Lattice(g.source.ngens, g.kernel_lattice._rows)
-    for rel in g.source.relations._sparse:
-        ker.add(rel)
+    ker = Lattice(g.source.ngens)
+    for row in chain(g.kernel_lattice._rows, g.source.relations._sparse):
+        ker._insert(dict(row))
     return f.image_lattice.equals(ker)
 
 

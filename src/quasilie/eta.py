@@ -290,13 +290,17 @@ def _iso_instances(map_name, first, step, max_order, labels):
         for n in range(first, max_order + 1, step):
             h = build(n, m)
             a = hom_analysis(h)
-            yield (f"{map_name}(n={n},m={m})",
-                   {"source": h.source.describe(),
-                    "target": h.target.describe(),
-                    "isomorphism": a.isomorphism},
-                   a.isomorphism,
-                   {"kernel": a.kernel.describe(),
-                    "cokernel": a.cokernel.describe()})
+            name = f"{map_name}(n={n},m={m})"
+            entry = {"source": h.source.describe(),
+                     "target": h.target.describe(),
+                     "isomorphism": a.isomorphism}
+            if a.isomorphism:
+                yield name, entry, True
+            else:
+                # the kernel and cokernel are built only for a failure
+                yield (name, entry, False,
+                       {"kernel": a.kernel.describe(),
+                        "cokernel": a.cokernel.describe()})
 
 
 def _kernel_instances(max_order, labels):

@@ -1,5 +1,6 @@
 """Exact linear algebra layer: normal forms, presented groups, homs."""
 
+import copy
 import itertools
 import random
 import tracemalloc
@@ -12,7 +13,8 @@ from quasilie.abelian import (AbelianHom, FpAbelianGroup, HomValidityError,
                               TorsionPresent, direct_sum, exact_at,
                               hom_analysis, pullback, relation_divisors,
                               solve_division, tensor_Z2)
-from quasilie.lie import LIE, lie_group, sq
+from quasilie.eta import eta, eta_prime
+from quasilie.lie import LIE, bracket_hom, lie_group, sq
 
 from oracles import DenseLattice, det, snf
 
@@ -251,6 +253,50 @@ class TestFiniteOrderAccounting:
             assert order_of(a.kernel.structure) == kernel_size
             assert order_of(a.cokernel.structure) == total_t // len(images)
             assert len(elements) == kernel_size * len(images)
+            assert a.injective == (kernel_size == 1)
+            assert a.surjective == (len(images) == total_t)
+
+
+class TestStoredColumnsUnchanged:
+    """Lattices copy the relator and matrix columns they are built from:
+    echelon work changes its rows in place."""
+
+    @pytest.mark.parametrize("build", [lambda: eta_prime(3, 2),
+                                       lambda: eta(4, 2),
+                                       lambda: bracket_hom(3, 2)])
+    def test_lattice_work_leaves_columns_alone(self, build):
+        h = build()
+        # fresh groups and map over the same stored columns, so every
+        # lattice below is built in this test
+        src = FpAbelianGroup(h.source.generators, h.source.relations)
+        tgt = FpAbelianGroup(h.target.generators, h.target.relations)
+        stored = (src.relations, tgt.relations, h.matrix)
+        before = [copy.deepcopy(m._sparse) for m in stored]
+        f = AbelianHom(src, tgt, h.matrix)
+        a = hom_analysis(f)
+        assert (a.kernel.structure, a.image.structure,
+                a.cokernel.structure) == (
+                    hom_analysis(h).kernel.structure,
+                    hom_analysis(h).image.structure,
+                    hom_analysis(h).cokernel.structure)
+        assert a.isomorphism == (a.injective and a.surjective)
+        assert f.compose(a.kernel_inclusion).equals(
+            AbelianHom.zero(a.kernel, tgt))
+        assert f.image_lattice.pivots
+        to_cokernel = AbelianHom(tgt, a.cokernel,
+                                 IntMatrix.identity(tgt.ngens))
+        assert exact_at(a.kernel_inclusion, f)
+        assert exact_at(f, to_cokernel)
+        for j, col in enumerate(h.matrix.sparse_columns()):
+            x = f.preimage_vector(col)
+            assert x is not None and tgt.normal_form(f.apply_vector(x)) \
+                == tgt.normal_form(h.matrix.column(j))
+        for group in (src, tgt):
+            for col in group.relations.sparse_columns():
+                assert not any(group.normal_form(col))
+        for m, old in zip(stored, before):
+            assert [list(c.items()) for c in m._sparse] \
+                == [list(c.items()) for c in old]
 
 
 class TestTensorZ2:
@@ -382,6 +428,25 @@ def homs(draw):
                                    draw(vectors(target.ngens, ngens, ngens)))
 
 
+@st.composite
+def presented_homs(draw):
+    """A map between random presentations with free parts and torsion.
+
+    The target is related by random relators and by M r for each source
+    relator r, so every source relator maps to zero.
+    """
+    s, t = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    matrix = IntMatrix.from_columns(draw(vectors(t, s, s)), t)
+    src_rels = draw(vectors(s, 0, 3))
+    tgt_rels = draw(vectors(t, 0, 3)) + [matrix.mul_vector(r)
+                                         for r in src_rels]
+    source = FpAbelianGroup(tuple(range(s)), IntMatrix.from_columns(
+        src_rels, s) if src_rels else None)
+    target = FpAbelianGroup(tuple(range(t)), IntMatrix.from_columns(
+        tgt_rels, t) if tgt_rels else None)
+    return AbelianHom(source, target, matrix)
+
+
 def combine(coeffs, rows, start):
     out = list(start)
     for c, row in zip(coeffs, rows):
@@ -438,6 +503,20 @@ class TestLatticeProperties:
     def test_kernel_rows_map_into_relations(self, h):
         for row in h.kernel_lattice.rows:
             assert h.target.relation_lattice.contains(h.apply_vector(row))
+
+
+class TestHomAnalysisFlags:
+    """The flags, decided on lattices, against Smith reduction of the kernel
+    and cokernel presentations."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(presented_homs())
+    def test_flags_agree_with_structure(self, h):
+        a = hom_analysis(h)
+        assert a is hom_analysis(h)
+        assert a.injective == a.kernel.is_trivial
+        assert a.surjective == a.cokernel.is_trivial
+        assert a.isomorphism == (a.injective and a.surjective)
 
 
 @st.composite

@@ -5,7 +5,7 @@ module-level name the claim calls, then checks the whole report and that no
 instance after the offender was built.
 """
 
-import dataclasses
+import copy
 import importlib
 
 import pytest
@@ -48,8 +48,17 @@ def record(monkeypatch, name):
     return calls
 
 
+def forced(a, **values):
+    """A copy of the analysis a with the given parts forced; the memoised
+    analysis of the map itself is left as it is."""
+    fake = copy.copy(a)
+    for name, value in values.items():
+        setattr(fake, name, value)
+    return fake
+
+
 def not_iso(a):
-    return dataclasses.replace(a, isomorphism=False)
+    return forced(a, isomorphism=False)
 
 
 class TestIsomorphismClaims:
@@ -112,7 +121,7 @@ class TestIsomorphismClaims:
 
 class TestKernelClaim:
     def test_kernel_mismatch(self, monkeypatch):
-        wrong = lambda a: dataclasses.replace(a, kernel=FpAbelianGroup(()))
+        wrong = lambda a: forced(a, kernel=FpAbelianGroup(()))
         monkeypatch.setattr(E, "hom_analysis",
                             fail_on_call(E.hom_analysis, 1, wrong))
         calls = record(monkeypatch, "eta")

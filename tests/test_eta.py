@@ -1,16 +1,21 @@
 """The eta homomorphisms and the claim-verification suite."""
 
+import importlib
 import json
 
 import pytest
 
-from quasilie.abelian import hom_analysis
+from quasilie import abelian
+from quasilie.abelian import AbelianHom, FpAbelianGroup, hom_analysis
 from quasilie.eta import (ALL_CLAIMS, beta_hom, dtilde_left_map, eta,
                           eta_infinity, eta_prime, eta_prime_ambient,
                           eta_tilde, eta_vector, odd_left_map, verify,
                           verify_all)
 from quasilie.lie import LIE, d_group, tensor_with_L1
 from quasilie.trees import canonical_unrooted, glue, leaf, node, rooted_trees
+
+# the package re-exports the function eta, which shadows the module
+E = importlib.import_module("quasilie.eta")
 
 
 class TestEtaPrime:
@@ -183,3 +188,38 @@ class TestVerify:
 
     def test_root_sum_iso_at_order_four(self):
         assert verify("thm31_i", max_order=4, labels=2).status == "verified"
+
+
+class TestLazyAnalysis:
+    def test_verified_iso_claim_builds_no_image_or_cokernel(self,
+                                                             monkeypatch):
+        """A verified isomorphism claim reads the flags only."""
+        # fresh maps over the cached groups, so no analysis is memoised yet
+        fresh = {}
+        for n in (1, 3):
+            for m in (1, 2):
+                h = eta(n, m)
+                fresh[n, m] = AbelianHom(h.source, h.target, h.matrix,
+                                         check=False)
+        monkeypatch.setattr(E, "eta", lambda n, m: fresh[n, m])
+        built = []
+        real_subgroup = abelian._subgroup
+        real_extra = FpAbelianGroup.with_extra_relations
+
+        def subgroup(lat, tag, relations):
+            out = real_subgroup(lat, tag, relations)
+            built.append(out.generators)
+            return out
+
+        def with_extra_relations(group, columns):
+            built.append("cokernel")
+            return real_extra(group, columns)
+        monkeypatch.setattr(abelian, "_subgroup", subgroup)
+        monkeypatch.setattr(FpAbelianGroup, "with_extra_relations",
+                            with_extra_relations)
+        r = verify("thm31_iii", max_order=4, labels=2)
+        assert r.status == "verified"
+        assert list(r.witness["instances"]) == [
+            "eta(n=1,m=1)", "eta(n=3,m=1)", "eta(n=1,m=2)", "eta(n=3,m=2)"]
+        assert "cokernel" not in built
+        assert not any(gens and gens[0][0] == "im" for gens in built)
