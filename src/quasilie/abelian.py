@@ -78,19 +78,11 @@ def _combination(p, u, q, w):
     return out
 
 
-def _dense(v, n):
-    """The length-n list with the entries of the sparse v."""
-    out = [0] * n
-    for k, x in v.items():
-        out[k] = x
-    return out
-
-
 class IntMatrix:
     """Immutable integer matrix, stored as one sparse column per column.
 
     Each column is a {row: nonzero int} dict with its rows in increasing
-    order.  The dense views (`data`, `column`, `columns`) are built on demand.
+    order.  `data` is the dense view, built on demand.
 
     >>> IntMatrix([[1, 2], [3, 4]]).mul(IntMatrix.identity(2)).data
     ((1, 2), (3, 4))
@@ -151,12 +143,6 @@ class IntMatrix:
                 dense[i][j] = v
         return tuple(map(tuple, dense))
 
-    def column(self, j):
-        return _dense(self._sparse[j], self.rows)
-
-    def columns(self):
-        return [self.column(j) for j in range(self.cols)]
-
     def sparse_columns(self):
         """Fresh {row: value} dicts, one per column, rows ascending."""
         return [dict(col) for col in self._sparse]
@@ -174,13 +160,11 @@ class IntMatrix:
         return IntMatrix._of(self.rows, tuple(out))
 
     def mul_vector(self, vec):
-        if len(vec) != self.cols:
-            raise ShapeMismatch("vector length mismatch")
+        """The dense product of the matrix with a dense or sparse vector."""
         out = [0] * self.rows
-        for j, x in enumerate(vec):
-            if x:
-                for i, a in self._sparse[j].items():
-                    out[i] += a * x
+        for j, x in _sparse_vector(vec, self.cols).items():
+            for i, a in self._sparse[j].items():
+                out[i] += a * x
         return out
 
     def hstack(self, other):
@@ -217,7 +201,8 @@ def _normalize_divisors(values):
 
 
 def relation_divisors(ngens, columns):
-    """(free_rank, invariant factors) of Z^ngens modulo the given relator columns.
+    """(free_rank, invariant factors) of Z^ngens modulo the given sparse
+    relator columns.
 
     Sparse Smith reduction without transform tracking: repeatedly pick a pivot
     of minimal absolute value (preferring +-1 and thin columns), clear its row
@@ -228,8 +213,7 @@ def relation_divisors(ngens, columns):
     cols = {}
     row_index = {}
     for cid, col in enumerate(columns):
-        d = {i: int(v) for i, v in (col.items() if isinstance(col, dict)
-                                    else enumerate(col)) if v}
+        d = {i: int(v) for i, v in col.items() if v}
         if d:
             cols[cid] = d
             for i in d:
@@ -329,15 +313,16 @@ class Lattice:
     columns strictly increase, pivots positive) and stored as sparse
     {column: nonzero} dicts, so a row's pivot is its least key and every step
     touches only nonzeros.  Vectors are given as dense sequences of length n
-    or as sparse dicts; dicts are copied, never kept.  Supports membership
-    tests, canonical forms for equality of lattices, and exact coordinates
-    over the rows.
+    or as sparse dicts; dicts are copied, never kept.  Every vector that
+    comes out (`rows`, `coordinates`, `reduce`) is a fresh sparse dict.
+    Supports membership tests, canonical forms for equality of lattices, and
+    exact coordinates over the rows.
 
     >>> lat = Lattice(3, [[2, 4, 0], {1: 3, 2: 1}])
     >>> lat.rows, lat.pivots
-    ([[2, 4, 0], [0, 3, 1]], [0, 1])
+    ([{0: 2, 1: 4}, {1: 3, 2: 1}], [0, 1])
     >>> lat.coordinates([4, 5, -1])
-    [2, -1]
+    {0: 2, 1: -1}
     """
 
     __slots__ = ("n", "_rows", "pivots", "_pivot_at")
@@ -352,8 +337,8 @@ class Lattice:
 
     @property
     def rows(self):
-        """Dense rows, as fresh lists, in pivot order."""
-        return [_dense(row, self.n) for row in self._rows]
+        """The rows, as fresh sparse dicts, in pivot order."""
+        return [dict(row) for row in self._rows]
 
     def add(self, vec):
         """Insert a vector; returns True if the lattice grew or changed."""
@@ -431,21 +416,18 @@ class Lattice:
     def contains(self, vec):
         return self._eliminate(_sparse_vector(vec, self.n)) is not None
 
-    def _coefficients(self, vec):
-        """Sparse coordinates {i: c} with sum(c * rows[i]) == vec."""
+    def coordinates(self, vec):
+        """The exact sparse coordinates {i: c} with sum(c * rows[i]) == vec;
+        raises NotDivisible when vec is not in the lattice."""
         coeffs = {}
         if self._eliminate(_sparse_vector(vec, self.n), coeffs=coeffs) is None:
             raise NotDivisible("vector not in the integer span of the basis")
         return coeffs
 
-    def coordinates(self, vec):
-        """Exact coefficients c with sum(c[i] * rows[i]) == vec."""
-        return _dense(self._coefficients(vec), len(self._rows))
-
     def reduce(self, vec):
         """Reduce vec by the basis as far as divisibility allows; the result
-        is a dense list."""
-        return _dense(self._reduce(_sparse_vector(vec, self.n)), self.n)
+        is a sparse dict."""
+        return self._reduce(_sparse_vector(vec, self.n))
 
     def canonicalize(self):
         """Bring the basis to the unique Hermite normal form."""
@@ -536,8 +518,12 @@ class FpAbelianGroup:
         return self.element({key: 1})
 
     def normal_form(self, vec):
-        """Canonical coset representative of vec modulo the relation lattice."""
-        return tuple(self.relation_lattice.reduce(vec))
+        """Canonical coset representative of vec modulo the relation
+        lattice, as a dense tuple."""
+        out = [0] * self.ngens
+        for k, x in self.relation_lattice.reduce(vec).items():
+            out[k] = x
+        return tuple(out)
 
     def same_presentation(self, other):
         return self is other or (self.generators == other.generators
@@ -648,10 +634,11 @@ class AbelianHom:
     def __call__(self, element):
         if not element.group.same_presentation(self.source):
             raise ShapeMismatch("element not in the source group")
-        return self.target.element(self.matrix.mul_vector(list(element.coeffs)))
+        return self.target.element(self.matrix.mul_vector(element.coeffs))
 
     def apply_vector(self, vec):
-        return self.matrix.mul_vector(list(vec))
+        """The image of a dense or sparse vector, as a dense list."""
+        return self.matrix.mul_vector(vec)
 
     def compose(self, other):
         """self after other (self . other)."""
@@ -705,9 +692,15 @@ class AbelianHom:
 
     @cached_property
     def image_lattice(self):
-        lat = Lattice(self.target.ngens)
-        for col in chain(self.matrix._sparse, self.target.relations._sparse):
-            lat._insert(dict(col))
+        """Hermite normal form of M Z^src plus the target relations: the
+        image blocks of the `_augmented` rows with pivot < h, canonicalised."""
+        aug, h = self._augmented, self.target.ngens
+        lat = Lattice(h)
+        for piv, row in zip(aug.pivots, aug._rows):
+            if piv < h:
+                lat.pivots.append(piv)
+                lat._rows.append({k: x for k, x in row.items() if k < h})
+        lat._pivot_at = {j: i for i, j in enumerate(lat.pivots)}
         return lat.canonicalize()
 
     @cached_property
@@ -726,15 +719,13 @@ class AbelianHom:
         return HomAnalysis(self)
 
     def preimage_vector(self, vec):
-        """Some x with M x == vec modulo the target relations, or None."""
+        """Some x with M x == vec modulo the target relations, as a sparse
+        {source index: nonzero} dict, or None.  vec is dense or sparse."""
         h = self.target.ngens
         rest = self._augmented._eliminate(_sparse_vector(vec, h), stop=h)
         if rest is None:
             return None
-        x = [0] * self.source.ngens
-        for k, v in rest.items():
-            x[k - h] = -v
-        return x
+        return {k - h: -v for k, v in rest.items()}
 
     def __repr__(self):
         return f"AbelianHom({self.source!r} -> {self.target!r})"
@@ -807,7 +798,7 @@ def hom_analysis(h):
 def _subgroup(lat, tag, relations):
     """The group on lat's rows, related by the given relator columns."""
     gens = tuple((tag, i) for i in range(len(lat.pivots)))
-    cols = [lat._coefficients(rel) for rel in relations._sparse]
+    cols = [lat.coordinates(rel) for rel in relations._sparse]
     return FpAbelianGroup(gens, IntMatrix.from_columns(cols, len(gens)))
 
 

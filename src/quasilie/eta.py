@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .abelian import (AbelianHom, HomValidityError, IntMatrix,
-                      NotDivisible, exact_at, hom_analysis, solve_division,
+                      NotDivisible, TorsionPresent, exact_at, hom_analysis,
                       tensor_Z2)
 from .lie import (LIE, QUASI, WellDefinednessError, bracket_hom, d_group,
                   d_infinity, d_tilde, lie_group, signed_sum, sl, sq,
@@ -31,11 +31,16 @@ class PullbackMismatch(ValueError):
     """The two maps defining the pullback lift disagree."""
 
 
+def eta_column(ambient, lab, raw_tree):
+    """Sum over univalent vertices v of X_label(v) (x) B_v, as a sparse
+    column over the ambient generators."""
+    return signed_sum(tensor_coords(ambient, i, b)
+                      for i, b in rootings(lab, raw_tree))
+
+
 def eta_vector(ambient, lab, raw_tree):
-    """Sum over univalent vertices v of X_label(v) (x) B_v, as coordinates."""
-    acc = signed_sum(tensor_coords(ambient, i, b)
-                     for i, b in rootings(lab, raw_tree))
-    return list(ambient.element(acc).coeffs)
+    """`eta_column` as a dense coordinate list."""
+    return list(ambient.element(eta_column(ambient, lab, raw_tree)).coeffs)
 
 
 @lru_cache(maxsize=None)
@@ -46,7 +51,7 @@ def eta_prime(n, m):
     ambient = Dq.inclusion.target
     cols = []
     for t in src.generators:
-        vec = eta_vector(ambient, t.label, t.tree)
+        vec = eta_column(ambient, t.label, t.tree)
         try:
             cols.append(Dq.basis.coordinates(vec))
         except NotDivisible as e:
@@ -59,7 +64,7 @@ def eta_prime_ambient(n, m):
     """eta' with codomain the full tensor group L_1 (x) L'_{n+1}."""
     src = t_group(n, m).group
     ambient = tensor_with_L1(n + 1, m, QUASI)
-    cols = [eta_vector(ambient, t.label, t.tree) for t in src.generators]
+    cols = [eta_column(ambient, t.label, t.tree) for t in src.generators]
     return AbelianHom.from_columns(src, ambient, cols)
 
 
@@ -68,22 +73,30 @@ def eta(n, m):
     """eta_n: T^inf_n -> D_n.
 
     Unrooted generators use the root-summing formula in the Lie setting;
-    infinity generators take half of eta(<J, J>), the division being exact
-    and unique in the torsion-free tensor group.  Construction fails loudly
-    if any twisted relator is not killed.
+    infinity generators take half of eta(<J, J>), a preimage under one
+    doubling map, exact and unique in the torsion-free tensor group.
+    Construction fails loudly on an odd double or a twisted relator that is
+    not killed.
     """
     ti = t_infinity(n, m)
     D = d_group(n, m, LIE)
     ambient = D.inclusion.target
+    doubling = None
     cols = []
     for g in ti.group.generators:
         if isinstance(g, tuple) and g[0] == "inf":
-            lab, raw = glue(g[1], g[1])
-            vec = eta_vector(ambient, lab, raw)
-            half = solve_division(ambient, ambient.element(vec), 2)
-            vec = list(half.coeffs)
+            if doubling is None:
+                if ambient.structure[1]:
+                    raise TorsionPresent(
+                        f"eta({n},{m}): halving needs a torsion-free ambient")
+                doubling = AbelianHom.identity(ambient).scale(2)
+            vec = doubling.preimage_vector(
+                eta_column(ambient, *glue(g[1], g[1])))
+            if vec is None:
+                raise NotDivisible(
+                    f"eta({n},{m}) image of {g} is not divisible by 2")
         else:
-            vec = eta_vector(ambient, g.label, g.tree)
+            vec = eta_column(ambient, g.label, g.tree)
         try:
             cols.append(D.basis.coordinates(vec))
         except NotDivisible as e:
@@ -120,14 +133,15 @@ def eta_infinity(n, m):
     e = eta(n, m)
     c = ti.maps["coker"]
     cols = []
-    for j in range(ti.group.ngens):
-        pair = e.matrix.column(j) + c.matrix.column(j)
+    for g, top, low in zip(ti.group.generators, e.matrix.sparse_columns(),
+                           c.matrix.sparse_columns()):
+        pair = top | {e.target.ngens + i: v for i, v in low.items()}
         try:
             cols.append(di.basis.coordinates(pair))
         except NotDivisible as err:
             raise PullbackMismatch(
                 f"eta_infinity({n},{m}): sl.eta and p.coker disagree at "
-                f"generator {ti.group.generators[j]}") from err
+                f"generator {g}") from err
     h = AbelianHom.from_columns(ti.group, di.group, cols)
     # the computed identity eta_inf((J,J)^inf) = sq_inf(1 (x) J)
     k = (n + 2) // 4
@@ -149,15 +163,15 @@ def beta_hom(n, m):
 
 
 def _sq_tensor_vector(n, m, vec):
-    """Apply X_i (x) J -> X_i (x) (J, J) to a coordinate vector.
+    """Apply X_i (x) J -> X_i (x) (J, J) to a sparse coordinate vector.
 
     Input coordinates over L_1 (x) L_n, output over L_1 (x) L'_{2n}.
     """
-    src = tensor_with_L1(n, m, LIE)
+    src = tensor_with_L1(n, m, LIE).generators
     dst = tensor_with_L1(2 * n, m, QUASI)
-    acc = signed_sum(tensor_coords(dst, i, node(t, t), v)
-                     for (i, t), v in zip(src.generators, vec) if v)
-    return list(dst.element(acc).coeffs)
+    terms = ((src[j], v) for j, v in vec.items())
+    return signed_sum(tensor_coords(dst, i, node(t, t), v)
+                      for (i, t), v in terms)
 
 
 @lru_cache(maxsize=None)
@@ -167,10 +181,9 @@ def odd_left_map(n, m):
     into the quasi-Lie kernel, then pull back through eta'."""
     src = tensor_Z2(lie_group(n + 1, m, QUASI).group)
     tilde = t_tilde(2 * n - 1, m)
-    dcols = dtilde_left_map(n, m).matrix.columns()
     ep = eta_prime(2 * n - 1, m)
     cols = []
-    for col in dcols:
+    for col in dtilde_left_map(n, m).matrix.sparse_columns():
         w = ep.preimage_vector(col)
         if w is None:
             raise WellDefinednessError(
@@ -188,9 +201,7 @@ def dtilde_left_map(n, m):
     Dq = d_group(2 * n - 1, m, QUASI)
     cols = []
     for j in range(src.ngens):
-        target = [0] * src.ngens
-        target[j] = 1
-        y = beta.preimage_vector(target)
+        y = beta.preimage_vector({j: 1})
         if y is None:
             raise WellDefinednessError(
                 f"dtilde_left_map({n},{m}): mod-2 bracket not surjective?")
@@ -399,9 +410,10 @@ def _framing_instances(max_order, labels):
             epa = eta_prime_ambient(2 * n - 1, m)
             low = tensor_with_L1(n, m, LIE)
             entry = {"identity": True}
-            for j, t in enumerate(dl.source.generators):
-                lhs = epa.apply_vector(dl.matrix.column(j))
-                rhs = _sq_tensor_vector(n, m, eta_vector(low, t.label, t.tree))
+            for t, col in zip(dl.source.generators,
+                              dl.matrix.sparse_columns()):
+                lhs = epa.apply_vector(col)
+                rhs = _sq_tensor_vector(n, m, eta_column(low, t.label, t.tree))
                 if epa.target.element(lhs) != epa.target.element(rhs):
                     entry = {"identity": False, "offender": str(t)}
                     break
@@ -424,12 +436,10 @@ def _master_block(k, m, twisted):
         eta_hi = eta_infinity(hi, m)
         eta_plain = eta_prime(hi, m)
         di = d_infinity(hi, m)
-        Dq = d_group(hi, m, QUASI)
         dpd = dprime_to_d(hi, m)
-        pad = [0] * di.sl_prime.target.ngens
-        jcols = [di.basis.coordinates(dpd.matrix.column(j) + pad)
-                 for j in range(Dq.group.ngens)]
-        bottom_incl = AbelianHom.from_columns(Dq.group, di.group, jcols)
+        jcols = [di.basis.coordinates(col)
+                 for col in dpd.matrix.sparse_columns()]
+        bottom_incl = AbelianHom.from_columns(dpd.source, di.group, jcols)
         bottom_coker = di.sl_prime
     else:
         eta_hi_vert = "eta"
@@ -441,8 +451,8 @@ def _master_block(k, m, twisted):
         lq = tensor_Z2(lie_group(nmid + 1, m, QUASI).group)
         pbar = AbelianHom(lq, slh.target, IntMatrix.identity(lq.ngens),
                           check=False)
-        cols = [pbar.preimage_vector(slh.matrix.column(j))
-                for j in range(slh.source.ngens)]
+        cols = [pbar.preimage_vector(col)
+                for col in slh.matrix.sparse_columns()]
         bottom_coker = AbelianHom.from_columns(slh.source, lq, cols)
     checks = {
         "left_square": eta_hi.compose(top_incl).equals(

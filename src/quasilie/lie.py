@@ -192,17 +192,15 @@ def sl(two_k, m):
     quasi_br = bracket_hom(two_k, m, QUASI)
     sqmap = sq(k + 1, m)
     cols = []
-    for z in D.basis.rows:
-        # L_1 (x) L_{2k+1} and L_1 (x) L'_{2k+1} share their generator keys,
-        # so the lift is the identity on coordinates.
-        b = quasi_br.apply_vector(z)
+    # L_1 (x) L_{2k+1} and L_1 (x) L'_{2k+1} share their generator keys, so
+    # the lift is the identity on coordinates: one column per generator z.
+    for b in quasi_br.matrix.mul(D.inclusion.matrix).sparse_columns():
         x = sqmap.preimage_vector(b)
         if x is None:
             raise LiftMismatch(
                 f"sl({two_k},{m}): bracketed lift is not in the image of sq")
         cols.append(x)
-    hom = AbelianHom.from_columns(D.group, sqmap.source, cols)
-    return hom
+    return AbelianHom.from_columns(D.group, sqmap.source, cols)
 
 
 @lru_cache(maxsize=None)
@@ -256,15 +254,15 @@ def d_infinity(n, m):
 
     # P is the kernel of D + Z2 (x) L'_{2k} -> Z2 (x) L_{2k}; stacking the
     # two projections gives its generators in the ambient coordinates.
-    basis = Lattice(to_d.matrix.rows + to_lq.matrix.rows,
-                    (a + b for a, b in zip(to_d.matrix.columns(),
-                                           to_lq.matrix.columns())))
+    nd = to_d.matrix.rows
+    basis = Lattice(nd + to_lq.matrix.rows,
+                    (a | {nd + i: v for i, v in b.items()}
+                     for a, b in zip(to_d.matrix.sparse_columns(),
+                                     to_lq.matrix.sparse_columns())))
     sq_k = sq(k, m)  # Z2 (x) L_k -> L'_{2k}; push into the Z2 tensor
-    cols = []
-    for j in range(sq_k.source.ngens):
-        # pair (0 in D, sq(1xJ) in Z2 (x) L'_{2k}) expressed in P's basis
-        amb = [0] * slmap.source.ngens + sq_k.matrix.column(j)
-        cols.append(basis.coordinates(amb))
+    # pairs (0 in D, sq(1xJ) in Z2 (x) L'_{2k}) expressed in P's basis
+    cols = [basis.coordinates({nd + i: v for i, v in col.items()})
+            for col in sq_k.matrix.sparse_columns()]
     sq_inf = AbelianHom.from_columns(sq_k.source, P, cols)
 
     a_sq = hom_analysis(sq_inf)

@@ -287,10 +287,10 @@ class TestStoredColumnsUnchanged:
                                  IntMatrix.identity(tgt.ngens))
         assert exact_at(a.kernel_inclusion, f)
         assert exact_at(f, to_cokernel)
-        for j, col in enumerate(h.matrix.sparse_columns()):
+        for col in h.matrix.sparse_columns():
             x = f.preimage_vector(col)
             assert x is not None and tgt.normal_form(f.apply_vector(x)) \
-                == tgt.normal_form(h.matrix.column(j))
+                == tgt.normal_form(col)
         for group in (src, tgt):
             for col in group.relations.sparse_columns():
                 assert not any(group.normal_form(col))
@@ -454,6 +454,19 @@ def combine(coeffs, rows, start):
     return out
 
 
+def densify(vec, n):
+    """The length-n list of a sparse {index: value} result."""
+    return [vec.get(k, 0) for k in range(n)]
+
+
+def dense_rows(lat):
+    return [densify(row, lat.n) for row in lat.rows]
+
+
+def dense_columns(m):
+    return [densify(col, m.rows) for col in m.sparse_columns()]
+
+
 class TestLatticeProperties:
     @PROPS
     @given(lattices(), st.data())
@@ -461,7 +474,8 @@ class TestLatticeProperties:
         n, vecs = nv
         lat = Lattice(n, vecs)
         c = data.draw(ints(len(lat.rows)))
-        assert lat.coordinates(combine(c, lat.rows, [0] * n)) == c
+        vec = combine(c, dense_rows(lat), [0] * n)
+        assert densify(lat.coordinates(vec), len(c)) == c
 
     @PROPS
     @given(lattices(), ints(4), st.integers(0, 3), st.integers(2, 4))
@@ -481,14 +495,14 @@ class TestLatticeProperties:
     def test_canonicalize_idempotent(self, nv):
         n, vecs = nv
         lat = Lattice(n, vecs).canonicalize()
-        rows = [list(r) for r in lat.rows]
-        assert lat.canonicalize().rows == rows
+        rows = dense_rows(lat)
+        assert dense_rows(lat.canonicalize()) == rows
 
     @PROPS
     @given(homs(), st.data())
     def test_preimage_maps_back(self, h, data):
         x0 = data.draw(ints(h.source.ngens))
-        rels = h.target.relations.columns()
+        rels = dense_columns(h.target.relations)
         vec = combine(data.draw(ints(len(rels))), rels,
                       h.apply_vector(x0))
         x = h.preimage_vector(vec)
@@ -496,6 +510,7 @@ class TestLatticeProperties:
         diff = [a - b for a, b in zip(h.apply_vector(x), vec)]
         assert h.target.relation_lattice.contains(diff)
         # two preimages of one vector differ by a kernel element
+        x = densify(x, h.source.ngens)
         assert h.kernel_lattice.contains([a - b for a, b in zip(x0, x)])
 
     @PROPS
@@ -503,6 +518,20 @@ class TestLatticeProperties:
     def test_kernel_rows_map_into_relations(self, h):
         for row in h.kernel_lattice.rows:
             assert h.target.relation_lattice.contains(h.apply_vector(row))
+
+
+class TestImageLattice:
+    """The image lattice is read off the augmented echelon basis; it must be
+    the Hermite normal form of the map's columns plus the target relators."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(presented_homs())
+    def test_rows_and_pivots_match_dense_hnf(self, h):
+        t = h.target.ngens
+        ref = DenseLattice(t, dense_columns(h.matrix)
+                           + dense_columns(h.target.relations)).canonicalize()
+        lat = h.image_lattice
+        assert (dense_rows(lat), lat.pivots) == (ref.rows, ref.pivots)
 
 
 class TestHomAnalysisFlags:
@@ -540,7 +569,7 @@ def paired_lattices(draw):
     for _ in range(draw(st.integers(0, 5))):
         vec, want = draw(dense_or_dict(n))
         assert lat.add(vec) == ref.add(want)
-        assert (lat.rows, lat.pivots) == (ref.rows, ref.pivots)
+        assert (dense_rows(lat), lat.pivots) == (ref.rows, ref.pivots)
         assert all(all(row.values()) for row in lat._rows)
         if isinstance(vec, dict):
             before = lat.rows
@@ -563,7 +592,7 @@ class TestLatticeAgainstDense:
         other, want = data.draw(dense_or_dict(n))
         for vec, dense in ((inside, inside), (shifted, shifted),
                            (other, want)):
-            assert lat.reduce(vec) == ref.reduce(dense)
+            assert densify(lat.reduce(vec), n) == ref.reduce(dense)
             assert lat.contains(vec) == ref.contains(dense)
             try:
                 expected = ref.coordinates(dense)
@@ -571,15 +600,15 @@ class TestLatticeAgainstDense:
                 with pytest.raises(NotDivisible):
                     lat.coordinates(vec)
             else:
-                assert lat.coordinates(vec) == expected
-        assert lat.coordinates(inside) == c
+                assert densify(lat.coordinates(vec), len(c)) == expected
+        assert densify(lat.coordinates(inside), len(c)) == c
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(paired_lattices(), paired_lattices())
     def test_canonical_forms_and_equality_agree(self, pa, pb):
         (_, lat, ref), (_, lat2, ref2) = pa, pb
         assert lat.equals(lat2) == ref.equals(ref2)
-        assert lat.canonicalize().rows == ref.canonicalize().rows
+        assert dense_rows(lat.canonicalize()) == ref.canonicalize().rows
         assert lat.pivots == ref.pivots
         assert all(all(row.values()) for row in lat._rows)
         assert lat.equals(Lattice(lat.n, reversed(ref.rows)))
@@ -597,7 +626,7 @@ class TestNormalForm:
     @PROPS
     @given(groups(), st.data())
     def test_relators_do_not_change_normal_form_or_hash(self, G, data):
-        rels = G.relations.columns()
+        rels = dense_columns(G.relations)
         x = data.draw(ints(G.ngens))
         y = combine(data.draw(ints(len(rels))), rels, x)
         assert G.normal_form(x) == G.normal_form(y)
@@ -620,8 +649,8 @@ class TestNormalForm:
     def test_relation_lattice_is_canonical(self):
         G = FpAbelianGroup(("a", "b", "c"),
                            IntMatrix.from_columns([[4, 6, 0], [2, 0, 8]], 3))
-        rows = [list(r) for r in G.relation_lattice.rows]
-        assert G.relation_lattice.canonicalize().rows == rows
+        rows = dense_rows(G.relation_lattice)
+        assert dense_rows(G.relation_lattice.canonicalize()) == rows
 
 
 # IntMatrix stores sparse columns; plain lists of lists are the reference.
@@ -674,7 +703,7 @@ class TestIntMatrixAgainstDense:
         r, c, rows, m = rcm
         assert (m.rows, m.cols) == (r, c)
         assert m.data == tuple(map(tuple, rows))
-        assert m.columns() == ref_columns(r, c, rows)
+        assert dense_columns(m) == ref_columns(r, c, rows)
         sparse = m.sparse_columns()
         assert sparse == [{i: v for i, v in enumerate(col) if v}
                           for col in ref_columns(r, c, rows)]
@@ -701,8 +730,9 @@ class TestIntMatrixAgainstDense:
         assert m.mul(other).data == tuple(map(tuple, ref_mul(rows, rows2,
                                                              c, k)))
         vec = data.draw(ints(c))
-        assert m.mul_vector(vec) == [sum(a * b for a, b in zip(row, vec))
-                                     for row in rows]
+        want = [sum(a * b for a, b in zip(row, vec)) for row in rows]
+        assert m.mul_vector(vec) == want
+        assert m.mul_vector({j: x for j, x in enumerate(vec) if x}) == want
         _, _, rows3, right = data.draw(built(r, k))
         assert m.hstack(right).data == tuple(
             tuple(a + b) for a, b in zip(rows, rows3))

@@ -6,12 +6,13 @@ import json
 import pytest
 
 from quasilie import abelian
-from quasilie.abelian import AbelianHom, FpAbelianGroup, hom_analysis
-from quasilie.eta import (ALL_CLAIMS, beta_hom, dtilde_left_map, eta,
-                          eta_infinity, eta_prime, eta_prime_ambient,
+from quasilie.abelian import (AbelianHom, FpAbelianGroup, IntMatrix,
+                              NotDivisible, hom_analysis)
+from quasilie.eta import (ALL_CLAIMS, beta_hom, dprime_to_d, dtilde_left_map,
+                          eta, eta_infinity, eta_prime, eta_prime_ambient,
                           eta_tilde, eta_vector, odd_left_map, verify,
                           verify_all)
-from quasilie.lie import LIE, d_group, tensor_with_L1
+from quasilie.lie import LIE, d_group, d_infinity, sl, tensor_with_L1
 from quasilie.trees import canonical_unrooted, glue, leaf, node, rooted_trees
 
 # the package re-exports the function eta, which shadows the module
@@ -60,6 +61,25 @@ class TestEta:
                     lab, raw = glue(node(leaf(i), jt), jt)
                     vec = eta_vector(ambient, lab, raw)
                     assert ambient.relation_lattice.contains(vec)
+
+    def test_halves_share_one_doubling_map(self, monkeypatch):
+        scales = []
+        real = AbelianHom.scale
+
+        def scale(h, k):
+            scales.append(k)
+            return real(h, k)
+        monkeypatch.setattr(AbelianHom, "scale", scale)
+        h = eta.__wrapped__(6, 2)
+        assert scales == [2]
+        assert h.matrix == eta(6, 2).matrix
+
+    def test_odd_double_fails_loudly(self, monkeypatch):
+        # <1,2> stands in for every <J,J>: its eta image is not divisible by 2
+        real = E.glue
+        monkeypatch.setattr(E, "glue", lambda a, b: real(leaf(1), leaf(2)))
+        with pytest.raises(NotDivisible):
+            eta.__wrapped__(0, 2)
 
     def test_square_infinity_in_kernel(self):
         e = eta(2, 1)
@@ -135,6 +155,31 @@ class TestLeftMaps:
             n = 1
             lhs = eta_tilde(2 * n - 1, m).compose(odd_left_map(n, m))
             assert lhs.equals(dtilde_left_map(n, m))
+
+
+class TestSparseSeam:
+    def test_builders_pass_only_sparse_columns(self, monkeypatch):
+        """The eta and lie builders hand sparse dicts to `from_columns`, so
+        no column of theirs is made dense on the way."""
+        kinds = set()
+        real = IntMatrix.from_columns.__func__
+
+        def from_columns(cls, columns, nrows):
+            columns = list(columns)
+            kinds.update(type(col) for col in columns)
+            return real(cls, columns, nrows)
+        monkeypatch.setattr(IntMatrix, "from_columns",
+                            classmethod(from_columns))
+        orders = range(7)
+        builds = [(eta_prime, orders), (eta, orders), (dprime_to_d, orders),
+                  (eta_infinity, (2, 6)), (d_infinity, (2, 6)),
+                  (sl, (0, 2, 4, 6)),
+                  # the odd maps at n land in order 2n - 1 <= 6
+                  (odd_left_map, (1, 2, 3)), (dtilde_left_map, (1, 2, 3))]
+        for build, ns in builds:
+            for n in ns:
+                build.__wrapped__(n, 2)
+        assert kinds == {dict}
 
 
 class TestVerify:

@@ -64,8 +64,8 @@ class TestDelta:
     def test_two_delta_vanishes(self):
         for n in (1, 2):
             dl = delta(n, 2)
-            for j in range(dl.source.ngens):
-                doubled = [2 * x for x in dl.matrix.column(j)]
+            for col in dl.matrix.sparse_columns():
+                doubled = {i: 2 * x for i, x in col.items()}
                 assert dl.target.relation_lattice.contains(doubled)
 
 
