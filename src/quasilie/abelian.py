@@ -16,6 +16,7 @@ from functools import cached_property
 from heapq import heappop, heappush
 from itertools import chain
 from math import gcd
+from operator import index
 
 
 class ShapeMismatch(ValueError):
@@ -126,12 +127,16 @@ class IntMatrix:
         """Build from an iterable of columns, each a dense list or sparse dict."""
         out = []
         for col in columns:
-            sparse = _sparse_vector(col, nrows)
             if isinstance(col, dict):
-                sparse = {i: sparse[i] for i in sorted(sparse)}
-            if not all(type(v) is int for v in sparse.values()):
-                sparse = {i: int(v) for i, v in sparse.items() if int(v)}
-            out.append(sparse)
+                rows = sorted(col)
+                if rows and (rows[0] < 0 or rows[-1] >= nrows):
+                    raise ShapeMismatch("sparse vector index out of range")
+                pairs = ((i, col[i]) for i in rows)
+            elif len(col) != nrows:
+                raise ShapeMismatch("vector has wrong ambient dimension")
+            else:
+                pairs = enumerate(col)
+            out.append({i: x for i, v in pairs if (x := int(v))})
         return cls._of(nrows, tuple(out))
 
     @property
@@ -202,7 +207,7 @@ def _normalize_divisors(values):
 
 def relation_divisors(ngens, columns):
     """(free_rank, invariant factors) of Z^ngens modulo the given sparse
-    relator columns.
+    relator columns, {row: nonzero int} dicts; they are copied, not changed.
 
     Sparse Smith reduction without transform tracking: repeatedly pick a pivot
     of minimal absolute value (preferring +-1 and thin columns), clear its row
@@ -213,10 +218,9 @@ def relation_divisors(ngens, columns):
     cols = {}
     row_index = {}
     for cid, col in enumerate(columns):
-        d = {i: int(v) for i, v in col.items() if v}
-        if d:
-            cols[cid] = d
-            for i in d:
+        if col:
+            cols[cid] = dict(col)
+            for i in col:
                 row_index.setdefault(i, set()).add(cid)
     divisors = []
     pivoted_rows = 0
@@ -477,7 +481,7 @@ class FpAbelianGroup:
     @cached_property
     def structure(self):
         """(free_rank, torsion divisors d1 | d2 | ...)."""
-        return relation_divisors(self.ngens, self.relations.sparse_columns())
+        return relation_divisors(self.ngens, self.relations._sparse)
 
     @property
     def free_rank(self):
@@ -499,20 +503,29 @@ class FpAbelianGroup:
         return self.structure == (0, ())
 
     def element(self, coeffs):
-        """Element from a dense vector, sparse dict, or {key: coeff} dict."""
-        vec = [0] * self.ngens
+        """Element from a dense vector, sparse dict, or {key: coeff} dict.
+
+        Integer dict keys are generator indices in [0, ngens); coefficients
+        must be integers (`operator.index`), and repeated entries add up.
+        """
+        n = self.ngens
         if isinstance(coeffs, dict):
+            vec = {}
             for k, v in coeffs.items():
-                i = k if isinstance(k, int) else self.index[k]
-                vec[i] += int(v)
+                if not isinstance(k, int):
+                    k = self.index[k]
+                elif not 0 <= k < n:
+                    raise ShapeMismatch("generator index out of range")
+                vec[k] = vec.get(k, 0) + index(v)
+            vec = {k: x for k, x in vec.items() if x}
         else:
-            if len(coeffs) != self.ngens:
+            if len(coeffs) != n:
                 raise ShapeMismatch("coefficient vector has wrong length")
-            vec = [int(v) for v in coeffs]
-        return GroupElement(self, tuple(vec))
+            vec = {k: x for k, v in enumerate(coeffs) if (x := index(v))}
+        return GroupElement(self, vec)
 
     def zero(self):
-        return GroupElement(self, (0,) * self.ngens)
+        return GroupElement(self, {})
 
     def gen(self, key):
         return self.element({key: 1})
@@ -542,36 +555,60 @@ class FpAbelianGroup:
         return f"FpAbelianGroup({self.ngens} gens; Z^{r} + {list(t)})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GroupElement:
-    """Integer combination of the generators of a presented group."""
+    """Integer combination of the generators of a presented group.
+
+    Stored as a sparse {generator index: nonzero int} dict that is never
+    changed, so every operation touches only nonzeros; build elements with
+    `FpAbelianGroup.element`, `zero` or `gen`.  `coeffs` is the dense view.
+    """
 
     group: FpAbelianGroup
-    coeffs: tuple
+    _vec: dict
 
-    def __add__(self, other):
-        self._check(other)
-        return GroupElement(self.group, tuple(a + b for a, b in
-                                              zip(self.coeffs, other.coeffs)))
+    @property
+    def coeffs(self):
+        """The dense coefficient tuple, built on each read."""
+        out = [0] * self.group.ngens
+        for k, x in self._vec.items():
+            out[k] = x
+        return tuple(out)
 
-    def __sub__(self, other):
-        self._check(other)
-        return GroupElement(self.group, tuple(a - b for a, b in
-                                              zip(self.coeffs, other.coeffs)))
+    @property
+    def vector(self):
+        """A fresh sparse {index: nonzero} dict, indices ascending."""
+        v = self._vec
+        return {k: v[k] for k in sorted(v)}
 
-    def __neg__(self):
-        return GroupElement(self.group, tuple(-a for a in self.coeffs))
-
-    def __rmul__(self, k):
-        return GroupElement(self.group, tuple(int(k) * a for a in self.coeffs))
-
-    def _check(self, other):
+    def _plus(self, q, other):
+        """self + q * other, for another element of the same group."""
         if not self.group.same_presentation(other.group):
             raise ShapeMismatch("elements of different groups")
+        v = dict(self._vec)
+        _add_multiple(v, q, other._vec)
+        return GroupElement(self.group, v)
+
+    def __add__(self, other):
+        return self._plus(1, other)
+
+    def __sub__(self, other):
+        return self._plus(-1, other)
+
+    def __neg__(self):
+        return GroupElement(self.group, _combination(-1, self._vec, 0, None))
+
+    def __rmul__(self, k):
+        try:
+            k = index(k)
+        except TypeError:
+            return NotImplemented
+        return GroupElement(self.group, _combination(k, self._vec, 0, None))
 
     @property
     def is_zero(self):
-        return self.group.relation_lattice.contains(self.coeffs)
+        lat = self.group.relation_lattice
+        return lat._eliminate(dict(self._vec)) is not None
 
     def __eq__(self, other):
         if not isinstance(other, GroupElement):
@@ -582,13 +619,14 @@ class GroupElement:
             (self - other).is_zero
 
     def __hash__(self):
-        # equal elements have equal presentations, hence equal normal forms
-        return hash(self.group.normal_form(self.coeffs))
+        # equal elements have equal presentations, hence equal coset
+        # representatives: the reduction `normal_form` makes
+        rep = self.group.relation_lattice._reduce(dict(self._vec))
+        return hash(tuple(sorted(rep.items())))
 
     def __repr__(self):
-        terms = [f"{v}*{g!r}" for g, v in zip(self.group.generators, self.coeffs)
-                 if v]
-        return " + ".join(terms) if terms else "0"
+        gens, v = self.group.generators, self._vec
+        return " + ".join(f"{v[k]}*{gens[k]!r}" for k in sorted(v)) or "0"
 
 
 class AbelianHom:
@@ -634,7 +672,10 @@ class AbelianHom:
     def __call__(self, element):
         if not element.group.same_presentation(self.source):
             raise ShapeMismatch("element not in the source group")
-        return self.target.element(self.matrix.mul_vector(element.coeffs))
+        image, cols = {}, self.matrix._sparse
+        for j, x in element._vec.items():
+            _add_multiple(image, x, cols[j])
+        return GroupElement(self.target, image)
 
     def apply_vector(self, vec):
         """The image of a dense or sparse vector, as a dense list."""
@@ -861,7 +902,7 @@ def solve_division(group, element, k):
         raise TorsionPresent("division is only well-defined without torsion")
     if not element.group.same_presentation(group):
         raise ShapeMismatch("element not in the given group")
-    x = AbelianHom.identity(group).scale(k).preimage_vector(element.coeffs)
+    x = AbelianHom.identity(group).scale(k).preimage_vector(element._vec)
     if x is None:
         raise NotDivisible(f"element is not divisible by {k}")
     return group.element(x)

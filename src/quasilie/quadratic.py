@@ -80,12 +80,10 @@ class HermitianForm:
 
     def lam(self, x, y):
         acc = self.M.zero()
-        for k, xv in enumerate(x.coeffs):
-            if not xv:
-                continue
-            for l, yv in enumerate(y.coeffs):
-                if yv:
-                    acc = acc + (xv * yv) * self.table[k][l]
+        ys = y.vector.items()
+        for k, xv in x.vector.items():
+            for l, yv in ys:
+                acc = acc + (xv * yv) * self.table[k][l]
         return acc
 
     def star(self, m_el):
@@ -388,7 +386,7 @@ def _cross_terms(form, coeffs):
     where c_k < 0) for k increasing, is this sum plus C(|c_k|, 2)
     lambda(a_k, a_k) for each k: its cost does not grow with the c_k.
     """
-    terms = [(k, c) for k, c in coeffs if c]
+    terms = list(coeffs)
     acc = form.M.zero()
     for i, (k, c) in enumerate(terms):
         for l, d in terms[i + 1:]:
@@ -419,34 +417,32 @@ def universal_commutative(form):
         for k, c in rel.items():
             w = w + comb(abs(c), 2) * form.table[k][k]
         col = {nm + k: abs(c) for k, c in rel.items()}   # mu(-a) = mu(a)
-        col.update((i, v) for i, v in enumerate(w.coeffs) if v)
+        col.update(w.vector)
         if col:
             cols.append(col)
     for k, gk in enumerate(A.generators):
         a = A.gen(gk)
         col = {nm + k: 2}
-        diag = form.lam(a, a)
-        for i, v in enumerate(diag.coeffs):
-            if v:
-                col[i] = col.get(i, 0) - v
+        for i, v in form.lam(a, a).vector.items():
+            col[i] = col.get(i, 0) - v
         cols.append(col)
     e_group = FpAbelianGroup(gens, IntMatrix.from_columns(cols, len(gens)))
 
     h_cols = []
     for j in range(nm):
         m_el = M.element({j: 1})
-        h_cols.append(list((m_el + form.star(m_el)).coeffs))
+        h_cols.append((m_el + form.star(m_el)).vector)
     for gk in A.generators:
         a = A.gen(gk)
-        h_cols.append(list(form.lam(a, a).coeffs))
+        h_cols.append(form.lam(a, a).vector)
     h = AbelianHom.from_columns(e_group, M, h_cols)
     p = AbelianHom.from_columns(M, e_group, [{j: 1} for j in range(nm)])
     Q = AbelianQuadraticGroup(e_group, M, h, p, model="presented")
 
     def mu(a_el):
-        vec = {nm + k: c * c for k, c in enumerate(a_el.coeffs) if c}
-        acc = _cross_terms(form, enumerate(a_el.coeffs))
-        vec.update((i, v) for i, v in enumerate(acc.coeffs) if v)
+        a_vec = a_el.vector
+        vec = {nm + k: c * c for k, c in a_vec.items()}
+        vec.update(_cross_terms(form, a_vec.items()).vector)
         return e_group.element(vec)
 
     return QuadraticForm(form, Q, mu=mu)
@@ -488,7 +484,7 @@ def presented_noncommutative(form):
             diag = comb(abs(c), 2) + (abs(c) if c < 0 else 0)
             w = w + diag * form.table[k][k]
         col = {nm + k: c for k, c in rel.items()}
-        col.update((i, v) for i, v in enumerate(w.coeffs) if v)
+        col.update(w.vector)
         if col:
             cols.append(col)
     return FpAbelianGroup(gens, IntMatrix.from_columns(cols, len(gens)))
@@ -496,29 +492,25 @@ def presented_noncommutative(form):
 
 def enumerate_extension(Q, limit=20000):
     """All elements of a finite extension-model group by BFS closure."""
-    A, M = Q.form.A, Q.form.M
-
-    def norm(x):
-        return (M.normal_form(x.m.coeffs), A.normal_form(x.a.coeffs))
-
     gens = Q.e_generators()
     gens += [Q.neg(g) for g in gens]
-    seen = {norm(Q.zero()): Q.zero()}
+    # a pair hashes and compares by the classes of its parts, so the dict
+    # keeps the first element found of each class
+    seen = {Q.zero(): None}
     frontier = [Q.zero()]
     while frontier:
         nxt = []
         for x in frontier:
             for g in gens:
                 y = Q.add(x, g)
-                k = norm(y)
-                if k not in seen:
+                if y not in seen:
                     if len(seen) >= limit:
                         raise ValueError("extension group too large to "
                                          "enumerate")
-                    seen[k] = y
+                    seen[y] = None
                     nxt.append(y)
         frontier = nxt
-    return list(seen.values())
+    return list(seen)
 
 
 def torsion_counts(elements, Q, divisors):
@@ -600,7 +592,7 @@ def psi_factorization(order, labels, target, check_samples=True):
             elif not (v - value).is_zero:
                 raise NotInvariant(
                     f"edge choice changes the value of Psi({t})")
-        cols.append(list(value.coeffs))
+        cols.append(value.vector)
     return AbelianHom.from_columns(group, target.M, cols)
 
 

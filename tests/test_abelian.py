@@ -279,6 +279,9 @@ class TestStoredColumnsUnchanged:
                     hom_analysis(h).kernel.structure,
                     hom_analysis(h).image.structure,
                     hom_analysis(h).cokernel.structure)
+        # Smith reduction works on copies of the stored columns
+        assert (src.structure, tgt.structure) == (h.source.structure,
+                                                  h.target.structure)
         assert a.isomorphism == (a.injective and a.surjective)
         assert f.compose(a.kernel_inclusion).equals(
             AbelianHom.zero(a.kernel, tgt))
@@ -651,6 +654,134 @@ class TestNormalForm:
                            IntMatrix.from_columns([[4, 6, 0], [2, 0, 8]], 3))
         rows = dense_rows(G.relation_lattice)
         assert dense_rows(G.relation_lattice.canonicalize()) == rows
+
+
+@st.composite
+def named_homs(draw):
+    """`presented_homs` on string generators, so that generator keys and
+    indices differ."""
+    def named(G, tag):
+        return FpAbelianGroup(tuple(f"{tag}{i}" for i in range(G.ngens)),
+                              G.relations)
+
+    h = draw(presented_homs())
+    return AbelianHom(named(h.source, "s"), named(h.target, "t"), h.matrix)
+
+
+@st.composite
+def element_inputs(draw, G):
+    """An input to `G.element` and the dense vector it stands for: a dense
+    list, an index dict that may store zeros, or a dict that splits each
+    coefficient between the generator's key and its index, so entries
+    repeat and may cancel."""
+    n = G.ngens
+    want = draw(ints(n))
+    kind = draw(st.sampled_from(("dense", "index", "keys")))
+    if kind == "dense":
+        return want, want
+    order = draw(st.permutations(range(n)))
+    if kind == "index":
+        keep = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+        return {k: want[k] for k in order if want[k] or keep[k]}, want
+    out = {}
+    for k in order:
+        part = draw(small)
+        out[G.generators[k]] = want[k] - part
+        out[k] = part
+    return out, want
+
+
+def assert_element(e, want):
+    """e stores exactly the nonzeros of the dense vector want."""
+    assert e.coeffs == tuple(want)
+    assert e.vector == {k: x for k, x in enumerate(want) if x}
+
+
+class TestElements:
+    """Elements store sparse vectors; dense vectors are the reference."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(named_homs(), st.data())
+    def test_against_dense_vectors(self, h, data):
+        G = h.source
+        xa, a = data.draw(element_inputs(G))
+        xb, b = data.draw(element_inputs(G))
+        if data.draw(st.booleans()):
+            # b = a plus relators: a different vector for the same element
+            rels = dense_columns(G.relations)
+            b = combine(data.draw(ints(len(rels))), rels, a)
+            xb = b
+        k = data.draw(small)
+        ea, eb = G.element(xa), G.element(xb)
+        assert_element(ea, a)
+        assert_element(eb, b)
+        assert_element(ea + eb, [x + y for x, y in zip(a, b)])
+        assert_element(ea - eb, [x - y for x, y in zip(a, b)])
+        assert_element(ea - ea, [0] * G.ngens)
+        assert_element(-ea, [-x for x in a])
+        assert_element(k * ea, [k * x for x in a])
+        same = G.normal_form(a) == G.normal_form(b)
+        assert (ea == eb) == same == (eb == ea)
+        assert (ea - eb).is_zero == same
+        if same:
+            assert hash(ea) == hash(eb)
+        image = h(ea)
+        assert_element(image, h.apply_vector(a))
+        assert image == h.target.element(h.apply_vector(a))
+
+    def test_repr_and_views_leave_the_element_alone(self):
+        G = FpAbelianGroup(("a", "b", "c"))
+        e = G.element({"c": 2, 0: -1, "b": 3, 1: -3})
+        assert repr(e) == "-1*'a' + 2*'c'" and repr(G.zero()) == "0"
+        e.vector[1] = 5
+        assert e.vector == {0: -1, 2: 2} and e.coeffs == (-1, 0, 2)
+        with pytest.raises(AttributeError):
+            e.group = G
+
+    def test_indices_out_of_range_raise(self):
+        G = FpAbelianGroup(("a", "b", "c"))
+        for k in (-1, 3, 5):
+            with pytest.raises(ShapeMismatch):
+                G.element({k: 1})
+        with pytest.raises(ShapeMismatch):
+            G.element([1, 2])
+
+    def test_coefficients_must_be_integers(self):
+        G = FpAbelianGroup(("a", "b", "c"))
+        with pytest.raises(TypeError):
+            G.element([0.5, 1.9, -0.7])
+        with pytest.raises(TypeError):
+            G.element({"a": 1.0})
+        g = G.gen("a")
+        with pytest.raises(TypeError):
+            2.5 * g
+        assert (True * g, 0 * g) == (g, G.zero())
+
+    def test_query_path_reads_no_dense_vector(self, monkeypatch):
+        """Applying eta'(3, 3), pulling back, comparing and hashing go
+        through sparse vectors only: no dense product, no dense normal
+        form."""
+        h = eta_prime(3, 3)
+        gens = h.source.generators
+        queries = [{gens[0]: 1}, {gens[1]: 2, gens[-1]: -1},
+                   {g: i % 3 - 1 for i, g in enumerate(gens)}]
+        want = [tuple(h.apply_vector(h.source.element(q).coeffs))
+                for q in queries]
+
+        def dense(*args):
+            raise AssertionError("dense path taken")
+        monkeypatch.setattr(IntMatrix, "mul_vector", dense)
+        monkeypatch.setattr(FpAbelianGroup, "normal_form", dense)
+        images = set()
+        for q, coeffs in zip(queries, want):
+            image = h(h.source.element(q))
+            x = h.preimage_vector(image.vector)
+            back = h(h.source.element(x))
+            assert back == image and hash(back) == hash(image)
+            images.update((image, back))
+            assert image.coeffs == coeffs
+        # eta' is an isomorphism: it keeps the count of distinct elements
+        assert len(images) == len({h.source.element(q) for q in queries})
 
 
 # IntMatrix stores sparse columns; plain lists of lists are the reference.
