@@ -13,7 +13,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 from itertools import chain
 from math import gcd
 from operator import index
@@ -51,14 +51,15 @@ def ext_gcd(a, b):
 
 
 def _sparse_vector(vec, n):
-    """A fresh {index: nonzero} dict of a length-n dense sequence or dict."""
+    """A fresh {index: nonzero} dict of a length-n dense sequence or dict;
+    nonzero entries must be integers (`operator.index`)."""
     if isinstance(vec, dict):
         if vec and (min(vec) < 0 or max(vec) >= n):
             raise ShapeMismatch("sparse vector index out of range")
-        return {k: x for k, x in vec.items() if x}
+        return {k: index(x) for k, x in vec.items() if x}
     if len(vec) != n:
         raise ShapeMismatch("vector has wrong ambient dimension")
-    return {k: x for k, x in enumerate(vec) if x}
+    return {k: index(x) for k, x in enumerate(vec) if x}
 
 
 def _add_multiple(v, q, row):
@@ -92,8 +93,9 @@ class IntMatrix:
     __slots__ = ("rows", "cols", "_sparse")
 
     def __init__(self, data, cols=None):
-        """Build from dense rows; `cols` gives the width when there are none."""
-        dense = [[int(x) for x in row] for row in data]
+        """Build from dense rows of integers (`operator.index`); `cols` gives
+        the width when there are none."""
+        dense = [list(row) for row in data]
         widths = {len(r) for r in dense}
         if len(widths) > 1:
             raise ShapeMismatch("ragged rows")
@@ -104,7 +106,7 @@ class IntMatrix:
         for i, row in enumerate(dense):
             for j, x in enumerate(row):
                 if x:
-                    sparse[j][i] = x
+                    sparse[j][i] = index(x)
         self.rows, self.cols, self._sparse = len(dense), width, tuple(sparse)
 
     @classmethod
@@ -124,7 +126,8 @@ class IntMatrix:
 
     @classmethod
     def from_columns(cls, columns, nrows):
-        """Build from an iterable of columns, each a dense list or sparse dict."""
+        """Build from an iterable of columns, each a dense list or sparse
+        dict of integers (`operator.index`)."""
         out = []
         for col in columns:
             if isinstance(col, dict):
@@ -136,7 +139,7 @@ class IntMatrix:
                 raise ShapeMismatch("vector has wrong ambient dimension")
             else:
                 pairs = enumerate(col)
-            out.append({i: x for i, v in pairs if (x := int(v))})
+            out.append({i: index(v) for i, v in pairs if v})
         return cls._of(nrows, tuple(out))
 
     @property
@@ -213,8 +216,6 @@ def relation_divisors(ngens, columns):
     of minimal absolute value (preferring +-1 and thin columns), clear its row
     by column operations and its column by row operations, and retire it.
     """
-    import heapq
-
     cols = {}
     row_index = {}
     for cid, col in enumerate(columns):
@@ -232,19 +233,19 @@ def relation_divisors(ngens, columns):
 
     # lazy heap of candidate pivot columns; stale entries are re-pushed
     heap = [col_weight(cid) for cid in cols]
-    heapq.heapify(heap)
+    heapify(heap)
 
     while cols:
         while True:
             if not heap:
                 for c in cols:
-                    heapq.heappush(heap, col_weight(c))
-            flag, nnz, cid = heapq.heappop(heap)
+                    heappush(heap, col_weight(c))
+            flag, nnz, cid = heappop(heap)
             if cid not in cols:
                 continue
             fresh = col_weight(cid)
             if fresh[:2] != (flag, nnz):
-                heapq.heappush(heap, fresh)
+                heappush(heap, fresh)
                 continue
             break
         col = cols[cid]
@@ -278,7 +279,7 @@ def relation_divisors(ngens, columns):
                 if val and (v2 is None or abs(val) < abs(v2)):
                     r2, v2, c2 = r, val, oc
             if c2 != cid:
-                heapq.heappush(heap, col_weight(cid))
+                heappush(heap, col_weight(cid))
             cid, col, r, v = c2, cols[c2], r2, v2
         # Row r now lives only in this column: clear the column by row
         # operations (which touch no other column) if divisible, otherwise
@@ -297,7 +298,7 @@ def relation_divisors(ngens, columns):
                 if others:
                     break  # row r reappears elsewhere; redo row clearing
         if any(c != cid for c in row_index.get(r, ())):
-            heapq.heappush(heap, col_weight(cid))
+            heappush(heap, col_weight(cid))
             continue  # restart outer loop with same column, new pivot row
         divisors.append(abs(v))
         pivoted_rows += 1
@@ -661,8 +662,13 @@ class AbelianHom:
                    IntMatrix.from_columns(columns, target.ngens), check=check)
 
     @classmethod
-    def identity(cls, group):
-        return cls(group, group, IntMatrix.identity(group.ngens), check=False)
+    def identity(cls, source, target=None):
+        """The identity on generators, from source to `target` (the source
+        itself by default).  The target must be a quotient of the source on
+        the same generators; that is not checked."""
+        target = source if target is None else target
+        return cls(source, target, IntMatrix.identity(source.ngens),
+                   check=False)
 
     @classmethod
     def zero(cls, source, target):

@@ -87,22 +87,20 @@ def _same(n):
 # library functions up when called, so they always call the current ones.
 REGISTRY = {
     "group": {
-        "L": Entry(lambda n, m: lie.lie_group(n, m, lie.LIE).group,
-                   _grade, 1),
-        "Lq": Entry(lambda n, m: lie.lie_group(n, m, lie.QUASI).group,
-                    _grade, 1),
+        "L": Entry(lambda n, m: lie.lie_group(n, m, lie.LIE), _grade, 1),
+        "Lq": Entry(lambda n, m: lie.lie_group(n, m, lie.QUASI), _grade, 1),
         "D": Entry(lambda n, m: lie.d_group(n, m, lie.LIE).group, _kernel),
         "Dq": Entry(lambda n, m: lie.d_group(n, m, lie.QUASI).group,
                     _kernel),
-        "Dtilde": Entry(lambda n, m: lie.d_tilde(n, m)[0], _kernel, 1, 2),
+        "Dtilde": Entry(lambda n, m: lie.d_tilde(n, m), _kernel, 1, 2),
         "Dinf": Entry(lambda n, m: lie.d_infinity(n, m).group, _kernel, 2, 4),
-        "T": Entry(lambda n, m: treegroups.t_group(n, m).group, _same),
-        "Ttilde": Entry(lambda n, m: treegroups.t_tilde(n, m).group, _same),
+        "T": Entry(lambda n, m: treegroups.t_group(n, m), _same),
+        "Ttilde": Entry(lambda n, m: treegroups.t_tilde(n, m), _same),
         "Tinf": Entry(lambda n, m: treegroups.t_infinity(n, m).group, _same),
         "Z2L": Entry(lambda n, m: abelian.tensor_Z2(
-            lie.lie_group(n, m, lie.LIE).group), _grade, 1),
+            lie.lie_group(n, m, lie.LIE)), _grade, 1),
         "Z2Lq": Entry(lambda n, m: abelian.tensor_Z2(
-            lie.lie_group(n, m, lie.QUASI).group), _grade, 1),
+            lie.lie_group(n, m, lie.QUASI)), _grade, 1),
     },
     "map": {
         "etaP": Entry(lambda n, m: eta_prime(n, m), _kernel,
@@ -139,9 +137,7 @@ def _entry(kind, name, order, labels, cfg):
 
 
 def render_key(key):
-    if isinstance(key, trees.UnrootedTree):
-        return key.key
-    if isinstance(key, trees.RootedTree):
+    if isinstance(key, (trees.UnrootedTree, trees.RootedTree)):
         return key.key
     if isinstance(key, tuple):
         if len(key) == 2 and key[0] == "inf":
@@ -434,9 +430,6 @@ def build_parser():
                          "up to order 2 regardless)")
     ap.add_argument("--format", choices=("json", "csv", "text"),
                     default="json")
-    ap.add_argument("--jobs", type=int, default=1,
-                    help="accepted and ignored: verify runs its claims "
-                         "serially")
     ap.add_argument("--seed", type=int, default=0,
                     help="reserved: echoed in verify reports, read by no "
                          "claim")

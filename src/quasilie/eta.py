@@ -13,9 +13,8 @@ import json
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .abelian import (AbelianHom, HomValidityError, IntMatrix,
-                      NotDivisible, TorsionPresent, exact_at, hom_analysis,
-                      tensor_Z2)
+from .abelian import (AbelianHom, HomValidityError, NotDivisible,
+                      TorsionPresent, exact_at, hom_analysis, tensor_Z2)
 from .lie import (LIE, QUASI, WellDefinednessError, bracket_hom, d_group,
                   d_infinity, d_tilde, lie_group, signed_sum, sl, sq,
                   tensor_coords, tensor_with_L1)
@@ -46,7 +45,7 @@ def eta_vector(ambient, lab, raw_tree):
 @lru_cache(maxsize=None)
 def eta_prime(n, m):
     """eta'_n: T_n -> D'_n, the root-summing map into the quasi-Lie kernel."""
-    src = t_group(n, m).group
+    src = t_group(n, m)
     Dq = d_group(n, m, QUASI)
     ambient = Dq.inclusion.target
     cols = []
@@ -62,7 +61,7 @@ def eta_prime(n, m):
 
 def eta_prime_ambient(n, m):
     """eta' with codomain the full tensor group L_1 (x) L'_{n+1}."""
-    src = t_group(n, m).group
+    src = t_group(n, m)
     ambient = tensor_with_L1(n + 1, m, QUASI)
     cols = [eta_column(ambient, t.label, t.tree) for t in src.generators]
     return AbelianHom.from_columns(src, ambient, cols)
@@ -113,10 +112,7 @@ def eta_tilde(n, m):
     """Induced map T~_{2k-1} -> D~_{2k-1} on the framing quotients."""
     if n % 2 != 1:
         raise ValueError("eta_tilde is defined in odd orders")
-    src = t_tilde(n, m).group
-    dst, _ = d_tilde(n, m)
-    ep = eta_prime(n, m)
-    return AbelianHom(src, dst, ep.matrix)
+    return AbelianHom(t_tilde(n, m), d_tilde(n, m), eta_prime(n, m).matrix)
 
 
 @lru_cache(maxsize=None)
@@ -158,7 +154,7 @@ def eta_infinity(n, m):
 def beta_hom(n, m):
     """Mod-2 bracket Z2 (x) L_1 (x) L_n -> Z2 (x) L'_{n+1}."""
     return AbelianHom(tensor_Z2(tensor_with_L1(n, m, LIE)),
-                      tensor_Z2(lie_group(n + 1, m, QUASI).group),
+                      tensor_Z2(lie_group(n + 1, m, QUASI)),
                       bracket_hom(n - 1, m, QUASI).matrix)
 
 
@@ -179,8 +175,7 @@ def odd_left_map(n, m):
     """The injection Z2 (x) L'_{n+1} -> T~_{2n-1} induced by the framing
     diagram: lift a generator through the mod-2 bracket, square the lift
     into the quasi-Lie kernel, then pull back through eta'."""
-    src = tensor_Z2(lie_group(n + 1, m, QUASI).group)
-    tilde = t_tilde(2 * n - 1, m)
+    src = tensor_Z2(lie_group(n + 1, m, QUASI))
     ep = eta_prime(2 * n - 1, m)
     cols = []
     for col in dtilde_left_map(n, m).matrix.sparse_columns():
@@ -189,14 +184,13 @@ def odd_left_map(n, m):
             raise WellDefinednessError(
                 f"odd_left_map({n},{m}): eta' preimage missing")
         cols.append(w)
-    return AbelianHom.from_columns(src, tilde.group, cols)
+    return AbelianHom.from_columns(src, t_tilde(2 * n - 1, m), cols)
 
 
 @lru_cache(maxsize=None)
 def dtilde_left_map(n, m):
     """Z2 (x) L'_{n+1} -> D~_{2n-1}, the same chase on the kernel side."""
-    src = tensor_Z2(lie_group(n + 1, m, QUASI).group)
-    dt, _ = d_tilde(2 * n - 1, m)
+    src = tensor_Z2(lie_group(n + 1, m, QUASI))
     beta = beta_hom(n, m)
     Dq = d_group(2 * n - 1, m, QUASI)
     cols = []
@@ -211,14 +205,14 @@ def dtilde_left_map(n, m):
         except NotDivisible as e:
             raise ImageEscapesKernel(
                 f"dtilde_left_map({n},{m}): squared lift escapes D'") from e
-    return AbelianHom.from_columns(src, dt, cols)
+    return AbelianHom.from_columns(src, d_tilde(2 * n - 1, m), cols)
 
 
 @lru_cache(maxsize=None)
 def dtilde_to_d(n, m):
     """The projection D~_{2k-1} ->> D_{2k-1} (quasi kernel to Lie kernel)."""
     # D~ has the generators of D', so the matrix is that of D' -> D
-    return AbelianHom(d_tilde(n, m)[0], d_group(n, m, LIE).group,
+    return AbelianHom(d_tilde(n, m), d_group(n, m, LIE).group,
                       dprime_to_d(n, m).matrix)
 
 
@@ -322,7 +316,7 @@ def _kernel_instances(max_order, labels):
             k = (n + 2) // 4
             e = eta(n, m)
             K = hom_analysis(e).kernel
-            expected = tensor_Z2(lie_group(k, m, LIE).group).structure
+            expected = tensor_Z2(lie_group(k, m, LIE)).structure
             entry = {"kernel": K.describe(),
                      "expected": {"free_rank": expected[0],
                                   "torsion": list(expected[1])}}
@@ -364,9 +358,8 @@ def _square_instances(max_order, labels):
     for m in range(1, labels + 1):
         for n in range(2, max_order + 1, 2):
             c = t_infinity(n, m).maps["coker"]
-            pbar = AbelianHom(c.target,
-                              tensor_Z2(lie_group(n // 2 + 1, m, LIE).group),
-                              IntMatrix.identity(c.target.ngens), check=False)
+            pbar = AbelianHom.identity(
+                c.target, tensor_Z2(lie_group(n // 2 + 1, m, LIE)))
             ok = sl(n, m).compose(eta(n, m)).equals(pbar.compose(c))
             yield f"square(2k={n},m={m})", {"commutes": ok}, ok
 
@@ -448,9 +441,8 @@ def _master_block(k, m, twisted):
         bottom_incl = dprime_to_d(hi, m)
         # D_hi -> Z2 x L_{2k+1} -> lift through the odd-degree iso pbar
         slh = sl(hi, m)
-        lq = tensor_Z2(lie_group(nmid + 1, m, QUASI).group)
-        pbar = AbelianHom(lq, slh.target, IntMatrix.identity(lq.ngens),
-                          check=False)
+        lq = tensor_Z2(lie_group(nmid + 1, m, QUASI))
+        pbar = AbelianHom.identity(lq, slh.target)
         cols = [pbar.preimage_vector(col)
                 for col in slh.matrix.sparse_columns()]
         bottom_coker = AbelianHom.from_columns(slh.source, lq, cols)
@@ -513,11 +505,8 @@ _CLAIMS = {
 ALL_CLAIMS = tuple(_CLAIMS)
 
 
-def verify_all(max_order=2, labels=2, seed=0, jobs=1):
-    """Run every claim; reports are merged deterministically by claim id.
-
-    `jobs` is accepted and ignored: the claims run serially, because trees
-    are interned in shared tables that are not thread-safe.
-    """
+def verify_all(max_order=2, labels=2, seed=0):
+    """Run every claim serially (trees are interned in shared tables that
+    are not thread-safe); reports are sorted by claim id."""
     reports = [verify(c, max_order, labels, seed) for c in ALL_CLAIMS]
     return sorted(reports, key=lambda r: r.claim)

@@ -79,14 +79,6 @@ def distinct_relators(columns):
     return [dict(items) for items in seen]
 
 
-@dataclass(frozen=True)
-class LieGrade:
-    n: int
-    m: int
-    variant: str
-    group: FpAbelianGroup
-
-
 @lru_cache(maxsize=None)
 def lie_group(n, m, variant=LIE):
     """Degree-n part of the free (quasi-)Lie algebra on m generators."""
@@ -104,14 +96,13 @@ def lie_group(n, m, variant=LIE):
         cols.extend(distinct_relators(
             relator_column(group.index, trip)
             for trip in onequad_rooted_expansions(n - 3, m)))
-    group = FpAbelianGroup(gens, IntMatrix.from_columns(cols, len(gens)))
-    return LieGrade(n, m, variant, group)
+    return FpAbelianGroup(gens, IntMatrix.from_columns(cols, len(gens)))
 
 
 @lru_cache(maxsize=None)
 def tensor_with_L1(n, m, variant=LIE):
     """L_1 (x) L_n: generator keys (i, tree), relations replicated per label."""
-    base = lie_group(n, m, variant).group
+    base = lie_group(n, m, variant)
     gens = tuple((i, t) for i in range(1, m + 1) for t in base.generators)
     k = base.ngens
     cols = []
@@ -130,7 +121,7 @@ def tensor_coords(group, i, raw_tree, coeff=1):
 def bracket_hom(n, m, variant=LIE):
     """The bracket map L_1 (x) L_{n+1} -> L_{n+2}: X_i (x) J -> (i, J)."""
     src = tensor_with_L1(n + 1, m, variant)
-    dst = lie_group(n + 2, m, variant).group
+    dst = lie_group(n + 2, m, variant)
     cols = []
     for (i, t) in src.generators:
         cols.append(tree_coords(dst, node(leaf(i), t)))
@@ -139,13 +130,9 @@ def bracket_hom(n, m, variant=LIE):
 
 @dataclass(frozen=True)
 class BracketKernel:
-    n: int
-    m: int
-    variant: str
     group: FpAbelianGroup
     inclusion: AbelianHom
     basis: Lattice               # rows: the inclusion's columns, in order
-    bracket_surjective: bool
 
 
 @lru_cache(maxsize=None)
@@ -153,23 +140,22 @@ def d_group(n, m, variant=LIE):
     """Kernel of the bracket map, with its inclusion into L_1 (x) L_{n+1}."""
     h = bracket_hom(n, m, variant)
     a = hom_analysis(h)
-    return BracketKernel(n, m, variant, a.kernel, a.kernel_inclusion,
-                         h.kernel_lattice, a.surjective)
+    return BracketKernel(a.kernel, a.kernel_inclusion, h.kernel_lattice)
 
 
 @lru_cache(maxsize=None)
 def proj_p(n, m):
     """The projection L'_n ->> L_n (identity on tree generators)."""
-    src = lie_group(n, m, QUASI).group
-    dst = lie_group(n, m, LIE).group
+    src = lie_group(n, m, QUASI)
+    dst = lie_group(n, m, LIE)
     return AbelianHom(src, dst, IntMatrix.identity(src.ngens))
 
 
 @lru_cache(maxsize=None)
 def sq(k, m):
     """The squaring map Z2 (x) L_k -> L'_{2k}: 1 (x) J -> (J, J)."""
-    src = tensor_Z2(lie_group(k, m, LIE).group)
-    dst = lie_group(2 * k, m, QUASI).group
+    src = tensor_Z2(lie_group(k, m, LIE))
+    dst = lie_group(2 * k, m, QUASI)
     cols = [tree_coords(dst, node(t, t)) for t in src.generators]
     try:
         return AbelianHom.from_columns(src, dst, cols)
@@ -205,7 +191,7 @@ def sl(two_k, m):
 
 @lru_cache(maxsize=None)
 def d_tilde(n, m):
-    """The quotient of D'_n by eta'(im Delta), with the quotient map.
+    """The quotient of D'_n by eta'(im Delta), on the generators of D'_n.
 
     Defined for odd n; built from the framing map and eta' of the lower
     tree groups (late import keeps the module dependencies acyclic).
@@ -215,14 +201,10 @@ def d_tilde(n, m):
     from .eta import eta_prime
     from .treegroups import delta
     half = (n + 1) // 2
-    Dq = d_group(n, m, QUASI)
     ep = eta_prime(n, m)
     dl = delta(half, m)
-    quotient = Dq.group.with_extra_relations(
+    return d_group(n, m, QUASI).group.with_extra_relations(
         ep.compose(dl).matrix.sparse_columns())
-    qhom = AbelianHom(Dq.group, quotient,
-                      IntMatrix.identity(Dq.group.ngens), check=False)
-    return quotient, qhom
 
 
 @dataclass(frozen=True)
@@ -247,9 +229,8 @@ def d_infinity(n, m):
     k = (n + 2) // 4
     from .abelian import pullback
     slmap = sl(n, m)
-    Lq2 = tensor_Z2(lie_group(2 * k, m, QUASI).group)
-    L2 = tensor_Z2(lie_group(2 * k, m, LIE).group)
-    pbar = AbelianHom(Lq2, L2, IntMatrix.identity(Lq2.ngens), check=False)
+    pbar = AbelianHom.identity(tensor_Z2(lie_group(2 * k, m, QUASI)),
+                               tensor_Z2(lie_group(2 * k, m, LIE)))
     P, to_d, to_lq = pullback(slmap, pbar)
 
     # P is the kernel of D + Z2 (x) L'_{2k} -> Z2 (x) L_{2k}; stacking the

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from math import comb
+from math import comb, gcd
 
 from .abelian import (AbelianHom, FpAbelianGroup, GroupElement, IntMatrix,
                       hom_analysis)
@@ -523,7 +523,6 @@ def torsion_counts(elements, Q, divisors):
 
 def presented_torsion_count(structure, d):
     """Number of d-torsion elements of Z^r + sum Z_{di} (finite case r=0)."""
-    from math import gcd
     r, tors = structure
     if r:
         raise ValueError("infinite group")
@@ -560,7 +559,7 @@ def psi_factorization(order, labels, target, check_samples=True):
     value (the invariance argument made exhaustive), and the AS/IHX relators
     must map to zero.  Returns the map as a homomorphism.
     """
-    group = t_group(order, labels).group
+    group = t_group(order, labels)
 
     def evaluate(tree):
         if tree.is_leaf:
@@ -598,8 +597,8 @@ def psi_factorization(order, labels, target, check_samples=True):
 
 def inner_product_form(n, m):
     """The tree-valued inner product on L'_{n+1} as a symmetric form."""
-    A = lie_group(n + 1, m, QUASI).group
-    M = t_group(2 * n, m).group
+    A = lie_group(n + 1, m, QUASI)
+    M = t_group(2 * n, m)
     table = []
     for a in A.generators:
         row = []
@@ -630,7 +629,7 @@ def bridge_T_infinity(n, m):
     form = inner_product_form(n, m)
     F = universal_symmetric(form)
     ti = t_infinity(2 * n, m)
-    tg = t_group(2 * n, m).group
+    tg = t_group(2 * n, m)
 
     h_cols = []
     for g in ti.group.generators:
@@ -656,8 +655,7 @@ def bridge_T_infinity(n, m):
         "p_compatible": phi.compose(F.target.p).equals(p_inf),
         "h(Jinf)=<J,J>": all(
             (h_inf(ti.group.gen(("inf", j)))
-             - tg.element(dict([(lambda c: (tg.index[c.tree], c.sign))
-                                (inner_product(j, j))]))).is_zero
+             - tg.element({(c := inner_product(j, j)).tree: c.sign})).is_zero
             for j in rooted_trees(n, m)),
     }
     return BridgeResult(checks["phi_isomorphism"] and all(checks.values()),

@@ -18,7 +18,7 @@ discarded, which builds J^inf = (-J)^inf into the data model.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 from .abelian import (AbelianHom, FpAbelianGroup, HomValidityError,
@@ -36,13 +36,11 @@ def unrooted_coords(group, label, raw_tree, coeff=1):
     return {group.index[c.tree]: coeff * c.sign}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TreeGroup:
-    flavor: str
-    n: int
-    m: int
+    """A twisted group T^inf_n with its canonical maps, keyed by name."""
     group: FpAbelianGroup
-    maps: dict = field(default_factory=dict, compare=False)
+    maps: dict
 
 
 @lru_cache(maxsize=None)
@@ -58,8 +56,7 @@ def t_group(n, m):
             cols.append({j: 2})
     cols.extend(distinct_relators(
         relator_column(group.index, trip) for trip in ihx_relators(n, m)))
-    group = FpAbelianGroup(gens, IntMatrix.from_columns(cols, len(gens)))
-    return TreeGroup("plain", n, m, group)
+    return FpAbelianGroup(gens, IntMatrix.from_columns(cols, len(gens)))
 
 
 @lru_cache(maxsize=None)
@@ -73,8 +70,8 @@ def delta(n, m):
     """
     if n < 1:
         raise ValueError("delta needs n >= 1")
-    src = tensor_Z2(t_group(n - 1, m).group)
-    dst = t_group(2 * n - 1, m).group
+    src = tensor_Z2(t_group(n - 1, m))
+    dst = t_group(2 * n - 1, m)
     cols = [signed_sum(unrooted_coords(dst, lab, node(b, b))
                        for lab, b in rootings(t.label, t.tree))
             for t in src.generators]
@@ -89,13 +86,9 @@ def t_tilde(n, m):
     """T~_n: quotient by the framing relations for odd n, alias for even n."""
     plain = t_group(n, m)
     if n % 2 == 0:
-        quot = AbelianHom.identity(plain.group)
-        return TreeGroup("tilde", n, m, plain.group, {"quotient": quot})
+        return plain
     dl = delta((n + 1) // 2, m)
-    group = plain.group.with_extra_relations(dl.matrix.sparse_columns())
-    quot = AbelianHom(plain.group, group,
-                      IntMatrix.identity(plain.group.ngens), check=False)
-    return TreeGroup("tilde", n, m, group, {"quotient": quot})
+    return plain.with_extra_relations(dl.matrix.sparse_columns())
 
 
 @lru_cache(maxsize=None)
@@ -103,7 +96,7 @@ def t_infinity(n, m):
     """T^inf_n with its canonical maps.
 
     Odd n: quotient of T~_n by the boundary-twist relators <(i,J), J>;
-    maps: {"quotient": T~_n -> T^inf_n, "from_plain": T_n -> T^inf_n}.
+    maps: {"quotient": T~_n -> T^inf_n}.
 
     Even n = 2q: plain generators plus infinity generators J^inf over the
     canonical rooted trees J of order q; maps: {"inclusion": T_n -> T^inf_n,
@@ -116,16 +109,13 @@ def t_infinity(n, m):
         for i in range(1, m + 1):
             for j_tree in rooted_trees(q - 1, m):
                 c = inner_product(node(leaf(i), j_tree), j_tree)
-                cols.append({tilde.group.index[c.tree]: c.sign})
-        group = tilde.group.with_extra_relations(cols)
-        quot = AbelianHom(tilde.group, group,
-                          IntMatrix.identity(tilde.group.ngens), check=False)
-        from_plain = quot.compose(tilde.maps["quotient"])
-        return TreeGroup("twisted", n, m, group,
-                         {"quotient": quot, "from_plain": from_plain})
+                cols.append({tilde.index[c.tree]: c.sign})
+        group = tilde.with_extra_relations(cols)
+        return TreeGroup(group,
+                         {"quotient": AbelianHom.identity(tilde, group)})
 
     q = n // 2
-    plain = t_group(n, m).group
+    plain = t_group(n, m)
     infs = tuple(("inf", t) for t in rooted_trees(q, m))
     gens = plain.generators + infs
     np = plain.ngens
@@ -147,10 +137,9 @@ def t_infinity(n, m):
     group = FpAbelianGroup(gens, IntMatrix.from_columns(cols, len(gens)))
     incl = AbelianHom.from_columns(
         plain, group, [{j: 1} for j in range(np)], check=False)
-    lq = tensor_Z2(lie_group(q + 1, m, QUASI).group)
+    lq = tensor_Z2(lie_group(q + 1, m, QUASI))
     ck_cols = [{} for _ in range(np)]
     for t in rooted_trees(q, m):
         ck_cols.append({lq.index[t]: 1})
     coker = AbelianHom.from_columns(group, lq, ck_cols)
-    return TreeGroup("twisted", n, m, group,
-                     {"inclusion": incl, "coker": coker})
+    return TreeGroup(group, {"inclusion": incl, "coker": coker})

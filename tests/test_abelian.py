@@ -143,6 +143,19 @@ class TestHomAnalysis:
         with pytest.raises(HomValidityError):
             AbelianHom(Z2, Z, IntMatrix([[1]]))
 
+    def test_identity_onto_a_quotient(self):
+        G = FpAbelianGroup(("x", "y"))
+        Q = G.with_extra_relations([{1: 2}])
+        h = AbelianHom.identity(G, Q)
+        assert (h.source, h.target) == (G, Q)
+        assert h.matrix == IntMatrix.identity(2)
+        a = hom_analysis(h)
+        assert a.surjective and not a.injective
+        assert a.kernel.structure == (1, ())
+        assert AbelianHom.identity(G).target is G
+        with pytest.raises(ShapeMismatch):
+            AbelianHom.identity(G, Z)
+
     def test_rank_additivity_torsion_free_source(self):
         rng = random.Random(4)
         for _ in range(60):
@@ -625,6 +638,39 @@ class TestLatticeAgainstDense:
                     method(vec)
 
 
+class TestExactEntries:
+    """Matrix and lattice entries must be integers (`operator.index`);
+    nothing is truncated."""
+
+    def test_matrices_reject_non_integers(self):
+        with pytest.raises(TypeError):
+            IntMatrix.from_columns([[0.5, 1.9]], 2)
+        with pytest.raises(TypeError):
+            IntMatrix.from_columns([{0: 1, 1: 2.0}], 2)
+        with pytest.raises(TypeError):
+            IntMatrix([[1.5, -0.7]])
+        with pytest.raises(TypeError):
+            IntMatrix([["1", 2]])
+        assert IntMatrix([[True, 0], [0, 3]]).data == ((1, 0), (0, 3))
+        assert IntMatrix.from_columns([[0, 2], {1: True}], 2).data == \
+            ((0, 0), (2, 1))
+
+    def test_lattices_and_maps_reject_non_integers(self):
+        lat = Lattice(2, [[1, 1]])
+        for method in (lat.add, lat.contains, lat.coordinates, lat.reduce):
+            for vec in ([0.5, 1], {0: 0.5, 1: 1}):
+                with pytest.raises(TypeError):
+                    method(vec)
+        with pytest.raises(TypeError):
+            Lattice(2, [[0.5, 1]])
+        h = AbelianHom.identity(FpAbelianGroup(("x", "y")))
+        with pytest.raises(TypeError):
+            h.preimage_vector([0, 1.5])
+        with pytest.raises(TypeError):
+            h.apply_vector({1: 1.5})
+        assert Lattice(2, [{0: True, 1: 2}]).rows == [{0: 1, 1: 2}]
+
+
 class TestNormalForm:
     @PROPS
     @given(groups(), st.data())
@@ -638,7 +684,7 @@ class TestNormalForm:
     def test_equal_elements_of_equal_presentations_hash_alike(self):
         # sq builds its source as Z2 (x) L_2 itself: an equal, separate group
         src = sq(2, 2).source
-        other = tensor_Z2(lie_group(2, 2, LIE).group)
+        other = tensor_Z2(lie_group(2, 2, LIE))
         assert src is not other
         g0 = src.generators[0]
         a, b = src.gen(g0), other.gen(g0)

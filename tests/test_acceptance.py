@@ -42,7 +42,7 @@ def test_criterion_01_witt_rank_oracle():
     with timed(10, "1 Witt ranks n<=6 m<=3"):
         for m in (1, 2, 3):
             for n in range(1, 7):
-                g = lie_group(n, m, LIE).group
+                g = lie_group(n, m, LIE)
                 assert g.structure == (witt_rank(n, m), ()), (n, m)
 
 

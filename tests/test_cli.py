@@ -66,8 +66,8 @@ class TestGroup:
 
     def test_routing_matches_library(self, capsys):
         for name, order, builder in (
-                ("L", 3, lambda: lie_group(3, 2, LIE).group),
-                ("T", 2, lambda: t_group(2, 2).group),
+                ("L", 3, lambda: lie_group(3, 2, LIE)),
+                ("T", 2, lambda: t_group(2, 2)),
                 ("Tinf", 2, lambda: t_infinity(2, 2).group)):
             code, out, _ = run(capsys, "group", name, "--order", str(order),
                                "--labels", "2")
@@ -330,6 +330,14 @@ class TestDomain:
         with pytest.raises(SystemExit) as e:
             cli.main(["--help"])
         assert e.value.code == 0
+
+    def test_jobs_flag_is_gone(self, capsys):
+        # --jobs was accepted and ignored; it is now an unknown option
+        with pytest.raises(SystemExit) as e:
+            cli.main(["--jobs", "2", "group", "T", "--order", "1",
+                      "--labels", "2"])
+        assert e.value.code == 6
+        assert capsys.readouterr().err.startswith("usage:")
 
     def test_in_domain_over_budget_exit2(self, capsys):
         for argv in (("group", "Dinf", "--order", "10", "--labels", "2"),

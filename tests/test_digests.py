@@ -31,27 +31,27 @@ def digest(rows, columns):
 
 
 RELATORS = {
-    "L_6(2)": (lambda: lie_group(6, 2, LIE).group,
+    "L_6(2)": (lambda: lie_group(6, 2, LIE),
             "f2d7b7232842f963a4bb63ab45a87e00e8c9188942fa727493ed8ee4f036ce54"),
-    "Lq_6(2)": (lambda: lie_group(6, 2, QUASI).group,
+    "Lq_6(2)": (lambda: lie_group(6, 2, QUASI),
             "4d0282e92e12768e4e143f8298ed73da05f48eeb66ede0c28ae069030ab18abe"),
-    "L_8(2)": (lambda: lie_group(8, 2, LIE).group,
+    "L_8(2)": (lambda: lie_group(8, 2, LIE),
             "3b702a45e4a94cbf11dc40373a51efdef4dc95377d84cb80b54bc6e3d2db9592"),
-    "L_6(3)": (lambda: lie_group(6, 3, LIE).group,
+    "L_6(3)": (lambda: lie_group(6, 3, LIE),
             "44e160bbdbc52cb33e6c8f537657a64b5fefef5c3fd5a98cf9d157e1e8e593fd"),
-    "Lq_8(2)": (lambda: lie_group(8, 2, QUASI).group,
+    "Lq_8(2)": (lambda: lie_group(8, 2, QUASI),
             "ddd0522a39e2c194e72adcc569e7db9a5c9197871eb39f5d368adbaeb374c0ee"),
-    "T_5(2)": (lambda: t_group(5, 2).group,
+    "T_5(2)": (lambda: t_group(5, 2),
             "d53ac04dc059b995669a1f79a0e3ebaf02b7e1b8f6a161b0361ec862c6933c7e"),
-    "T_6(2)": (lambda: t_group(6, 2).group,
+    "T_6(2)": (lambda: t_group(6, 2),
             "2ff52e64261dd5a5a941122e4b997ccfc46ca987b0996b9e54d5bdebd036a9f2"),
-    "T_7(2)": (lambda: t_group(7, 2).group,
+    "T_7(2)": (lambda: t_group(7, 2),
             "b5132ae20ded079c0c51436996cfa3c96b8f2d2839780e6aca007d8a471cb3ac"),
-    "T_4(3)": (lambda: t_group(4, 3).group,
+    "T_4(3)": (lambda: t_group(4, 3),
             "adb8b6cea1647b134727b4851fdeb1bb5121077d41bce70f36e5a34f1a0a533a"),
-    "T_5(3)": (lambda: t_group(5, 3).group,
+    "T_5(3)": (lambda: t_group(5, 3),
             "bf440d8d392b5a094e0a3f9de320dcd9a69fe174aa241dc881e7a3248a2888a4"),
-    "Ttilde_5(2)": (lambda: t_tilde(5, 2).group,
+    "Ttilde_5(2)": (lambda: t_tilde(5, 2),
             "7ed006954e70bd64436457c57b6566ccb42600bd62fbb2c3a2fc067c9186cb5b"),
     "Tinf_4(2)": (lambda: t_infinity(4, 2).group,
             "3a64146a19b86f2edfa452b5289406293a6b5374553fc288caf7a8b355767ecd"),
@@ -59,7 +59,7 @@ RELATORS = {
             "df7aa44481c8f5d18b106a298b609e79617eded803c78e4ab900edf490a6146b"),
     "Tinf_6(2)": (lambda: t_infinity(6, 2).group,
             "d2ad96ecbf0bd6a60e3468e13fe479af494c0560559a9951465c2cc4b240c153"),
-    "Dtilde_3(2)": (lambda: d_tilde(3, 2)[0],
+    "Dtilde_3(2)": (lambda: d_tilde(3, 2),
             "0b1bdd28816bfb204f9c071aa04f03ef761792821eefc88697c95a79d7fa465d"),
 }
 

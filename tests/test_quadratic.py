@@ -378,15 +378,15 @@ class TestScalar:
 class TestPsiFactorization:
     def test_label_substitution(self):
         m, n = 2, 2
-        M = t_group(n, m).group
+        M = t_group(n, m)
         sub = {1: 2, 2: 1}
 
         def alpha(lab):
-            return (1, lie_group(1, m, QUASI).group.gen(leaf(sub[lab])))
+            return (1, lie_group(1, m, QUASI).gen(leaf(sub[lab])))
 
         def bracket(x, y):
             (da, ea), (db, eb) = x, y
-            dst = lie_group(da + db, m, QUASI).group
+            dst = lie_group(da + db, m, QUASI)
             acc = dst.zero()
             for i, vi in enumerate(ea.coeffs):
                 if vi:
@@ -401,7 +401,7 @@ class TestPsiFactorization:
 
         def pairing(x, y):
             (da, ea), (db, eb) = x, y
-            dst = t_group(da + db - 2, m).group
+            dst = t_group(da + db - 2, m)
             acc = dst.zero()
             for i, vi in enumerate(ea.coeffs):
                 if vi:
