@@ -181,10 +181,9 @@ def render_element(group, coeffs, via=None):
     return out[2:] if out.startswith("+ ") else ("-" + out[2:])
 
 
-def _emit(obj, cfg, stream=None):
-    stream = stream or sys.stdout
+def _emit(obj, cfg):
     if cfg.fmt == "json":
-        stream.write(json.dumps(obj, sort_keys=True, indent=2) + "\n")
+        sys.stdout.write(json.dumps(obj, sort_keys=True, indent=2) + "\n")
     elif cfg.fmt == "csv":
         buf = io.StringIO()
         w = csv.writer(buf)
@@ -195,9 +194,9 @@ def _emit(obj, cfg, stream=None):
         else:
             for row in obj:
                 w.writerow(row)
-        stream.write(buf.getvalue())
+        sys.stdout.write(buf.getvalue())
     else:
-        stream.write(_textual(obj) + "\n")
+        sys.stdout.write(_textual(obj) + "\n")
 
 
 def _textual(obj, indent=0):
@@ -308,10 +307,6 @@ def cmd_verify(args, cfg):
         else 0
 
 
-def _hom_table(h, label):
-    return {label: [list(r) for r in h.matrix.data]}
-
-
 def cmd_quadratic(args, cfg):
     sub = args.subcommand
     if sub == "bridge":
@@ -344,23 +339,20 @@ def cmd_quadratic(args, cfg):
         if sub == "universal":
             F = quadratic.universal_refinement(form)
             Q = F.target
-            out = {"model": "extension",
+            out = {"model": Q.model,
                    "M_ee": form.M.describe(),
                    "A": form.A.describe(),
                    "commutative_on_generators":
                        Q.is_commutative_on_generators(),
                    "axioms": quadratic.check_axioms(Q).to_dict(),
-                   "mu": {render_key(g): repr(Q.mu(form.A.gen(g)))
+                   "mu": {render_key(g): repr(F.mu(form.A.gen(g)))
                           for g in form.A.generators}}
         elif sub == "commutative":
-            F = quadratic.universal_commutative(form)
-            out = _presented_output(F)
-        elif sub == "symmetric":
+            out = _presented_output(quadratic.universal_commutative(form))
+        else:
             F = quadratic.universal_symmetric(form)
             out = _presented_output(F)
             out["p_injective"] = abelian.hom_analysis(F.target.p).injective
-        else:
-            raise CliError(EXIT_BAD_NAME, f"unknown subcommand: {sub}")
     except (quadratic.SchemaError, quadratic.NotAMorphism) as e:
         raise CliError(EXIT_SCHEMA, str(e))
     _emit(out, cfg)
@@ -369,15 +361,14 @@ def cmd_quadratic(args, cfg):
 
 def _presented_output(F):
     Q = F.target
-    out = {"model": "presented",
-           "M_c_e": Q.e.describe(),
-           "M_ee": Q.ee.describe(),
-           "axioms": quadratic.check_axioms(Q).to_dict()}
-    out.update(_hom_table(Q.h, "h"))
-    out.update(_hom_table(Q.p, "p"))
-    out["mu"] = {render_key(g): list(F.mu(F.A.gen(g)).coeffs)
-                 for g in F.A.generators}
-    return out
+    return {"model": Q.model,
+            "M_c_e": Q.e.describe(),
+            "M_ee": Q.ee.describe(),
+            "axioms": quadratic.check_axioms(Q).to_dict(),
+            "h": [list(r) for r in Q.h.matrix.data],
+            "p": [list(r) for r in Q.p.matrix.data],
+            "mu": {render_key(g): list(F.mu(F.A.gen(g)).coeffs)
+                   for g in F.A.generators}}
 
 
 def cmd_table(args, cfg):
@@ -418,11 +409,14 @@ class ArgumentParser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def build_parser():
-    ap = ArgumentParser(
-        prog="quasilie",
-        description="Tree groups, quasi-Lie bracket kernels, and universal "
-                    "quadratic refinements over Z.")
+class _ScanParser(argparse.ArgumentParser):
+    """Raises on a usage error instead of printing it and exiting."""
+
+    def error(self, message):
+        raise argparse.ArgumentError(None, message)
+
+
+def _global_options(ap):
     ap.add_argument("--max-order", type=int, default=4,
                     help="tree-order budget cap (default 4)")
     ap.add_argument("--max-labels", type=int, default=2,
@@ -433,6 +427,32 @@ def build_parser():
     ap.add_argument("--seed", type=int, default=0,
                     help="reserved: echoed in verify reports, read by no "
                          "claim")
+
+
+def _stray_options(argv, commands):
+    """The unknown options given before a token that is no command.
+
+    argparse passes over such an option, takes the value after it for the
+    command and names that value in its error, not the option."""
+    scan = _ScanParser(add_help=False)
+    _global_options(scan)
+    scan.add_argument("-h", "--help", action="store_true")
+    scan.add_argument("rest", nargs=argparse.REMAINDER)
+    try:
+        ns, extras = scan.parse_known_args(argv)
+    except argparse.ArgumentError:
+        return []           # the parser proper reports this error
+    if ns.help or not ns.rest or ns.rest[0] in commands:
+        return []
+    return extras
+
+
+def build_parser():
+    ap = ArgumentParser(
+        prog="quasilie",
+        description="Tree groups, quasi-Lie bracket kernels, and universal "
+                    "quadratic refinements over Z.")
+    _global_options(ap)
     sub = ap.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("group", help="compute a group's structure")
@@ -476,11 +496,15 @@ def build_parser():
                    default=None)
     t.add_argument("--labels", type=int, default=2)
     t.set_defaults(func=cmd_table)
+    ap.commands = tuple(sub.choices)
     return ap
 
 
 def main(argv=None):
     ap = build_parser()
+    stray = _stray_options(argv, ap.commands)
+    if stray:
+        ap.error("unrecognized arguments: " + " ".join(stray))
     args = ap.parse_args(argv)
     cfg = Config(max_order=args.max_order, max_labels=args.max_labels,
                  fmt=args.format, seed=args.seed)

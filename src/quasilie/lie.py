@@ -36,10 +36,10 @@ class WellDefinednessError(ValueError):
     """A generator formula fails to kill a relator (convention bug)."""
 
 
-def tree_coords(group, raw_tree, coeff=1):
+def tree_coords(group, raw_tree):
     """Sparse coordinates of a raw rooted tree in a tree-generated group."""
     c = canonical_rooted(raw_tree)
-    return {group.index[c.tree]: coeff * c.sign}
+    return {group.index[c.tree]: c.sign}
 
 
 def signed_sum(columns):

@@ -15,6 +15,10 @@ Two models are implemented for the universal refinement of a hermitian form:
   * presented abelian models for the commutative and symmetric quotients,
     amenable to Smith-normal-form structure computations.
 
+Both models answer the same element operations (zero, add, neg, scalar, h,
+p, star, dagger, e_generators, is_commutative_on_generators), so the axiom
+check, the form checks and induced morphisms are written once against them.
+
 The bridge at the end identifies the universal symmetric refinement of the
 tree-valued inner product with the twisted tree group of the same order.
 """
@@ -22,7 +26,7 @@ tree-valued inner product with the twisted tree group of the same order.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import comb, gcd
 
 from .abelian import (AbelianHom, FpAbelianGroup, GroupElement, IntMatrix,
@@ -86,9 +90,6 @@ class HermitianForm:
                 acc = acc + (xv * yv) * self.table[k][l]
         return acc
 
-    def star(self, m_el):
-        return self.involution(m_el)
-
     @property
     def trivial_involution(self):
         return self.involution.equals(AbelianHom.identity(self.M))
@@ -110,12 +111,6 @@ class PairElement:
 
     m: GroupElement
     a: GroupElement
-
-    def __eq__(self, other):
-        return self.m == other.m and self.a == other.a
-
-    def __hash__(self):
-        return hash((self.m, self.a))
 
     def __repr__(self):
         return f"({self.m!r} ; {self.a!r})"
@@ -139,9 +134,6 @@ class ExtensionQuadraticGroup:
     def neg(self, x):
         return PairElement(-x.m - self.form.lam(x.a, x.a), -x.a)
 
-    def sub(self, x, y):
-        return self.add(x, self.neg(y))
-
     def scalar(self, n, x):
         """n x by double-and-add; multiples of one element commute."""
         acc = self.zero()
@@ -155,7 +147,7 @@ class ExtensionQuadraticGroup:
         return acc
 
     def h(self, x):
-        return x.m + self.form.star(x.m) + self.form.lam(x.a, x.a)
+        return x.m + self.form.involution(x.m) + self.form.lam(x.a, x.a)
 
     def p(self, m_el):
         return PairElement(m_el, self.form.A.zero())
@@ -164,10 +156,10 @@ class ExtensionQuadraticGroup:
         return PairElement(self.form.M.zero(), a_el)
 
     def star(self, m_el):
-        return self.form.star(m_el)
+        return self.form.involution(m_el)
 
     def dagger(self, x):
-        return self.sub(self.p(self.h(x)), x)
+        return self.add(self.p(self.h(x)), self.neg(x))
 
     def e_generators(self):
         gens = [self.p(self.form.M.gen(g)) for g in self.form.M.generators]
@@ -182,7 +174,8 @@ class ExtensionQuadraticGroup:
 
 @dataclass(frozen=True)
 class AbelianQuadraticGroup:
-    """Quadratic group with both labels presented abelian."""
+    """Quadratic group with both labels presented abelian; h and p are maps,
+    and the element operations are those of M_e."""
 
     e: FpAbelianGroup
     ee: FpAbelianGroup
@@ -190,13 +183,29 @@ class AbelianQuadraticGroup:
     p: AbelianHom
     model: str = "abelian"
 
-    def star_hom(self):
-        return self.h.compose(self.p).add(
-            AbelianHom.identity(self.ee).scale(-1))
+    def zero(self):
+        return self.e.zero()
 
-    def dagger_hom(self):
-        return self.p.compose(self.h).add(
-            AbelianHom.identity(self.e).scale(-1))
+    def add(self, x, y):
+        return x + y
+
+    def neg(self, x):
+        return -x
+
+    def scalar(self, n, x):
+        return n * x
+
+    def star(self, m_el):
+        return self.h(self.p(m_el)) - m_el
+
+    def dagger(self, x):
+        return self.p(self.h(x)) - x
+
+    def e_generators(self):
+        return [self.e.gen(g) for g in self.e.generators]
+
+    def is_commutative_on_generators(self):
+        return True
 
 
 @dataclass
@@ -204,110 +213,82 @@ class QuadraticForm:
     """(lambda, mu): A -> quadratic group, in either model."""
 
     form: HermitianForm
-    target: object                      # Extension- or AbelianQuadraticGroup
-    mu: object = field(default=None)    # callable A-element -> M_e element
+    target: object      # ExtensionQuadraticGroup or AbelianQuadraticGroup
+    mu: object          # callable A-element -> M_e element
 
     @property
     def A(self):
         return self.form.A
 
 
-def check_axioms(obj, samples=6, seed=0):
+# the quadratic law is checked on every pair of generators, topped up with
+# random pairs (seed 0) to at least this many
+_SAMPLE_PAIRS = 6
+
+
+def check_axioms(obj):
     """Verify the defining identities of a quadratic group or form.
 
     Checked on generators (identities between homomorphisms hold everywhere
     once they hold on generators); reports rather than raises.
     """
-    checks = {}
     if isinstance(obj, QuadraticForm):
-        checks.update(_check_form(obj, samples, seed))
-        kind = "quadratic_form"
-    elif isinstance(obj, AbelianQuadraticGroup):
-        ident_e = AbelianHom.identity(obj.e)
-        ident_ee = AbelianHom.identity(obj.ee)
-        star = obj.star_hom()
-        dag = obj.dagger_hom()
-        checks["hph=2h"] = obj.h.compose(obj.p).compose(obj.h).equals(
-            obj.h.scale(2))
-        checks["star_involution"] = star.compose(star).equals(ident_ee)
-        checks["dagger_involution"] = dag.compose(dag).equals(ident_e)
-        checks["star.h=h"] = star.compose(obj.h).equals(obj.h)
-        checks["php=p+p.star"] = obj.p.compose(obj.h).compose(obj.p).equals(
-            obj.p.add(obj.p.compose(star)))
-        checks["p.star=dagger.p"] = obj.p.compose(star).equals(
-            dag.compose(obj.p))
-        kind = "quadratic_group"
-    elif isinstance(obj, ExtensionQuadraticGroup):
-        Q = obj
-        ee_gens = [Q.form.M.gen(g) for g in Q.form.M.generators]
-        e_gens = Q.e_generators()
-        checks["hph=2h"] = all(
-            Q.h(Q.p(Q.h(x))) == 2 * Q.h(x) for x in e_gens)
-        checks["star_involution"] = all(
-            Q.star(Q.star(m)) == m for m in ee_gens)
-        checks["dagger_involution"] = all(
-            Q.dagger(Q.dagger(x)) == x for x in e_gens)
-        checks["star.h=h"] = all(Q.star(Q.h(x)) == Q.h(x) for x in e_gens)
-        checks["php=p+p.star"] = all(
-            Q.p(Q.h(Q.p(m))) == Q.add(Q.p(m), Q.p(Q.star(m)))
-            for m in ee_gens)
-        checks["p.star=dagger.p"] = all(
-            Q.p(Q.star(m)) == Q.dagger(Q.p(m)) for m in ee_gens)
-        checks["im_p_central"] = all(
-            Q.add(Q.p(m), x) == Q.add(x, Q.p(m))
-            for m in ee_gens for x in e_gens)
-        kind = "quadratic_group"
+        kind, Q, checks = "quadratic_form", obj.target, _check_form(obj)
+    elif isinstance(obj, (ExtensionQuadraticGroup, AbelianQuadraticGroup)):
+        kind, Q, checks = "quadratic_group", obj, _check_group(obj)
     else:
         raise TypeError("check_axioms expects a quadratic group or form")
     status = "verified" if all(checks.values()) else "failed"
-    return VerificationReport(kind, {"model": getattr(obj, "model", None)
-                                     if not isinstance(obj, QuadraticForm)
-                                     else obj.target.model},
-                              status, {"checks": checks})
+    return VerificationReport(kind, {"model": Q.model}, status,
+                              {"checks": checks})
 
 
-def _form_ops(F):
-    """Uniform (add, neg, scalar, h, p, dagger) over both target models."""
-    Q = F.target
+def _check_group(Q):
+    ee_gens = [Q.ee.gen(g) for g in Q.ee.generators]
+    e_gens = Q.e_generators()
+    h_gens = [Q.h(x) for x in e_gens]
+    checks = {
+        "hph=2h": all(Q.h(Q.p(y)) == 2 * y for y in h_gens),
+        "star_involution": all(Q.star(Q.star(m)) == m for m in ee_gens),
+        "dagger_involution": all(Q.dagger(Q.dagger(x)) == x for x in e_gens),
+        "star.h=h": all(Q.star(y) == y for y in h_gens),
+        "php=p+p.star": all(
+            Q.p(Q.h(Q.p(m))) == Q.add(Q.p(m), Q.p(Q.star(m)))
+            for m in ee_gens),
+        "p.star=dagger.p": all(
+            Q.p(Q.star(m)) == Q.dagger(Q.p(m)) for m in ee_gens),
+    }
     if isinstance(Q, ExtensionQuadraticGroup):
-        return Q.add, Q.neg, Q.scalar, Q.h, Q.p, Q.dagger
-    h, p = Q.h, Q.p
-
-    def dagger(x):
-        return p(h(x)) - x
-
-    return ((lambda x, y: x + y), (lambda x: -x),
-            (lambda n, x: n * x), h, p, dagger)
+        # the presented model is abelian, so im(p) is central there
+        checks["im_p_central"] = all(
+            Q.add(Q.p(m), x) == Q.add(x, Q.p(m))
+            for m in ee_gens for x in e_gens)
+    return checks
 
 
-def _check_form(F, samples, seed):
-    rng = random.Random(seed)
-    add, neg, scalar, h, p, dagger = _form_ops(F)
-    A = F.A
-    lam = F.form.lam
+def _check_form(F):
+    Q, A, lam = F.target, F.A, F.form.lam
     gens = [A.gen(g) for g in A.generators]
-    checks = {}
-    checks["hermitian"] = all(
-        (lam(y, x) - F.form.star(lam(x, y))).is_zero
-        for x in gens for y in gens)
-    checks["h.mu=lambda_diag"] = all(
-        (h(F.mu(a)) - lam(a, a)).is_zero for a in gens)
     pairs = [(a, b) for a in gens for b in gens]
-    while len(pairs) < samples and gens:
+    rng = random.Random(0)
+    while len(pairs) < _SAMPLE_PAIRS and gens:
         pairs.append((_rand_el(A, rng), _rand_el(A, rng)))
-    # PairElements compare componentwise, GroupElements modulo relations
-    checks["quadratic_law"] = all(
-        F.mu(a + b) == add(add(F.mu(a), F.mu(b)), p(lam(a, b)))
-        for a, b in pairs)
-    checks["mu(-a)=dagger(mu(a))"] = all(
-        F.mu(-a) == dagger(F.mu(a)) for a in gens)
-    if _is_commutative_target(F.target):
-        ok = True
-        for a in gens:
-            for n in range(-3, 4):
-                if F.mu(n * a) != scalar(n * n, F.mu(a)):
-                    ok = False
-        checks["mu(na)=n^2.mu(a)"] = ok
+    checks = {
+        "hermitian": all((lam(y, x) - F.form.involution(lam(x, y))).is_zero
+                         for x in gens for y in gens),
+        "h.mu=lambda_diag": all((Q.h(F.mu(a)) - lam(a, a)).is_zero
+                                for a in gens),
+        # PairElements compare componentwise, GroupElements modulo relations
+        "quadratic_law": all(
+            F.mu(a + b) == Q.add(Q.add(F.mu(a), F.mu(b)), Q.p(lam(a, b)))
+            for a, b in pairs),
+        "mu(-a)=dagger(mu(a))": all(F.mu(-a) == Q.dagger(F.mu(a))
+                                    for a in gens),
+    }
+    if _is_commutative_target(Q):
+        checks["mu(na)=n^2.mu(a)"] = all(
+            F.mu(n * a) == Q.scalar(n * n, F.mu(a))
+            for a in gens for n in range(-3, 4))
     return checks
 
 
@@ -317,11 +298,8 @@ def _rand_el(A, rng):
 
 def _is_commutative_target(Q):
     """Commutative quadratic group: both abelian and ph = 2 id."""
-    if isinstance(Q, AbelianQuadraticGroup):
-        return Q.p.compose(Q.h).equals(AbelianHom.identity(Q.e).scale(2))
-    gens = Q.e_generators()
     return (Q.is_commutative_on_generators()
-            and all(Q.p(Q.h(x)) == Q.scalar(2, x) for x in gens))
+            and all(Q.p(Q.h(x)) == Q.scalar(2, x) for x in Q.e_generators()))
 
 
 def universal_refinement(form):
@@ -351,29 +329,28 @@ def induced_morphism(alpha, beta_ee, source_form, target_form):
             if not (lam2(alpha(x), alpha(y)) - beta_ee(lam(x, y))).is_zero:
                 raise NotAMorphism("lambda incompatible with (alpha, beta_ee)")
     star_ok = all(
-        (beta_ee(F.form.star(F.form.M.gen(g)))
-         - G.form.star(beta_ee(F.form.M.gen(g)))).is_zero
+        (beta_ee(F.form.involution(F.form.M.gen(g)))
+         - G.form.involution(beta_ee(F.form.M.gen(g)))).is_zero
         for g in F.form.M.generators)
     if not star_ok:
         raise NotAMorphism("beta_ee does not preserve the involution")
-    add2, _, _, h2, p2, _ = _form_ops(G)
+    Q, Q2 = F.target, G.target
 
     def beta_e(x):
-        return add2(p2(beta_ee(x.m)), G.mu(alpha(x.a)))
+        return Q2.add(Q2.p(beta_ee(x.m)), G.mu(alpha(x.a)))
 
-    Q = F.target
     gens = Q.e_generators()
     diagrams = {
         "h'.beta_e=beta_ee.h": all(
-            (h2(beta_e(x)) - beta_ee(Q.h(x))).is_zero for x in gens),
+            (Q2.h(beta_e(x)) - beta_ee(Q.h(x))).is_zero for x in gens),
         "beta_e.p=p'.beta_ee": all(
-            beta_e(Q.p(F.form.M.gen(g))) == p2(beta_ee(F.form.M.gen(g)))
+            beta_e(Q.p(F.form.M.gen(g))) == Q2.p(beta_ee(F.form.M.gen(g)))
             for g in F.form.M.generators),
         "beta_e.mu=mu'.alpha": all(
             beta_e(Q.mu(F.A.gen(g))) == G.mu(alpha(F.A.gen(g)))
             for g in F.A.generators),
         "homomorphism": all(
-            beta_e(Q.add(x, y)) == add2(beta_e(x), beta_e(y))
+            beta_e(Q.add(x, y)) == Q2.add(beta_e(x), beta_e(y))
             for x in gens for y in gens),
     }
     return beta_e, diagrams
@@ -394,6 +371,29 @@ def _cross_terms(form, coeffs):
     return acc
 
 
+def _relator_words(form, commutative):
+    """One relator column per nonzero relation of A, in order: the mu's of
+    its letters plus the telescoped cocycle.
+
+    In the commutative model mu(-a) = mu(a); otherwise the section of a
+    negative letter is s(-a_k) = -mu(a_k) + lambda(a_k, a_k).
+    """
+    nm = form.M.ngens
+    cols = []
+    for rel in form.A.relations.sparse_columns():
+        w = _cross_terms(form, rel.items())
+        for k, c in rel.items():
+            diag = comb(abs(c), 2)
+            if c < 0 and not commutative:
+                diag -= c      # each section of -a_k adds lambda(a_k, a_k)
+            w = w + diag * form.table[k][k]
+        col = {nm + k: abs(c) if commutative else c for k, c in rel.items()}
+        col.update(w.vector)
+        if col:
+            cols.append(col)
+    return cols
+
+
 def universal_commutative(form):
     """The universal commutative refinement, as a presented abelian group.
 
@@ -412,29 +412,14 @@ def universal_commutative(form):
         col = {i: v for i, v in col.items() if v}
         if col:
             cols.append(col)
-    for rel in A.relations.sparse_columns():
-        w = _cross_terms(form, rel.items())
-        for k, c in rel.items():
-            w = w + comb(abs(c), 2) * form.table[k][k]
-        col = {nm + k: abs(c) for k, c in rel.items()}   # mu(-a) = mu(a)
-        col.update(w.vector)
-        if col:
-            cols.append(col)
-    for k, gk in enumerate(A.generators):
-        a = A.gen(gk)
-        col = {nm + k: 2}
-        for i, v in form.lam(a, a).vector.items():
-            col[i] = col.get(i, 0) - v
-        cols.append(col)
+    cols += _relator_words(form, commutative=True)
+    lam_diag = [form.lam(a, a).vector for a in map(A.gen, A.generators)]
+    cols += [{nm + k: 2} | {i: -v for i, v in d.items()}
+             for k, d in enumerate(lam_diag)]
     e_group = FpAbelianGroup(gens, IntMatrix.from_columns(cols, len(gens)))
 
-    h_cols = []
-    for j in range(nm):
-        m_el = M.element({j: 1})
-        h_cols.append((m_el + form.star(m_el)).vector)
-    for gk in A.generators:
-        a = A.gen(gk)
-        h_cols.append(form.lam(a, a).vector)
+    h_cols = [(m + form.involution(m)).vector
+              for m in map(M.gen, M.generators)] + lam_diag
     h = AbelianHom.from_columns(e_group, M, h_cols)
     p = AbelianHom.from_columns(M, e_group, [{j: 1} for j in range(nm)])
     Q = AbelianQuadraticGroup(e_group, M, h, p, model="presented")
@@ -466,8 +451,7 @@ def universal_symmetric(form):
 def presented_noncommutative(form):
     """Presented model of the universal refinement, for symmetric-value forms.
 
-    Only implemented where the extension group is abelian (symmetric lambda);
-    the section of a negative letter is s(-a_k) = -mu(a_k) + lambda(a_k, a_k).
+    Only implemented where the extension group is abelian (symmetric lambda).
     """
     if not form.symmetric_values:
         raise NotAMorphism("presented model requires symmetric lambda "
@@ -475,18 +459,8 @@ def presented_noncommutative(form):
     A, M = form.A, form.M
     gens = tuple(("m", g) for g in M.generators) \
         + tuple(("q", g) for g in A.generators)
-    nm = M.ngens
-    cols = M.relations.sparse_columns()
-    for rel in A.relations.sparse_columns():
-        w = _cross_terms(form, rel.items())
-        for k, c in rel.items():
-            # each of the |c| sections of -a_k adds lambda(a_k, a_k)
-            diag = comb(abs(c), 2) + (abs(c) if c < 0 else 0)
-            w = w + diag * form.table[k][k]
-        col = {nm + k: c for k, c in rel.items()}
-        col.update(w.vector)
-        if col:
-            cols.append(col)
+    cols = M.relations.sparse_columns() + _relator_words(form,
+                                                          commutative=False)
     return FpAbelianGroup(gens, IntMatrix.from_columns(cols, len(gens)))
 
 
@@ -551,13 +525,15 @@ class QuasiLiePairing:
     M: FpAbelianGroup
 
 
-def psi_factorization(order, labels, target, check_samples=True):
+def psi_factorization(order, labels, target):
     """The unique linear map Psi with Psi(<X, Y>) = pairing(X, Y).
 
     Evaluates every generator of the order-`order` tree group by splitting at
     an edge; every edge of every generator is tried and must give the same
     value (the invariance argument made exhaustive), and the AS/IHX relators
-    must map to zero.  Returns the map as a homomorphism.
+    must map to zero.  The pairing is first checked to be symmetric and
+    invariant on the generators and their brackets.  Returns the map as a
+    homomorphism.
     """
     group = t_group(order, labels)
 
@@ -566,20 +542,19 @@ def psi_factorization(order, labels, target, check_samples=True):
             return target.alpha(tree.label)
         return target.bracket(evaluate(tree.left), evaluate(tree.right))
 
-    if check_samples:
-        pool = [target.alpha(i) for i in range(1, labels + 1)]
-        pool += [evaluate(t) for t in rooted_trees(min(order, 1), labels)]
-        for x in pool:
-            for y in pool:
-                if not (target.pairing(x, y) - target.pairing(y, x)).is_zero:
-                    raise NotInvariant("pairing is not symmetric")
-        for x in pool:
-            for y in pool:
-                for z in pool:
-                    lhs = target.pairing(target.bracket(x, y), z)
-                    rhs = target.pairing(x, target.bracket(y, z))
-                    if not (lhs - rhs).is_zero:
-                        raise NotInvariant("pairing is not invariant")
+    pool = [target.alpha(i) for i in range(1, labels + 1)]
+    pool += [evaluate(t) for t in rooted_trees(min(order, 1), labels)]
+    for x in pool:
+        for y in pool:
+            if not (target.pairing(x, y) - target.pairing(y, x)).is_zero:
+                raise NotInvariant("pairing is not symmetric")
+    for x in pool:
+        for y in pool:
+            for z in pool:
+                lhs = target.pairing(target.bracket(x, y), z)
+                rhs = target.pairing(x, target.bracket(y, z))
+                if not (lhs - rhs).is_zero:
+                    raise NotInvariant("pairing is not invariant")
 
     cols = []
     for t in group.generators:
@@ -641,12 +616,8 @@ def bridge_T_infinity(n, m):
     h_inf = AbelianHom.from_columns(ti.group, tg, h_cols)
     p_inf = ti.maps["inclusion"]
 
-    phi_cols = []
-    for kind, key in F.target.e.generators:
-        if kind == "m":
-            phi_cols.append({ti.group.index[key]: 1})
-        else:
-            phi_cols.append({ti.group.index[("inf", key)]: 1})
+    phi_cols = [{ti.group.index[key if kind == "m" else ("inf", key)]: 1}
+                for kind, key in F.target.e.generators]
     phi = AbelianHom.from_columns(F.target.e, ti.group, phi_cols)
 
     checks = {

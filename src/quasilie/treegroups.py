@@ -30,10 +30,10 @@ from .trees import (canonical_unrooted, glued, ihx_relators, inner_product,
                     rootings, unrooted_trees)
 
 
-def unrooted_coords(group, label, raw_tree, coeff=1):
+def unrooted_coords(group, label, raw_tree):
     """Sparse coordinates of a raw unrooted pair in a tree group."""
     c = canonical_unrooted(label, raw_tree)
-    return {group.index[c.tree]: coeff * c.sign}
+    return {group.index[c.tree]: c.sign}
 
 
 @dataclass(frozen=True, eq=False)

@@ -7,8 +7,10 @@ transforms, a fraction-free determinant, and a dense-row Hermite echelon
 lattice that does the same arithmetic in the same order as `Lattice`, so the
 two must agree row for row.
 
-For `quasilie.quadratic` they hold the letter-by-letter cocycle of a relator:
-the engine sums it in closed form.
+For `quasilie.quadratic` they hold the letter-by-letter cocycle of a relator,
+which the engine sums in closed form, and the quadratic-group identities as
+equalities of homomorphisms, which the engine checks element by element on
+generators.
 
 For `quasilie.trees` they hold the unrooted canonical form taken by
 canonicalising every raw re-rooting, and the IHX and Jacobi relator terms as
@@ -18,8 +20,8 @@ term from canonical halves.
 
 from bisect import bisect_left
 
-from quasilie.abelian import (IntMatrix, NotDivisible, ShapeMismatch,
-                              ext_gcd)
+from quasilie.abelian import (AbelianHom, IntMatrix, NotDivisible,
+                              ShapeMismatch, ext_gcd)
 from quasilie.trees import (CanonSign, UnrootedTree, canonical_rooted, glue,
                             node, rooted_trees, rootings)
 
@@ -326,6 +328,24 @@ def relator_words(form, commutative):
         if col:
             out.append({i: col[i] for i in sorted(col)})
     return out
+
+
+def axioms_by_homs(Q):
+    """The identities of a presented quadratic group M_e -h-> M_ee -p-> M_e,
+    as equalities of maps: * = hp - id on M_ee and dagger = ph - id on M_e
+    are built as homomorphisms and composed."""
+    ident_e, ident_ee = AbelianHom.identity(Q.e), AbelianHom.identity(Q.ee)
+    star = Q.h.compose(Q.p).add(ident_ee.scale(-1))
+    dag = Q.p.compose(Q.h).add(ident_e.scale(-1))
+    return {
+        "hph=2h": Q.h.compose(Q.p).compose(Q.h).equals(Q.h.scale(2)),
+        "star_involution": star.compose(star).equals(ident_ee),
+        "dagger_involution": dag.compose(dag).equals(ident_e),
+        "star.h=h": star.compose(Q.h).equals(Q.h),
+        "php=p+p.star": Q.p.compose(Q.h).compose(Q.p).equals(
+            Q.p.add(Q.p.compose(star))),
+        "p.star=dagger.p": Q.p.compose(star).equals(dag.compose(Q.p)),
+    }
 
 
 def canonical_unrooted_by_rootings(label, tree):

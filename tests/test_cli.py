@@ -337,7 +337,26 @@ class TestDomain:
             cli.main(["--jobs", "2", "group", "T", "--order", "1",
                       "--labels", "2"])
         assert e.value.code == 6
-        assert capsys.readouterr().err.startswith("usage:")
+        err = capsys.readouterr().err
+        assert err.startswith("usage:")
+        # the message names the option, not the value argparse took for
+        # the command
+        assert err.endswith("quasilie: error: unrecognized arguments: "
+                            "--jobs\n")
+        assert "invalid choice" not in err
+        # a bad command with no stray option before it is still named
+        with pytest.raises(SystemExit) as e:
+            cli.main(["--seed", "1", "nosuch"])
+        assert e.value.code == 6
+        assert "invalid choice: 'nosuch'" in capsys.readouterr().err
+        # and a stray option before a real command keeps the subcommand's
+        # own error
+        with pytest.raises(SystemExit) as e:
+            cli.main(["--jobs", "group", "T"])
+        assert e.value.code == 6
+        assert capsys.readouterr().err.endswith(
+            "quasilie group: error: the following arguments are required: "
+            "--order, --labels\n")
 
     def test_in_domain_over_budget_exit2(self, capsys):
         for argv in (("group", "Dinf", "--order", "10", "--labels", "2"),

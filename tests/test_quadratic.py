@@ -7,7 +7,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import relator_words
+from oracles import axioms_by_homs, relator_words
 from quasilie.abelian import AbelianHom, FpAbelianGroup, IntMatrix, \
     hom_analysis
 from quasilie.lie import QUASI, lie_group
@@ -91,8 +91,8 @@ class TestCheckAxioms:
         r = check_axioms(Q)
         assert r.status == "verified"
         # the induced involution is the coordinate swap
-        star = Q.star_hom()
-        assert star.matrix.data == ((0, 1), (1, 0))
+        x, y = M.gen("x"), M.gen("y")
+        assert Q.star(x) == y and Q.star(y) == x
 
     def test_failing_instance(self):
         Q = AbelianQuadraticGroup(Z2, Z2, AbelianHom.identity(Z2),
@@ -100,6 +100,67 @@ class TestCheckAxioms:
         r = check_axioms(Q)
         assert r.status == "failed"
         assert not r.witness["checks"]["hph=2h"]
+
+
+def cyclic_pieces(rng, n):
+    """Z/d_1 + ... + Z/d_n with each d_i in {0, 2, 3, 4} (0 is a free Z)."""
+    ds = [rng.choice([0, 2, 3, 4]) for _ in range(n)]
+    G = FpAbelianGroup(tuple(f"g{i}" for i in range(n)),
+                       IntMatrix.from_columns(
+                           [{i: d} for i, d in enumerate(ds) if d], n))
+    return G, ds
+
+
+def random_hom(rng, src, ds, dst, dt):
+    """A random map between cyclic pieces: the (i, j) entry is a small
+    multiple of the least value that kills the relator of source piece j."""
+    cols = []
+    for d in ds:
+        col = {}
+        for i, e in enumerate(dt):
+            if e and d:
+                step = e // math.gcd(d, e)
+            else:
+                step = 0 if d else 1
+            if step and rng.random() < 0.6:
+                col[i] = step * rng.randint(-2, 2)
+        cols.append(col)
+    return AbelianHom.from_columns(src, dst, cols)
+
+
+class TestAxiomsAgainstMaps:
+    def test_element_checks_match_map_identities(self):
+        # check_axioms evaluates each identity on generators through the
+        # element operations; the oracle composes the maps themselves
+        rng = random.Random(41)
+        failing = 0
+        for _ in range(400):
+            E, de = cyclic_pieces(rng, rng.randint(1, 3))
+            M, dm = cyclic_pieces(rng, rng.randint(1, 3))
+            Q = AbelianQuadraticGroup(E, M, random_hom(rng, E, de, M, dm),
+                                      random_hom(rng, M, dm, E, de))
+            got = check_axioms(Q).witness["checks"]
+            want = axioms_by_homs(Q)
+            assert list(got) == list(want)
+            assert got == want, (Q.h.matrix, Q.p.matrix)
+            failing += not all(got.values())
+        # both outcomes are exercised
+        assert 50 < failing < 350
+
+
+class TestPairElement:
+    def test_unequal_to_other_types(self):
+        x = PairElement(Z2.element([1]), Z4.element([1]))
+        assert not x == 0 and x != 0
+        assert x not in [None, 0, "x"]
+
+    def test_equal_by_classes(self):
+        # representatives that differ by relators are the same pair
+        x = PairElement(Z2.element([1]), Z4.element([1]))
+        y = PairElement(Z2.element([3]), Z4.element([-3]))
+        assert x == y and hash(x) == hash(y)
+        assert len({x, y}) == 1
+        assert x != PairElement(Z2.element([1]), Z4.element([2]))
 
 
 class TestUniversalRefinement:
