@@ -636,6 +636,11 @@ class AbelianHom:
     The matrix has one column per source generator, holding the image in
     target generator coordinates.  Construction verifies that every source
     relator maps into the target relation lattice.
+
+    The kernel (with its inclusion), image and cokernel, and the flags
+    `injective`, `surjective` and `isomorphism`, are built on first read.
+    The flags need no Smith reduction: they are decided on `kernel_lattice`,
+    `image_lattice` and the source relation lattice.
     """
 
     __slots__ = ("source", "target", "matrix", "__dict__")
@@ -761,9 +766,44 @@ class AbelianHom:
         return lat
 
     @cached_property
-    def _analysis(self):
-        """This map's `HomAnalysis`, built once and read lazily."""
-        return HomAnalysis(self)
+    def kernel(self):
+        """The lift {x : M x in the target relations} modulo the source
+        relations, which is correct with torsion on both sides."""
+        return _subgroup(self.kernel_lattice, "ker", self.source.relations)
+
+    @cached_property
+    def kernel_inclusion(self):
+        return AbelianHom.from_columns(self.kernel, self.source,
+                                       self.kernel_lattice._rows, check=False)
+
+    @cached_property
+    def image(self):
+        return _subgroup(self.image_lattice, "im", self.target.relations)
+
+    @cached_property
+    def cokernel(self):
+        return self.target.with_extra_relations(self.matrix._sparse)
+
+    @cached_property
+    def injective(self):
+        """The kernel is L_ker / R_src with R_src inside L_ker (L_ker =
+        `kernel_lattice`, R_src the source relations): trivial iff every row
+        of L_ker lies in R_src."""
+        relations = self.source.relation_lattice
+        return all(relations.contains(row)
+                   for row in self.kernel_lattice._rows)
+
+    @cached_property
+    def surjective(self):
+        """The cokernel is Z^t / `image_lattice`: trivial iff that Hermite
+        normal form has t pivots, each of them 1."""
+        lat = self.image_lattice
+        return (len(lat.pivots) == self.target.ngens
+                and all(row[j] == 1 for j, row in zip(lat.pivots, lat._rows)))
+
+    @property
+    def isomorphism(self):
+        return self.injective and self.surjective
 
     def preimage_vector(self, vec):
         """Some x with M x == vec modulo the target relations, as a sparse
@@ -776,70 +816,6 @@ class AbelianHom:
 
     def __repr__(self):
         return f"AbelianHom({self.source!r} -> {self.target!r})"
-
-
-class HomAnalysis:
-    """Kernel (with inclusion), image and cokernel of a map h, and its flags.
-
-    Each part is built on first read, and the flags need no Smith reduction:
-    they are decided on lattices that h caches anyway.  The kernel is
-    L_ker / R_src with R_src inside L_ker (L_ker = `h.kernel_lattice`, R_src
-    the source relations), so h is injective iff every row of L_ker lies in
-    R_src.  The cokernel is Z^t / `h.image_lattice`, so h is surjective iff
-    that Hermite normal form has t pivots, each of them 1.
-    """
-
-    def __init__(self, hom):
-        self.hom = hom
-
-    @cached_property
-    def kernel(self):
-        """The lift {x : h(x) in the target relations} modulo the source
-        relations, which is correct with torsion on both sides."""
-        h = self.hom
-        return _subgroup(h.kernel_lattice, "ker", h.source.relations)
-
-    @cached_property
-    def kernel_inclusion(self):
-        h = self.hom
-        return AbelianHom.from_columns(self.kernel, h.source,
-                                       h.kernel_lattice._rows, check=False)
-
-    @cached_property
-    def image(self):
-        h = self.hom
-        return _subgroup(h.image_lattice, "im", h.target.relations)
-
-    @cached_property
-    def cokernel(self):
-        h = self.hom
-        return h.target.with_extra_relations(h.matrix._sparse)
-
-    @cached_property
-    def injective(self):
-        relations = self.hom.source.relation_lattice
-        return all(relations.contains(row)
-                   for row in self.hom.kernel_lattice._rows)
-
-    @cached_property
-    def surjective(self):
-        lat = self.hom.image_lattice
-        return (len(lat.pivots) == self.hom.target.ngens
-                and all(row[j] == 1 for j, row in zip(lat.pivots, lat._rows)))
-
-    @cached_property
-    def isomorphism(self):
-        return self.injective and self.surjective
-
-
-def hom_analysis(h):
-    """The kernel/image/cokernel analysis of h, memoised per map.
-
-    One `HomAnalysis` is kept per `AbelianHom`; its parts are built on first
-    read, and `injective`, `surjective` and `isomorphism` are decided on the
-    kernel, image and relation lattices, with no Smith reduction.
-    """
-    return h._analysis
 
 
 def _subgroup(lat, tag, relations):
@@ -886,29 +862,10 @@ def pullback(f, g):
     cols += [{i: -v for i, v in col.items()}
              for col in g.matrix.sparse_columns()]
     diff = AbelianHom.from_columns(ab, f.target, cols, check=False)
-    analysis = hom_analysis(diff)
-    P, incl = analysis.kernel, analysis.kernel_inclusion
+    P, incl = diff.kernel, diff.kernel_inclusion
     na, nb = f.source.ngens, g.source.ngens
     proj_a = AbelianHom.from_columns(
         ab, f.source, [{j: 1} for j in range(na)] + [{}] * nb, check=False)
     proj_b = AbelianHom.from_columns(
         ab, g.source, [{}] * na + [{j: 1} for j in range(nb)], check=False)
     return P, proj_a.compose(incl), proj_b.compose(incl)
-
-
-def solve_division(group, element, k):
-    """Unique x with k*x == element in a torsion-free group.
-
-    Raises TorsionPresent if the group has torsion (uniqueness would fail)
-    and NotDivisible if there is no solution.
-    """
-    if k <= 0:
-        raise ValueError("divisor must be positive")
-    if group.structure[1]:
-        raise TorsionPresent("division is only well-defined without torsion")
-    if not element.group.same_presentation(group):
-        raise ShapeMismatch("element not in the given group")
-    x = AbelianHom.identity(group).scale(k).preimage_vector(element._vec)
-    if x is None:
-        raise NotDivisible(f"element is not divisible by {k}")
-    return group.element(x)

@@ -268,13 +268,12 @@ def cmd_map(args, cfg):
                else lie.d_group(order, labels, entry.ambient).inclusion)
         print(render_element(img.group, img.coeffs, via=via))
         return 0
-    a = abelian.hom_analysis(h)
     out = {"map": name, "order": order, "labels": labels,
            "matrix": [list(r) for r in h.matrix.data],
            "source": h.source.describe(), "target": h.target.describe(),
-           "kernel": a.kernel.describe(), "cokernel": a.cokernel.describe(),
-           "injective": a.injective, "surjective": a.surjective,
-           "isomorphism": a.isomorphism}
+           "kernel": h.kernel.describe(), "cokernel": h.cokernel.describe(),
+           "injective": h.injective, "surjective": h.surjective,
+           "isomorphism": h.isomorphism}
     _emit(out, cfg)
     return 0
 
@@ -283,8 +282,7 @@ def cmd_verify(args, cfg):
     if args.claim != "all" and args.claim not in ALL_CLAIMS:
         raise CliError(EXIT_BAD_NAME, f"unknown claim: {args.claim} "
                        f"(choose from {', '.join(ALL_CLAIMS)})")
-    max_order = (args.order if args.order is not None
-                 else args.verify_max_order)
+    max_order = args.verify_max_order
     if max_order < 0 or args.labels < 1:
         raise CliError(EXIT_BAD_NAME,
                        "verify needs an order >= 0 and labels >= 1")
@@ -352,7 +350,7 @@ def cmd_quadratic(args, cfg):
         else:
             F = quadratic.universal_symmetric(form)
             out = _presented_output(F)
-            out["p_injective"] = abelian.hom_analysis(F.target.p).injective
+            out["p_injective"] = F.target.p.injective
     except (quadratic.SchemaError, quadratic.NotAMorphism) as e:
         raise CliError(EXIT_SCHEMA, str(e))
     _emit(out, cfg)
@@ -476,8 +474,6 @@ def build_parser():
     v.add_argument("--max-order", dest="verify_max_order", type=int,
                    default=2, help="highest order to check (default 2; "
                                    "within the global budget)")
-    v.add_argument("--order", type=int, default=None,
-                   help="exact order (overrides --max-order)")
     v.add_argument("--labels", type=int, default=2)
     v.add_argument("--report", help="also write the JSON report here")
     v.set_defaults(func=cmd_verify)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .abelian import (AbelianHom, FpAbelianGroup, IntMatrix, Lattice,
-                      HomValidityError, _add_multiple, exact_at, hom_analysis,
+                      HomValidityError, _add_multiple, exact_at, pullback,
                       tensor_Z2)
 from .trees import (canonical_rooted, leaf, node, onequad_rooted_expansions,
                     rooted_trees)
@@ -139,8 +139,7 @@ class BracketKernel:
 def d_group(n, m, variant=LIE):
     """Kernel of the bracket map, with its inclusion into L_1 (x) L_{n+1}."""
     h = bracket_hom(n, m, variant)
-    a = hom_analysis(h)
-    return BracketKernel(a.kernel, a.kernel_inclusion, h.kernel_lattice)
+    return BracketKernel(h.kernel, h.kernel_inclusion, h.kernel_lattice)
 
 
 @lru_cache(maxsize=None)
@@ -227,7 +226,6 @@ def d_infinity(n, m):
     if n % 4 != 2:
         raise ValueError("d_infinity is defined in orders 4k-2")
     k = (n + 2) // 4
-    from .abelian import pullback
     slmap = sl(n, m)
     pbar = AbelianHom.identity(tensor_Z2(lie_group(2 * k, m, QUASI)),
                                tensor_Z2(lie_group(2 * k, m, LIE)))
@@ -246,9 +244,7 @@ def d_infinity(n, m):
             for col in sq_k.matrix.sparse_columns()]
     sq_inf = AbelianHom.from_columns(sq_k.source, P, cols)
 
-    a_sq = hom_analysis(sq_inf)
-    a_p = hom_analysis(to_d)
-    if not (a_sq.injective and a_p.surjective and exact_at(sq_inf, to_d)):
+    if not (sq_inf.injective and to_d.surjective and exact_at(sq_inf, to_d)):
         raise WellDefinednessError(
             f"d_infinity({n},{m}): row of the pullback diagram not exact")
     return DInfinity(P, to_d, to_lq, sq_inf, basis)

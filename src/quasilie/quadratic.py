@@ -29,8 +29,7 @@ import random
 from dataclasses import dataclass
 from math import comb, gcd
 
-from .abelian import (AbelianHom, FpAbelianGroup, GroupElement, IntMatrix,
-                      hom_analysis)
+from .abelian import AbelianHom, FpAbelianGroup, GroupElement, IntMatrix
 from .eta import VerificationReport
 from .lie import QUASI, lie_group
 from .treegroups import t_group, t_infinity
@@ -443,7 +442,7 @@ def universal_symmetric(form):
         raise NotAMorphism("universal_symmetric needs a symmetric form with "
                            "trivial involution")
     F = universal_commutative(form)
-    if not hom_analysis(F.target.p).injective:
+    if not F.target.p.injective:
         raise NotInvariant("p failed to be injective on a symmetric form")
     return F
 
@@ -621,7 +620,7 @@ def bridge_T_infinity(n, m):
     phi = AbelianHom.from_columns(F.target.e, ti.group, phi_cols)
 
     checks = {
-        "phi_isomorphism": hom_analysis(phi).isomorphism,
+        "phi_isomorphism": phi.isomorphism,
         "h_compatible": h_inf.compose(phi).equals(F.target.h),
         "p_compatible": phi.compose(F.target.p).equals(p_inf),
         "h(Jinf)=<J,J>": all(

@@ -315,11 +315,6 @@ def root_at(ut, v):
     return rts[v]
 
 
-def rooted_product(i_tree, j_tree):
-    """(I, J): join two rooted trees at a new vertex with a new root edge."""
-    return node(i_tree, j_tree)
-
-
 def glue(i_tree, j_tree):
     """The raw unrooted pair obtained by gluing two root edges together."""
     while not i_tree.is_leaf:

@@ -1,11 +1,10 @@
 """Exact failed and skipped claim reports.
 
 Each test forces one instance of a claim family to fail by patching a
-module-level name the claim calls, then checks the whole report and that no
-instance after the offender was built.
+module-level name or a map property the claim reads, then checks the whole
+report and that no instance after the offender was built.
 """
 
-import copy
 import importlib
 
 import pytest
@@ -37,28 +36,36 @@ def fail_on_call(real, k, forced):
     return fake
 
 
-def record(monkeypatch, name):
-    """Replace eta.<name> by a wrapper that records its arguments."""
+def record(monkeypatch, name, results=None):
+    """Replace eta.<name> by a wrapper that records its arguments, and
+    appends what it returns to `results` when that is given."""
     real, calls = getattr(E, name), []
 
     def recorder(*args):
         calls.append(args)
-        return real(*args)
+        out = real(*args)
+        if results is not None:
+            results.append(out)
+        return out
     monkeypatch.setattr(E, name, recorder)
     return calls
 
 
-def forced(a, **values):
-    """A copy of the analysis a with the given parts forced; the memoised
-    analysis of the map itself is left as it is."""
-    fake = copy.copy(a)
-    for name, value in values.items():
-        setattr(fake, name, value)
-    return fake
+def force_read(monkeypatch, name, k, value, maps=None):
+    """Patch the map property AbelianHom.<name> so that its k-th read (from
+    1) returns value; with `maps`, only reads of the maps in that list
+    count.  No map's memo is changed.  Returns the maps read, in order."""
+    real, reads = getattr(AbelianHom, name), []
 
-
-def not_iso(a):
-    return forced(a, isomorphism=False)
+    def read(h):
+        out = real.__get__(h, AbelianHom)
+        if maps is None or any(h is x for x in maps):
+            reads.append(h)
+            if len(reads) == k:
+                return value
+        return out
+    monkeypatch.setattr(AbelianHom, name, property(read))
+    return reads
 
 
 class TestIsomorphismClaims:
@@ -71,8 +78,7 @@ class TestIsomorphismClaims:
     ])
     def test_failed_report(self, monkeypatch, claim, built, max_order, k,
                            offender, n):
-        fake = fail_on_call(E.hom_analysis, k, not_iso)
-        monkeypatch.setattr(E, "hom_analysis", fake)
+        force_read(monkeypatch, "isomorphism", k, False)
         calls = record(monkeypatch, built)
         r = verify(claim, max_order=max_order, labels=2)
         assert r.status == "failed"
@@ -89,8 +95,7 @@ class TestIsomorphismClaims:
         assert all(m == 1 for _, m in calls)
 
     def test_thm31_i_exact(self, monkeypatch):
-        monkeypatch.setattr(E, "hom_analysis",
-                            fail_on_call(E.hom_analysis, 2, not_iso))
+        force_read(monkeypatch, "isomorphism", 2, False)
         calls = record(monkeypatch, "eta_prime")
         r = verify("thm31_i", max_order=1, labels=2)
         assert r.to_dict() == {
@@ -106,8 +111,7 @@ class TestIsomorphismClaims:
         assert calls == [(0, 1), (1, 1)]
 
     def test_thm31_vi_exact(self, monkeypatch):
-        monkeypatch.setattr(E, "hom_analysis",
-                            fail_on_call(E.hom_analysis, 1, not_iso))
+        force_read(monkeypatch, "isomorphism", 1, False)
         r = verify("thm31_vi", max_order=2, labels=2)
         assert r.to_dict() == {
             "claim": "thm31_vi", "params": params(2, 2), "status": "failed",
@@ -121,10 +125,10 @@ class TestIsomorphismClaims:
 
 class TestKernelClaim:
     def test_kernel_mismatch(self, monkeypatch):
-        wrong = lambda a: forced(a, kernel=FpAbelianGroup(()))
-        monkeypatch.setattr(E, "hom_analysis",
-                            fail_on_call(E.hom_analysis, 1, wrong))
-        calls = record(monkeypatch, "eta")
+        # only eta's kernel: building eta reads the bracket map's kernel
+        built = []
+        calls = record(monkeypatch, "eta", built)
+        force_read(monkeypatch, "kernel", 1, FpAbelianGroup(()), built)
         r = verify("thm31_v", max_order=2, labels=2)
         assert r.to_dict() == {
             "claim": "thm31_v", "params": params(2, 2), "status": "failed",
@@ -135,8 +139,8 @@ class TestKernelClaim:
         assert calls == [(2, 1)]
 
     def test_generator_map_not_iso(self, monkeypatch):
-        fake = fail_on_call(E.hom_analysis, 2, not_iso)
-        monkeypatch.setattr(E, "hom_analysis", fake)
+        # the first isomorphism read is the generator map's
+        reads = force_read(monkeypatch, "isomorphism", 1, False)
         calls = record(monkeypatch, "eta")
         r = verify("thm31_v", max_order=2, labels=2)
         assert r.to_dict() == {
@@ -145,7 +149,7 @@ class TestKernelClaim:
                 "instances": {"ker eta(2,1)": {"kernel": Z2, "expected": Z2,
                                                "generator_map": False}},
                 "offender": "ker eta(2,1)"}}
-        assert calls == [(2, 1)] and len(fake.calls) == 2
+        assert calls == [(2, 1)] and len(reads) == 1
 
 
 class TestSquareClaims:

@@ -142,8 +142,13 @@ class TestVerify:
         assert len(reports) >= 10
         assert path.read_text() == out
 
-    def test_order_alias(self, capsys):
-        code, out, _ = run(capsys, "verify", "tau_odd", "--order", "1",
+    def test_order_option_removed(self, capsys):
+        # --max-order is the one order option of verify
+        with pytest.raises(SystemExit) as e:
+            cli.main(["verify", "tau_odd", "--order", "1", "--labels", "2"])
+        assert e.value.code == 6
+        assert "unrecognized arguments: --order" in capsys.readouterr().err
+        code, out, _ = run(capsys, "verify", "tau_odd", "--max-order", "1",
                            "--labels", "2")
         assert code == 0
         assert json.loads(out)[0]["status"] == "verified"

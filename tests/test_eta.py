@@ -7,12 +7,12 @@ import pytest
 
 from quasilie import abelian
 from quasilie.abelian import (AbelianHom, FpAbelianGroup, IntMatrix,
-                              NotDivisible, hom_analysis)
+                              NotDivisible, tensor_Z2)
 from quasilie.eta import (ALL_CLAIMS, beta_hom, dprime_to_d, dtilde_left_map,
-                          eta, eta_infinity, eta_prime, eta_prime_ambient,
-                          eta_tilde, eta_vector, odd_left_map, verify,
-                          verify_all)
-from quasilie.lie import LIE, d_group, d_infinity, sl, tensor_with_L1
+                          eta, eta_infinity, eta_prime, eta_tilde, eta_vector,
+                          odd_left_map, verify, verify_all)
+from quasilie.lie import (LIE, QUASI, WellDefinednessError, d_group,
+                          d_infinity, lie_group, sl, tensor_with_L1)
 from quasilie.trees import canonical_unrooted, glue, leaf, node, rooted_trees
 
 # the package re-exports the function eta, which shadows the module
@@ -21,7 +21,8 @@ E = importlib.import_module("quasilie.eta")
 
 class TestEtaPrime:
     def test_order0_formula(self):
-        amb = eta_prime_ambient(0, 2)
+        # eta' into the full tensor group L_1 (x) L'_1
+        amb = d_group(0, 2, QUASI).inclusion.compose(eta_prime(0, 2))
         src, dst = amb.source, amb.target
         col = amb.matrix.sparse_columns()[
             src.index[canonical_unrooted(1, leaf(2)).tree]]
@@ -36,12 +37,12 @@ class TestEtaPrime:
         ep = eta_prime(0, 2)
         assert [list(r) for r in ep.matrix.data] \
             == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
-        assert hom_analysis(ep).isomorphism
+        assert ep.isomorphism
 
     def test_isomorphism_instances(self):
         for m in (1, 2):
             for n in range(0, 4):
-                assert hom_analysis(eta_prime(n, m)).isomorphism, (n, m)
+                assert eta_prime(n, m).isomorphism, (n, m)
 
 
 class TestEta:
@@ -90,19 +91,19 @@ class TestEta:
     def test_odd_isomorphisms(self):
         for m in (1, 2):
             for n in (1, 3):
-                assert hom_analysis(eta(n, m)).isomorphism
+                assert eta(n, m).isomorphism
 
     def test_4k_isomorphisms(self):
         for m in (1, 2):
             for n in (0, 4):
-                assert hom_analysis(eta(n, m)).isomorphism
+                assert eta(n, m).isomorphism
 
 
 class TestEtaTilde:
     def test_isomorphisms(self):
         for m in (1, 2):
             for n in (1, 3):
-                assert hom_analysis(eta_tilde(n, m)).isomorphism
+                assert eta_tilde(n, m).isomorphism
 
     def test_quotient_square_commutes(self):
         from quasilie.lie import QUASI, d_tilde
@@ -119,13 +120,13 @@ class TestEtaTilde:
     def test_z2_cube_instance(self):
         et = eta_tilde(1, 2)
         assert et.source.structure == (0, (2, 2, 2))
-        assert hom_analysis(et).isomorphism
+        assert et.isomorphism
 
 
 class TestEtaInfinity:
     def test_isomorphism_k1(self):
         for m in (1, 2):
-            assert hom_analysis(eta_infinity(2, m)).isomorphism
+            assert eta_infinity(2, m).isomorphism
 
     def test_square_generator_identity(self):
         # eta_inf((J,J)^inf) = sq_inf(1 (x) J) is asserted at construction;
@@ -144,18 +145,37 @@ class TestLeftMaps:
     def test_beta_surjective(self):
         for m in (1, 2):
             for n in (1, 2):
-                assert hom_analysis(beta_hom(n, m)).surjective
+                assert beta_hom(n, m).surjective
 
     def test_odd_left_injective(self):
         for m in (1, 2):
             for n in (1, 2):
-                assert hom_analysis(odd_left_map(n, m)).injective
+                assert odd_left_map(n, m).injective
 
     def test_connecting_square(self):
         for m in (1, 2):
             n = 1
             lhs = eta_tilde(2 * n - 1, m).compose(odd_left_map(n, m))
             assert lhs.equals(dtilde_left_map(n, m))
+
+
+class TestMasterBlock:
+    def test_missing_pbar_lift_is_named(self, monkeypatch):
+        """A column of sl(4, 1) with no lift through pbar: Z2 (x) L'_3 ->
+        Z2 (x) L_3 stops the master block with an error that names it."""
+        quasi_z2 = tensor_Z2(lie_group(3, 1, QUASI))
+        lie_z2 = tensor_Z2(lie_group(3, 1, LIE))
+        real = AbelianHom.preimage_vector
+
+        def preimage_vector(h, vec):
+            if (h.source.same_presentation(quasi_z2)
+                    and h.target.same_presentation(lie_z2)):
+                return None
+            return real(h, vec)
+        monkeypatch.setattr(AbelianHom, "preimage_vector", preimage_vector)
+        with pytest.raises(WellDefinednessError,
+                           match=r"block\(k=1,m=1\): sl\(4,1\)"):
+            verify("master_diagram_1", max_order=4, labels=1)
 
 
 class TestSparseSeam:

@@ -4,8 +4,7 @@ import random
 
 import pytest
 
-from quasilie.abelian import (AbelianHom, Lattice, exact_at, hom_analysis,
-                              tensor_Z2)
+from quasilie.abelian import AbelianHom, Lattice, exact_at, tensor_Z2
 from quasilie.lie import (LIE, QUASI, bracket_hom, d_group, d_infinity,
                           d_tilde, lie_group, proj_p, sl, sq, tensor_with_L1,
                           witt_rank)
@@ -58,7 +57,7 @@ class TestBracket:
         for m in (1, 2):
             for n in range(0, 4):
                 for var in (LIE, QUASI):
-                    assert hom_analysis(bracket_hom(n, m, var)).surjective
+                    assert bracket_hom(n, m, var).surjective
 
 
 class TestDGroups:
@@ -97,23 +96,23 @@ class TestDGroups:
         for m in (1, 2):
             for n in range(0, 4):
                 D = d_group(n, m, LIE)
-                assert hom_analysis(D.inclusion).injective
+                assert D.inclusion.injective
                 assert exact_at(D.inclusion, bracket_hom(n, m, LIE))
 
 
 class TestProjectionSequence:
     def test_proj_kernels(self):
-        assert hom_analysis(proj_p(2, 2)).kernel.structure == (0, (2, 2))
-        assert hom_analysis(proj_p(3, 2)).isomorphism
-        assert hom_analysis(proj_p(2, 1)).kernel.structure == (0, (2,))
+        assert proj_p(2, 2).kernel.structure == (0, (2, 2))
+        assert proj_p(3, 2).isomorphism
+        assert proj_p(2, 1).kernel.structure == (0, (2,))
 
     def test_sequence_exact(self):
         for m in (1, 2):
             for k in (1, 2, 3):
                 sqm = sq(k, m)
                 p = proj_p(2 * k, m)
-                assert hom_analysis(sqm).injective
-                assert hom_analysis(p).surjective
+                assert sqm.injective
+                assert p.surjective
                 assert exact_at(sqm, p)
 
     def test_sq_image_is_kernel_of_p(self):
@@ -131,10 +130,10 @@ class TestProjectionSequence:
 
     def test_sq_examples(self):
         s = sq(1, 1)
-        assert hom_analysis(s).injective
+        assert s.injective
         assert s.target.structure == (0, (2,))
         s = sq(1, 2)
-        assert hom_analysis(s).injective
+        assert s.injective
         assert s.source.structure == (0, (2, 2))
 
 
@@ -144,7 +143,7 @@ class TestSl:
         assert s.target.is_trivial
 
     def test_surjective_k1_m2(self):
-        assert hom_analysis(sl(2, 2)).surjective
+        assert sl(2, 2).surjective
 
     def test_lift_independence(self):
         rng = random.Random(11)
@@ -178,7 +177,7 @@ class TestDTilde:
         dt = d_tilde(1, 2)
         assert dt.structure == t_tilde(1, 2).structure == (0, (2, 2, 2))
         q = AbelianHom.identity(d_group(1, 2, QUASI).group, dt)
-        assert hom_analysis(q).surjective
+        assert q.surjective
 
     def test_trivial_framing_image_single_label(self):
         dt = d_tilde(1, 1)
@@ -189,7 +188,7 @@ class TestDTilde:
             for n in (1, 3):
                 q = AbelianHom.identity(d_group(n, m, QUASI).group,
                                         d_tilde(n, m))
-                assert hom_analysis(q).surjective
+                assert q.surjective
 
     def test_odd_only(self):
         with pytest.raises(ValueError):
@@ -199,14 +198,13 @@ class TestDTilde:
 class TestDInfinity:
     def test_k1_kernel_of_p(self):
         di = d_infinity(2, 1)
-        a = hom_analysis(di.p_hom)
-        assert a.kernel.structure == (0, (2,))
-        assert a.surjective
+        assert di.p_hom.kernel.structure == (0, (2,))
+        assert di.p_hom.surjective
 
     def test_sq_inf_injective(self):
         for m in (1, 2):
             di = d_infinity(2, m)
-            assert hom_analysis(di.sq_inf).injective
+            assert di.sq_inf.injective
             assert exact_at(di.sq_inf, di.p_hom)
 
     def test_basis_rows_are_projection_pairs(self):

@@ -12,8 +12,8 @@ from quasilie.trees import (UnrootedTree, canonical_rooted, canonical_unrooted,
                             edge_splits, enumerate_trees, ihx_relators,
                             inner_product, leaf, node,
                             onequad_rooted_expansions, parse_tree,
-                            parse_unrooted, root_at, rooted_product,
-                            rooted_trees, rootings, unrooted_trees)
+                            parse_unrooted, root_at, rooted_trees, rootings,
+                            unrooted_trees)
 
 
 def raw_trees(order, m):
@@ -231,11 +231,12 @@ class TestEnumerate:
 
 class TestProducts:
     def test_rooted_product(self):
-        t = rooted_product(leaf(1), leaf(2))
+        # (I, J) is node(I, J); trees are interned
+        t = node(leaf(1), leaf(2))
         assert t is node(leaf(1), leaf(2)) and t.order == 1
-        c = canonical_rooted(rooted_product(leaf(1), leaf(1)))
+        c = canonical_rooted(node(leaf(1), leaf(1)))
         assert c.self_negating
-        t = rooted_product(node(leaf(1), leaf(2)), leaf(3))
+        t = node(node(leaf(1), leaf(2)), leaf(3))
         assert t.order == 2
 
     def test_inner_product_examples(self):
@@ -268,8 +269,8 @@ class TestProducts:
         for x in pool:
             for y in pool:
                 for z in pool:
-                    a = inner_product(rooted_product(x, y), z)
-                    b = inner_product(x, rooted_product(y, z))
+                    a = inner_product(node(x, y), z)
+                    b = inner_product(x, node(y, z))
                     assert (a.tree, a.sign) == (b.tree, b.sign)
 
 
