@@ -4,8 +4,7 @@ quadratic refinements, with exact integer linear algebra throughout."""
 from .abelian import (AbelianHom, FpAbelianGroup, GroupElement, IntMatrix,
                       Lattice, exact_at, pullback, tensor_Z2)
 from .trees import (CanonSign, RootedTree, UnrootedTree, canonical_rooted,
-                    canonical_unrooted, enumerate_trees, inner_product, leaf,
-                    node, root_at)
+                    canonical_unrooted, inner_product, leaf, node, root_at)
 from .lie import (LIE, QUASI, bracket_hom, d_group, d_infinity, d_tilde,
                   lie_group, proj_p, sl, sq, witt_rank)
 from .treegroups import delta, t_group, t_infinity, t_tilde

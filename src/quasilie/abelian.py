@@ -449,9 +449,6 @@ class Lattice:
         b = Lattice(other.n, other._rows).canonicalize()
         return a._rows == b._rows
 
-    def __contains__(self, vec):
-        return self.contains(vec)
-
 
 class FpAbelianGroup:
     """Finitely presented abelian group: generator keys + relator columns.

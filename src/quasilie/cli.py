@@ -3,7 +3,8 @@
 This module is a thin shell over the library; it does no mathematics itself.
 Exit codes: 0 success, 1 failed verification claim, 2 budget exceeded,
 3 invalid name or order, 4 element parse error, 5 schema validation error,
-6 usage error (bad command line, reported by argparse).
+6 usage error (bad command line, reported by argparse), 7 a library
+consistency error (a map or lift failed a check of its construction).
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ EXIT_BAD_NAME = 3
 EXIT_PARSE = 4
 EXIT_SCHEMA = 5
 EXIT_USAGE = 6
+EXIT_CONSISTENCY = 7
 
 
 @dataclass
@@ -511,6 +513,9 @@ def main(argv=None):
     except CliError as e:
         print(f"error: {e}", file=sys.stderr)
         return e.code
+    except lie.ConsistencyError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_CONSISTENCY
 
 
 if __name__ == "__main__":

@@ -15,26 +15,27 @@ from functools import lru_cache
 
 from .abelian import (AbelianHom, HomValidityError, NotDivisible,
                       TorsionPresent, exact_at, tensor_Z2)
-from .lie import (LIE, QUASI, WellDefinednessError, bracket_hom, d_group,
-                  d_infinity, d_tilde, lie_group, signed_sum, sl, sq,
-                  tensor_coords, tensor_with_L1)
+from .lie import (LIE, QUASI, ConsistencyError, WellDefinednessError,
+                  bracket_hom, d_group, d_infinity, d_tilde, lie_group,
+                  signed_sum, sl, sq, tensor_coords, tensor_with_L1)
 from .treegroups import delta, t_group, t_infinity, t_tilde
-from .trees import canonical_rooted, glue, node, rooted_trees, rootings
+from .trees import (canonical_rooted, canonical_rootings, glue, node,
+                    rooted_trees)
 
 
-class ImageEscapesKernel(ValueError):
+class ImageEscapesKernel(ConsistencyError):
     """An eta image failed to lie in the bracket kernel."""
 
 
-class PullbackMismatch(ValueError):
+class PullbackMismatch(ConsistencyError):
     """The two maps defining the pullback lift disagree."""
 
 
 def eta_column(ambient, lab, raw_tree):
     """Sum over univalent vertices v of X_label(v) (x) B_v, as a sparse
     column over the ambient generators."""
-    return signed_sum(tensor_coords(ambient, i, b)
-                      for i, b in rootings(lab, raw_tree))
+    return signed_sum({ambient.index[(i, c.tree)]: c.sign}
+                      for i, c in canonical_rootings(lab, raw_tree))
 
 
 def eta_vector(ambient, lab, raw_tree):

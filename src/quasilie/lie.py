@@ -28,11 +28,15 @@ LIE = "lie"
 QUASI = "quasi"
 
 
-class LiftMismatch(ValueError):
+class ConsistencyError(ValueError):
+    """A computed map or lift failed a check of its construction."""
+
+
+class LiftMismatch(ConsistencyError):
     """A snake-lemma lift landed outside the expected subgroup."""
 
 
-class WellDefinednessError(ValueError):
+class WellDefinednessError(ConsistencyError):
     """A generator formula fails to kill a relator (convention bug)."""
 
 

@@ -25,15 +25,9 @@ from .abelian import (AbelianHom, FpAbelianGroup, HomValidityError,
                       IntMatrix, tensor_Z2)
 from .lie import (WellDefinednessError, distinct_relators, lie_group,
                   relator_column, signed_sum, QUASI)
-from .trees import (canonical_unrooted, glued, ihx_relators, inner_product,
-                    leaf, node, onequad_rooted_expansions, rooted_trees,
-                    rootings, unrooted_trees)
-
-
-def unrooted_coords(group, label, raw_tree):
-    """Sparse coordinates of a raw unrooted pair in a tree group."""
-    c = canonical_unrooted(label, raw_tree)
-    return {group.index[c.tree]: c.sign}
+from .trees import (canonical_rootings, canonical_unrooted, glued,
+                    ihx_relators, inner_product, leaf, node,
+                    onequad_rooted_expansions, rooted_trees, unrooted_trees)
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,9 +66,12 @@ def delta(n, m):
         raise ValueError("delta needs n >= 1")
     src = tensor_Z2(t_group(n - 1, m))
     dst = t_group(2 * n - 1, m)
-    cols = [signed_sum(unrooted_coords(dst, lab, node(b, b))
-                       for lab, b in rootings(t.label, t.tree))
-            for t in src.generators]
+    cols = []
+    for t in src.generators:
+        # each summand <i, (c, c)> is self-negating, so its sign is 1
+        cols.append(signed_sum(
+            {dst.index[inner_product(leaf(i), node(c.tree, c.tree)).tree]: 1}
+            for i, c in canonical_rootings(t.label, t.tree)))
     try:
         return AbelianHom.from_columns(src, dst, cols)
     except HomValidityError as e:

@@ -13,10 +13,11 @@ is self-negating when some orientation move carries it to itself with sign
 -1; in every antisymmetry quotient built on trees this forces 2t = 0.
 
 Re-rooting is sign-free, so <i, T> = sign(T) <i, canon(T)>, where canon(T)
-and sign(T) are the canonical rooted form of T and its swap parity.  Hence
-canonical_unrooted computes each form once per unrooted tree, in one
-re-rooting pass over canonical halves, and memoises it in _unrooted on every
-encoding (i, canon(T)) that the pass meets.
+and sign(T) are the canonical rooted form of T and its swap parity.  One
+walk, canonical_rootings(), re-roots a tree at every leaf over canonical
+halves; canonical_unrooted runs it once per unrooted tree and memoises the
+form in _unrooted on every encoding (i, canon(T)) that it meets, and the
+maps eta' and Delta, sums over the univalent vertices, read it too.
 
 Write <p | q> for the unrooted tree that joins the root edges of two rooted
 trees p and q.  It is symmetric, and <p | q> = sign(p) sign(q) <canon p |
@@ -65,13 +66,6 @@ class RootedTree:
     @property
     def is_leaf(self):
         return self.left is None
-
-    def leaves(self):
-        if self.is_leaf:
-            yield self.label
-        else:
-            yield from self.left.leaves()
-            yield from self.right.leaves()
 
     def __repr__(self):
         return self.key
@@ -169,27 +163,23 @@ class UnrootedTree(NamedTuple):
 
 def rootings(label, tree):
     """All pairs (leaf label, rooted tree) over the univalent vertices of
-    the unrooted tree <label, tree>.
+    the unrooted tree <label, tree>: the root pair, then the leaf splits of
+    edge_splits() in its order.
 
     Re-rooting is sign-free: each pair re-expresses the same oriented tree.
+    """
+    return [(label, tree)] + [(t.label, ctx)
+                              for t, ctx in edge_splits(label, tree)
+                              if t.is_leaf]
+
+
+def edge_splits(label, tree):
+    """All splittings of <label, tree> along an edge into two rooted trees.
+
     At a trivalent vertex with cyclic edge order (parent, left, right), the
     children seen from the left branch are (right, parent) and from the
     right branch (parent, left).
     """
-    out = [(label, tree)]
-    stack = [(tree, leaf(label))]
-    while stack:
-        t, ctx = stack.pop()
-        if t.is_leaf:
-            out.append((t.label, ctx))
-        else:
-            stack.append((t.left, node(t.right, ctx)))
-            stack.append((t.right, node(ctx, t.left)))
-    return out
-
-
-def edge_splits(label, tree):
-    """All splittings of <label, tree> along an edge into two rooted trees."""
     out = []
     stack = [(tree, leaf(label))]
     while stack:
@@ -201,6 +191,25 @@ def edge_splits(label, tree):
     return out
 
 
+def canonical_rootings(label, tree):
+    """The pairs (leaf label, canonical_rooted(T)) for the pairs (leaf
+    label, T) of rootings(label, tree), in the same order.
+
+    Walks the directed edges away from the root leaf as edge_splits() does,
+    carrying the canonical form of the context (everything above the edge)
+    and building each new context with _join, so no raw context is interned.
+    """
+    yield label, canonical_rooted(tree)
+    stack = [(tree, CanonSign(leaf(label), 1, False))]
+    while stack:
+        t, ctx = stack.pop()
+        if t.is_leaf:
+            yield t.label, ctx
+        else:
+            stack.append((t.left, _join(canonical_rooted(t.right), ctx)))
+            stack.append((t.right, _join(ctx, canonical_rooted(t.left))))
+
+
 _unrooted = {}
 
 
@@ -208,9 +217,9 @@ def canonical_unrooted(label, tree):
     """Canonical form of the unrooted tree <label, tree>, with sign.
 
     Minimizes (label, canonical rooted key) over all re-rootings.  The tree
-    is self-negating if any rooted part is, or if some encoding occurs with
-    both signs (an orientation-reversing symmetry).  A self-negating tree
-    keeps sign 1.
+    is self-negating exactly when some rooted part is, that is, when some
+    vertex has two equal canonical branches (see _canonical_content).  A
+    self-negating tree keeps sign 1.
     """
     return _canonical_unrooted_of(label, canonical_rooted(tree))
 
@@ -234,45 +243,37 @@ def _canonical_unrooted_of(label, c):
 
 def _canonical_content(label, tree):
     """Store in _unrooted the form of every encoding of <label, tree>, for a
-    canonical rooted tree, from one re-rooting pass.
+    canonical rooted tree, from one canonical_rootings() pass.
 
-    Walks the directed edges away from the root leaf, carrying the canonical
-    form of the context (everything above the edge) and building each new
-    context with _join, as rootings() does with raw nodes.  The leaf with
-    context ctx gives the encoding (leaf label, ctx.tree), which is ctx.sign
-    times <label, tree>; so its entry is the form with sign ctx.sign times
-    that of <label, tree>, or sign 1 when the tree is self-negating.
+    The leaf with canonical rooted part c gives the encoding (leaf label,
+    c.tree), which is c.sign times <label, tree>; so its entry is the form
+    with sign c.sign times that of <label, tree>, or sign 1 when some rooted
+    part is self-negating.  No encoding meets both signs otherwise, since
+    that would give an orientation-reversing automorphism of the tree.
+    Two branches at a vertex are siblings in the rooting from a leaf on its
+    third branch, so then no vertex has two equal canonical branches.  An
+    automorphism fixes the centre of the tree, a vertex or an edge.  If it
+    fixes a trivalent vertex it swaps no branches there, so it fixes their
+    first vertices, and so on outwards: it is the identity.  If it swaps the
+    ends of an edge, its square fixes them and is the identity, so it
+    reverses the cyclic order at a vertex exactly when it does at the
+    image: an even number of reversals.
     """
-    root = canonical_rooted(tree)
-    seen = {(label, tree): 1}
-    selfneg = root.self_negating
-    best = ((label, tree.sort_key), label, root)
-    stack = [(tree, CanonSign(leaf(label), 1, False))]
-    while stack:
-        t, ctx = stack.pop()
-        if not t.is_leaf:
-            stack.append((t.left, _join(canonical_rooted(t.right), ctx)))
-            stack.append((t.right, _join(ctx, canonical_rooted(t.left))))
-            continue
-        selfneg = selfneg or ctx.self_negating
-        enc = (t.label, ctx.tree)
-        prev = seen.get(enc)
-        if prev is None:
-            seen[enc] = ctx.sign
-        elif prev != ctx.sign:
-            selfneg = True
-        cand = (t.label, ctx.tree.sort_key)
-        if cand < best[0]:
-            best = (cand, t.label, ctx)
-    _, lab, c = best
+    parts = list(canonical_rootings(label, tree))
+    selfneg, best, least = False, parts[0], (label, tree.sort_key)
+    for i, part in parts:
+        selfneg = selfneg or part.self_negating
+        if (i, part.tree.sort_key) < least:
+            best, least = (i, part), (i, part.tree.sort_key)
+    lab, c = best
     form = UnrootedTree(lab, c.tree)
     if selfneg:
         same = opposite = CanonSign(form, 1, True)
     else:
         same = CanonSign(form, c.sign, False)
         opposite = CanonSign(form, -c.sign, False)
-    for enc, sign in seen.items():
-        _unrooted[enc] = same if sign == 1 else opposite
+    for i, part in parts:
+        _unrooted[i, part.tree] = same if part.sign == 1 else opposite
 
 
 _glued = {}
@@ -440,29 +441,6 @@ def ihx_relators(order, labels):
                               with_each_d(b, o4, True),
                               with_each_d(a, o4, False)):
             yield glued(ab, cd), glued(ac, bd), glued(bc, da)
-
-
-def enumerate_trees(kind, order, labels):
-    """Complete duplicate-free canonical lists: 'rooted', 'unrooted', or
-    'one_quad' (the IHX relator indices expanding to order-`order` trees)."""
-    if order < 0 or labels < 1:
-        raise ValueError("order must be >= 0 and labels >= 1")
-    if kind == "rooted":
-        return list(rooted_trees(order, labels))
-    if kind == "unrooted":
-        return list(unrooted_trees(order, labels))
-    if kind == "one_quad":
-        seen = {}
-        for a, b, c, o4 in _ihx_branches(order, labels):
-            for d in rooted_trees(o4, labels):
-                trip = ((glue(node(node(a, b), c), d), 1),
-                        (glue(node(node(a, c), b), d), -1),
-                        (glue(node(a, node(b, c)), d), -1))
-                key = tuple(sorted((canonical_unrooted(lab, t).tree.key, s)
-                                   for (lab, t), s in trip))
-                seen.setdefault(key, trip)
-        return [seen[k] for k in sorted(seen)]
-    raise ValueError(f"unknown tree kind: {kind}")
 
 
 def parse_tree(text):

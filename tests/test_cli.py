@@ -1,12 +1,15 @@
 """The command-line surface: routing, formats, and exit codes."""
 
+import importlib
 import json
 import time
 
 import pytest
 
 from quasilie import cli, lie
-from quasilie.lie import LIE, QUASI, lie_group
+from quasilie.eta import ImageEscapesKernel, PullbackMismatch
+from quasilie.lie import (LIE, QUASI, LiftMismatch, WellDefinednessError,
+                          lie_group)
 from quasilie.treegroups import t_group, t_infinity
 
 
@@ -362,6 +365,26 @@ class TestDomain:
         assert capsys.readouterr().err.endswith(
             "quasilie group: error: the following arguments are required: "
             "--order, --labels\n")
+
+    @pytest.mark.parametrize("claim,max_order,builder,error", [
+        ("framing_factorization", 1, "delta", WellDefinednessError),
+        ("master_diagram_1", 4, "sl", LiftMismatch),
+        ("thm31_vi", 2, "eta_infinity", PullbackMismatch),
+        ("thm31_i", 0, "eta_prime", ImageEscapesKernel),
+    ])
+    def test_consistency_error_exit7(self, capsys, monkeypatch, claim,
+                                     max_order, builder, error):
+        # a builder that a claim calls fails its own check: one error line
+        # and exit 7, not a traceback and the exit 1 of a failed claim
+        def broken(n, m):
+            raise error(f"{builder}({n},{m}) forced to fail")
+        monkeypatch.setattr(importlib.import_module("quasilie.eta"),
+                            builder, broken)
+        code, out, err = run(capsys, "verify", claim, "--max-order",
+                             str(max_order), "--labels", "1")
+        assert code == 7 and out == ""
+        assert err.startswith("error: " + builder) and err.count("\n") == 1
+        assert "Traceback" not in err
 
     def test_in_domain_over_budget_exit2(self, capsys):
         for argv in (("group", "Dinf", "--order", "10", "--labels", "2"),

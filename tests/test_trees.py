@@ -8,10 +8,10 @@ from hypothesis import given, settings, strategies as st
 from oracles import (canonical_unrooted_by_rootings, onequad_rooted_raw,
                      onequad_unrooted_expansions)
 from quasilie import trees
-from quasilie.trees import (UnrootedTree, canonical_rooted, canonical_unrooted,
-                            edge_splits, enumerate_trees, ihx_relators,
-                            inner_product, leaf, node,
-                            onequad_rooted_expansions, parse_tree,
+from quasilie.trees import (UnrootedTree, canonical_rooted,
+                            canonical_rootings, canonical_unrooted,
+                            edge_splits, ihx_relators, inner_product, leaf,
+                            node, onequad_rooted_expansions, parse_tree,
                             parse_unrooted, root_at, rooted_trees, rootings,
                             unrooted_trees)
 
@@ -135,9 +135,29 @@ def reoriented_trees(draw):
     return root_at(UnrootedTree(label, t), draw(st.integers(0, order + 1)))
 
 
+class TestCanonicalRootings:
+    """The canonical walk is rootings() with every rooted part canonical."""
+
+    @staticmethod
+    def check(lab, t):
+        assert list(canonical_rootings(lab, t)) \
+            == [(i, canonical_rooted(r)) for i, r in rootings(lab, t)]
+
+    @pytest.mark.parametrize("order,m", [(o, 2) for o in range(6)]
+                             + [(o, 3) for o in range(4)])
+    def test_raw_pairs(self, order, m):
+        for lab, t in raw_pairs(order, m):
+            self.check(lab, t)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(reoriented_trees())
+    def test_random_reoriented(self, pair):
+        self.check(*pair)
+
+
 class TestAgainstRootingsOracle:
-    @pytest.mark.parametrize("order,m", [(o, 2) for o in range(7)]
-                             + [(o, 3) for o in range(5)])
+    @pytest.mark.parametrize("order,m", [(o, 2) for o in range(8)]
+                             + [(o, 3) for o in range(6)])
     def test_exhaustive(self, order, m):
         for lab, t in raw_pairs(order, m):
             assert exact(canonical_unrooted(lab, t)) \
@@ -193,14 +213,14 @@ class TestCanonicalHalves:
 
 class TestEnumerate:
     def test_rooted_order0(self):
-        assert enumerate_trees("rooted", 0, 2) == [leaf(1), leaf(2)]
+        assert rooted_trees(0, 2) == (leaf(1), leaf(2))
 
     def test_unrooted_order0(self):
-        got = [t.key for t in enumerate_trees("unrooted", 0, 2)]
+        got = [t.key for t in unrooted_trees(0, 2)]
         assert got == ["<1,1>", "<1,2>", "<2,2>"]
 
     def test_unrooted_order1(self):
-        got = [t.key for t in enumerate_trees("unrooted", 1, 2)]
+        got = [t.key for t in unrooted_trees(1, 2)]
         assert got == ["<1,(1,1)>", "<1,(1,2)>", "<1,(2,2)>", "<2,(2,2)>"]
         assert len(got) == 4
 
@@ -216,17 +236,6 @@ class TestEnumerate:
                                   for t in raw_trees(o, m)})
                 fast_u = sorted(t.key for t in unrooted_trees(o, m))
                 assert brute_u == fast_u
-
-    def test_one_quad_expansion_orders(self):
-        for trip in enumerate_trees("one_quad", 3, 2):
-            for (lab, t), _sign in trip:
-                assert canonical_unrooted(lab, t).tree.order == 3
-
-    def test_bad_arguments(self):
-        with pytest.raises(ValueError):
-            enumerate_trees("rooted", -1, 2)
-        with pytest.raises(ValueError):
-            enumerate_trees("weird", 1, 2)
 
 
 class TestProducts:
