@@ -10,7 +10,6 @@ echelon bases of integer lattices.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from heapq import heapify, heappop, heappush
@@ -317,7 +316,9 @@ class Lattice:
     Rows are kept in Hermite echelon form (each row has a pivot column, pivot
     columns strictly increase, pivots positive) and stored as sparse
     {column: nonzero} dicts, so a row's pivot is its least key and every step
-    touches only nonzeros.  Vectors are given as dense sequences of length n
+    touches only nonzeros.  Rows are keyed by their pivot column; `pivots`
+    and `_rows` list them in pivot order, built on request and cached until
+    the rows change.  Vectors are given as dense sequences of length n
     or as sparse dicts; dicts are copied, never kept.  Every vector that
     comes out (`rows`, `coordinates`, `reduce`) is a fresh sparse dict.
     Supports membership tests, canonical forms for equality of lattices, and
@@ -330,15 +331,34 @@ class Lattice:
     {0: 2, 1: -1}
     """
 
-    __slots__ = ("n", "_rows", "pivots", "_pivot_at")
+    __slots__ = ("n", "_row_at", "_order")
 
     def __init__(self, n, vectors=()):
         self.n = n
-        self._rows = []
-        self.pivots = []
-        self._pivot_at = {}
+        self._row_at = {}       # pivot column -> row
+        self._order = None      # (pivots, rows, {pivot: position}) or None
         for v in vectors:
             self.add(v)
+
+    def _ordered(self):
+        """The cached (pivots, rows, {pivot: position}) in pivot order."""
+        order = self._order
+        if order is None:
+            row_at = self._row_at
+            pivots = sorted(row_at)
+            order = self._order = (pivots, [row_at[j] for j in pivots],
+                                   {j: i for i, j in enumerate(pivots)})
+        return order
+
+    @property
+    def pivots(self):
+        """The pivot columns, increasing."""
+        return self._ordered()[0]
+
+    @property
+    def _rows(self):
+        """The stored rows, in pivot order."""
+        return self._ordered()[1]
 
     @property
     def rows(self):
@@ -353,29 +373,25 @@ class Lattice:
         """`add` for a sparse v that is already normalised (indices below n,
         no zero entries).  v is taken over and may be stored or changed, so
         callers pass a fresh dict, or `dict(col)` of a stored column."""
-        rows, pivot_at = self._rows, self._pivot_at
+        row_at = self._row_at
         changed = False
         while v:
             j = min(v)
-            i = pivot_at.get(j)
-            if i is None:
+            row = row_at.get(j)
+            if row is None:
                 if v[j] < 0:
                     v = {k: -x for k, x in v.items()}
-                pivots = self.pivots
-                pos = bisect_left(pivots, j)
-                rows.insert(pos, v)
-                pivots.insert(pos, j)
-                for k in range(pos, len(pivots)):
-                    pivot_at[pivots[k]] = k
+                row_at[j] = v
+                self._order = None
                 return True
-            row = rows[i]
             a, b = row[j], v[j]
             if b % a == 0:
                 _add_multiple(v, -(b // a), row)
             else:
                 g, x, y = ext_gcd(a, b)
-                rows[i] = _combination(x, row, y, v)
+                row_at[j] = _combination(x, row, y, v)
                 v = _combination(a // g, v, -(b // g), row)
+                self._order = None
                 changed = True
         return changed
 
@@ -384,36 +400,36 @@ class Lattice:
         below `stop` (below n when stop is None).
 
         Returns v, or None when an entry has no pivot row or is not
-        divisible by its pivot.  The multiple of row i that was subtracted is
-        stored in coeffs[i] when coeffs is given.
+        divisible by its pivot.  The multiple of the row with pivot j that
+        was subtracted is stored in coeffs[j] when coeffs is given.
         """
+        row_at = self._row_at
         while v:
             j = min(v)
             if stop is not None and j >= stop:
                 break
-            i = self._pivot_at.get(j)
-            if i is None:
+            row = row_at.get(j)
+            if row is None:
                 return None
-            row = self._rows[i]
             q, r = divmod(v[j], row[j])
             if r:
                 return None
             if coeffs is not None:
-                coeffs[i] = q
+                coeffs[j] = q
             _add_multiple(v, -q, row)
         return v
 
     def _reduce(self, v, after=-1):
         """Floor-reduce, in place, the entries of v at pivot columns beyond
         `after`, in increasing column order; returns v."""
-        rows, pivot_at = self._rows, self._pivot_at
-        todo = sorted(k for k in v if k > after and k in pivot_at)
+        row_at = self._row_at
+        todo = sorted(k for k in v if k > after and k in row_at)
         while todo:
             j = heappop(todo)
-            row = rows[pivot_at[j]]
+            row = row_at[j]
             q = v.get(j, 0) // row[j]
             if q:
-                for k in (row.keys() - v.keys()) & pivot_at.keys():
+                for k in (row.keys() - v.keys()) & row_at.keys():
                     heappush(todo, k)
                 _add_multiple(v, -q, row)
         return v
@@ -427,7 +443,8 @@ class Lattice:
         coeffs = {}
         if self._eliminate(_sparse_vector(vec, self.n), coeffs=coeffs) is None:
             raise NotDivisible("vector not in the integer span of the basis")
-        return coeffs
+        position = self._ordered()[2]
+        return {position[j]: c for j, c in coeffs.items()}
 
     def reduce(self, vec):
         """Reduce vec by the basis as far as divisibility allows; the result
@@ -438,8 +455,8 @@ class Lattice:
         """Bring the basis to the unique Hermite normal form."""
         # Row i is reduced by the rows below it, which are not yet reduced
         # themselves: the order of the classical column sweep.
-        for i, j in enumerate(self.pivots):
-            self._reduce(self._rows[i], j)
+        for j in self.pivots:
+            self._reduce(self._row_at[j], j)
         return self
 
     def equals(self, other):
@@ -745,11 +762,9 @@ class AbelianHom:
         image blocks of the `_augmented` rows with pivot < h, canonicalised."""
         aug, h = self._augmented, self.target.ngens
         lat = Lattice(h)
-        for piv, row in zip(aug.pivots, aug._rows):
+        for piv, row in aug._row_at.items():
             if piv < h:
-                lat.pivots.append(piv)
-                lat._rows.append({k: x for k, x in row.items() if k < h})
-        lat._pivot_at = {j: i for i, j in enumerate(lat.pivots)}
+                lat._row_at[piv] = {k: x for k, x in row.items() if k < h}
         return lat.canonicalize()
 
     @cached_property
@@ -795,8 +810,8 @@ class AbelianHom:
         """The cokernel is Z^t / `image_lattice`: trivial iff that Hermite
         normal form has t pivots, each of them 1."""
         lat = self.image_lattice
-        return (len(lat.pivots) == self.target.ngens
-                and all(row[j] == 1 for j, row in zip(lat.pivots, lat._rows)))
+        return (len(lat._row_at) == self.target.ngens
+                and all(row[j] == 1 for j, row in lat._row_at.items()))
 
     @property
     def isomorphism(self):
@@ -817,7 +832,7 @@ class AbelianHom:
 
 def _subgroup(lat, tag, relations):
     """The group on lat's rows, related by the given relator columns."""
-    gens = tuple((tag, i) for i in range(len(lat.pivots)))
+    gens = tuple((tag, i) for i in range(len(lat._row_at)))
     cols = [lat.coordinates(rel) for rel in relations._sparse]
     return FpAbelianGroup(gens, IntMatrix.from_columns(cols, len(gens)))
 

@@ -227,36 +227,93 @@ def cmd_group(args, cfg):
     return 0
 
 
-def _parse_element(h, text):
+def _parse_key(text):
+    """The generator key that one element token names, with its sign."""
+    if text.startswith("inf:"):
+        c = trees.canonical_rooted(trees.parse_tree(text[4:]))
+        return ("inf", c.tree), 1
+    if text.startswith("<"):
+        c = trees.canonical_unrooted(*trees.parse_unrooted(text))
+        return c.tree, c.sign
+    if text.startswith("ker:"):
+        return ("ker", int(text[4:])), 1
+    if ":" in text:
+        lab, rest = text.split(":", 1)
+        c = trees.canonical_rooted(trees.parse_tree(rest))
+        return (int(lab), c.tree), c.sign
+    c = trees.canonical_rooted(trees.parse_tree(text))
+    return c.tree, c.sign
+
+
+def _kind(key):
+    """The kind of generator a key names, the tree in it (None for a
+    kernel generator) and its other labels."""
+    if isinstance(key, trees.UnrootedTree):
+        return "unrooted trees <i,T>", key.tree, (key.label,)
+    if isinstance(key, trees.RootedTree):
+        return "rooted trees", key, ()
+    tag, rest = key
+    if not isinstance(rest, trees.RootedTree):
+        return f"generators {tag}:i", None, ()
+    if tag == "inf":
+        return "infinity trees inf:T", rest, ()
+    return "tensors i:T", rest, (tag,)
+
+
+def _tree_labels(t):
+    out, stack = set(), [t]
+    while stack:
+        t = stack.pop()
+        if t.is_leaf:
+            out.add(t.label)
+        else:
+            stack += (t.left, t.right)
+    return out
+
+
+def _not_in_domain(src, key, labels):
+    """Why a well-formed generator key is not a generator of src: a kind
+    the domain lacks, a label outside 1..labels, or a tree of another
+    order."""
+    kind, tree, extra = _kind(key)
+    same = [g for g in src.generators if _kind(g)[0] == kind]
+    if not same:
+        have = sorted({_kind(g)[0] for g in src.generators})
+        return (f"the domain has no {kind}"
+                + (f", only {' and '.join(have)}" if have else ""))
+    if tree is None:
+        tag = key[0]
+        return (f"there is no generator {render_key(key)}; the domain has "
+                f"{tag}:0 to {tag}:{len(same) - 1}")
+    bad = sorted(i for i in _tree_labels(tree).union(extra)
+                 if not 1 <= i <= labels)
+    if bad:
+        return f"label {bad[-1]} is outside 1..{labels} (--labels {labels})"
+    orders = sorted({_kind(g)[1].order for g in same})
+    if tree.order not in orders:
+        return (f"the tree has order {tree.order}, but the domain's {kind} "
+                f"have order {', '.join(map(str, orders))}")
+    return f"{render_key(key)} is not a generator of the domain"
+
+
+def _parse_element(h, text, labels):
     """Parse a single source generator token for a map's domain."""
     text = text.strip()
     src = h.source
     try:
-        if text.startswith("inf:"):
-            t = trees.parse_tree(text[4:])
-            key = ("inf", trees.canonical_rooted(t).tree)
-            return src.element({key: 1})
-        if text.startswith("<"):
-            lab, t = trees.parse_unrooted(text)
-            c = trees.canonical_unrooted(lab, t)
-            return src.element({c.tree: c.sign})
-        if text.startswith("ker:"):
-            return src.element({("ker", int(text[4:])): 1})
-        if ":" in text:
-            lab, rest = text.split(":", 1)
-            t = trees.parse_tree(rest)
-            c = trees.canonical_rooted(t)
-            return src.element({(int(lab), c.tree): c.sign})
-        t = trees.parse_tree(text)
-        c = trees.canonical_rooted(t)
-        return src.element({c.tree: c.sign})
-    except (ValueError, KeyError) as e:
-        raise CliError(EXIT_PARSE, f"cannot parse element {text!r} in the "
-                                   f"domain of this map: {e}")
+        key, sign = _parse_key(text)
+    except ValueError as e:
+        reason = e
     except RecursionError:
         # the tree parser and canonical forms recurse once per nesting level
         raise CliError(EXIT_PARSE, "cannot parse element: the tree is nested "
                                    "too deeply")
+    else:
+        if key in src.index:
+            return src.element({key: sign})
+        reason = _not_in_domain(src, key, labels)
+    raise CliError(EXIT_PARSE, f"cannot parse element {text!r} in the "
+                               f"domain of this map: {reason}")
 
 
 def cmd_map(args, cfg):
@@ -264,7 +321,7 @@ def cmd_map(args, cfg):
     entry = _entry("map", name, order, labels, cfg)
     h = entry.build(order, labels)
     if args.element is not None:
-        img = h(_parse_element(h, args.element))
+        img = h(_parse_element(h, args.element, labels))
         # kernel-presented targets read best in ambient tensor coordinates
         via = (None if entry.ambient is None
                else lie.d_group(order, labels, entry.ambient).inclusion)

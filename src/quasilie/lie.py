@@ -21,8 +21,7 @@ from functools import lru_cache
 from .abelian import (AbelianHom, FpAbelianGroup, IntMatrix, Lattice,
                       HomValidityError, _add_multiple, exact_at, pullback,
                       tensor_Z2)
-from .trees import (canonical_rooted, leaf, node, onequad_rooted_expansions,
-                    rooted_trees)
+from .trees import canonical_rooted, jacobi_columns, leaf, node, rooted_trees
 
 LIE = "lie"
 QUASI = "quasi"
@@ -55,34 +54,6 @@ def signed_sum(columns):
     return acc
 
 
-def relator_column(index, trip):
-    """The sparse column T1 - T2 - T3 of a triple of canonical terms
-    (CanonSign) over a generator index, without the entries that cancel."""
-    t1, t2, t3 = trip
-    col = {index[t1.tree]: t1.sign}
-    for t in (t2, t3):
-        j = index[t.tree]
-        v = col.get(j, 0) - t.sign
-        if v:
-            col[j] = v
-        else:
-            del col[j]
-    return col
-
-
-def distinct_relators(columns):
-    """The nonzero columns, each signed so that its entry at the least index
-    is positive, once each in the order of first appearance."""
-    seen = {}
-    for col in columns:
-        if col:
-            items = tuple(sorted(col.items()))
-            if items[0][1] < 0:
-                items = tuple((i, -v) for i, v in items)
-            seen[items] = None
-    return [dict(items) for items in seen]
-
-
 @lru_cache(maxsize=None)
 def lie_group(n, m, variant=LIE):
     """Degree-n part of the free (quasi-)Lie algebra on m generators."""
@@ -91,16 +62,17 @@ def lie_group(n, m, variant=LIE):
     if variant not in (LIE, QUASI):
         raise ValueError(f"unknown variant: {variant}")
     gens = rooted_trees(n - 1, m)
-    group = FpAbelianGroup(gens)
     cols = []
     for j, t in enumerate(gens):
         if canonical_rooted(t).self_negating:
             cols.append({j: 1} if variant == LIE else {j: 2})
     if n >= 3:
-        cols.extend(distinct_relators(
-            relator_column(group.index, trip)
-            for trip in onequad_rooted_expansions(n - 3, m)))
-    return FpAbelianGroup(gens, IntMatrix.from_columns(cols, len(gens)))
+        # the generators are sorted by sort_key, so each column's indices
+        # come out in increasing order
+        index = {t: j for j, t in enumerate(gens)}
+        cols.extend({index[t]: v for t, v in col}
+                    for col in jacobi_columns(n - 3, m))
+    return FpAbelianGroup(gens, IntMatrix._of(len(gens), tuple(cols)))
 
 
 @lru_cache(maxsize=None)

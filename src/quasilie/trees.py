@@ -30,7 +30,9 @@ For branches a, b, c, d the three terms of an IHX relator re-root to
     (a,(b,c)) | d  =  <bc | da>
 
 so ihx_relators() builds every term from canonical halves, and no raw glued
-tree is interned.
+tree is interned.  On rooted trees, jacobi_columns() builds each distinct
+Jacobi relator column once: the relators embedded under a further node come
+from the distinct columns one level down, not from every triple.
 
 Text grammar (used verbatim by the CLI):
 
@@ -105,6 +107,9 @@ class CanonSign(NamedTuple):
     self_negating: bool
 
 
+_canon_sign = tuple.__new__      # CanonSign(...) without its __new__ frame
+
+
 def _join(a, b):
     """Canonical form of node(A, B) from the canonical forms a, b of A, B.
 
@@ -113,13 +118,14 @@ def _join(a, b):
     child is, or when the two canonical children are identical.
     """
     sign = a.sign * b.sign
-    if a.tree.sort_key <= b.tree.sort_key:
-        tree = node(a.tree, b.tree)
+    ta, tb = a.tree, b.tree
+    if ta.sort_key <= tb.sort_key:
+        tree = _interned.get((ta, tb)) or node(ta, tb)
     else:
-        tree = node(b.tree, a.tree)
+        tree = _interned.get((tb, ta)) or node(tb, ta)
         sign = -sign
-    return CanonSign(tree, sign,
-                     a.self_negating or b.self_negating or a.tree is b.tree)
+    return _canon_sign(CanonSign, (tree, sign, a.self_negating
+                                   or b.self_negating or ta is tb))
 
 
 def canonical_rooted(t):
@@ -358,18 +364,10 @@ def unrooted_trees(order, labels):
     return tuple(sorted(seen, key=lambda u: u.sort_key))
 
 
-@lru_cache(maxsize=None)
-def onequad_rooted_expansions(binaries, labels):
-    """Local Jacobi configurations inside rooted trees.
-
-    Each entry is the three-term expansion (T1, T2, T3) of a tree having one
-    trivalent internal vertex (three children A, B, C) at an arbitrary
-    position, with `binaries` ordinary nodes elsewhere: the canonical forms
-    (CanonSign) of ((A,B),C), ((A,C),B) and (A,(B,C)), each under the same
-    nodes.  They have order binaries + 2, and T1 - T2 - T3 is a relator
-    wherever antisymmetry and the Jacobi identity hold.
-    """
-    out = []
+def _jacobi_configurations(binaries, labels):
+    """The Jacobi configurations with the trivalent vertex at the root: for
+    rooted branches A <= B <= C with `binaries` nodes in all, the canonical
+    forms (CanonSign) of ((A,B),C), ((A,C),B) and (A,(B,C))."""
     for o1 in range(binaries + 1):
         for o2 in range(binaries + 1 - o1):
             o3 = binaries - o1 - o2
@@ -384,17 +382,82 @@ def onequad_rooted_expansions(binaries, labels):
                         if o3 == o2 and c.sort_key < b.tree.sort_key:
                             continue
                         c = canonical_rooted(c)
-                        out.append((_join(ab, c), _join(_join(a, c), b),
-                                    _join(a, _join(b, c))))
+                        yield (_join(ab, c), _join(_join(a, c), b),
+                               _join(a, _join(b, c)))
+
+
+@lru_cache(maxsize=None)
+def onequad_rooted_expansions(binaries, labels):
+    """Local Jacobi configurations inside rooted trees.
+
+    Each entry is the three-term expansion (T1, T2, T3) of a tree having one
+    trivalent internal vertex (three children A, B, C) at an arbitrary
+    position, with `binaries` ordinary nodes elsewhere: the canonical forms
+    (CanonSign) of ((A,B),C), ((A,C),B) and (A,(B,C)), each under the same
+    nodes.  They have order binaries + 2, and T1 - T2 - T3 is a relator
+    wherever antisymmetry and the Jacobi identity hold.
+    """
+    out = list(_jacobi_configurations(binaries, labels))
     # Embed deeper configurations under an extra node; the mirror embedding
     # (R, .) is the same relator up to one antisymmetry move.
     for inner_b in range(binaries):
-        rest = binaries - 1 - inner_b
-        for trip in onequad_rooted_expansions(inner_b, labels):
-            for r in rooted_trees(rest, labels):
-                r = canonical_rooted(r)
-                out.append(tuple(_join(t, r) for t in trip))
+        rs = [canonical_rooted(r)
+              for r in rooted_trees(binaries - 1 - inner_b, labels)]
+        for t1, t2, t3 in onequad_rooted_expansions(inner_b, labels):
+            for r in rs:
+                out.append((_join(t1, r), _join(t2, r), _join(t3, r)))
     return tuple(out)
+
+
+def _tree_sort_key(pair):
+    return pair[0].sort_key
+
+
+def _signed_column(pairs):
+    """(tree, coeff) pairs as a column: sorted by sort_key, and signed so
+    that its first coeff is positive."""
+    pairs = sorted(pairs, key=_tree_sort_key)
+    if pairs[0][1] < 0:
+        pairs = [(t, -v) for t, v in pairs]
+    return tuple(pairs)
+
+
+@lru_cache(maxsize=None)
+def jacobi_columns(binaries, labels):
+    """The distinct Jacobi relator columns T1 - T2 - T3 of
+    onequad_rooted_expansions(binaries, labels), in the order in which they
+    first appear there.
+
+    A column is a tuple of (canonical tree, nonzero coeff) pairs in sort_key
+    order, signed so that its first coeff is positive; columns that cancel
+    are dropped.  Embedding under node(., R) is linear and injective on
+    canonical trees, so embedded relators come from the distinct columns one
+    level down: an inner duplicate embeds to a later duplicate.
+    """
+    seen = {}
+    for t1, t2, t3 in _jacobi_configurations(binaries, labels):
+        col = {t1.tree: t1.sign}
+        for t in (t2, t3):
+            v = col.get(t.tree, 0) - t.sign
+            if v:
+                col[t.tree] = v
+            else:
+                del col[t.tree]
+        if col:
+            seen[_signed_column(col.items())] = None
+    for inner_b in range(binaries):
+        rs = rooted_trees(binaries - 1 - inner_b, labels)
+        for col in jacobi_columns(inner_b, labels):
+            for r in rs:
+                # node(t, R) canonicalised: (t, R) in order, else (R, t) at
+                # the cost of one antisymmetry sign
+                rk = r.sort_key
+                seen[_signed_column([
+                    (_interned.get((t, r)) or node(t, r), v)
+                    if t.sort_key <= rk else
+                    (_interned.get((r, t)) or node(r, t), -v)
+                    for t, v in col])] = None
+    return tuple(seen)
 
 
 def _ihx_branches(order, labels):

@@ -15,7 +15,9 @@ generators.
 For `quasilie.trees` they hold the unrooted canonical form taken by
 canonicalising every raw re-rooting, and the IHX and Jacobi relator terms as
 raw trees: the engine memoises forms on canonical content and builds every
-term from canonical halves.
+term from canonical halves.  `relator_columns` turns every relator triple
+into its presented column, where the engine builds each distinct Jacobi
+column once and turns IHX triples into columns in one pass.
 """
 
 from bisect import bisect_left
@@ -418,4 +420,26 @@ def onequad_rooted_raw(binaries, labels):
         for trip in onequad_rooted_raw(inner_b, labels):
             for r in rooted_trees(binaries - 1 - inner_b, labels):
                 out.append(tuple(node(t, r) for t in trip))
+    return out
+
+
+def relator_columns(index, triples):
+    """The relator columns T1 - T2 - T3 of every triple of canonical terms
+    (CanonSign) over a generator index, as a presentation keeps them: zero
+    columns dropped, each signed so that its entry at the least index is
+    positive, and each once, in the order of first appearance."""
+    out, seen = [], set()
+    for trip in triples:
+        col = {}
+        for t, s in zip(trip, (1, -1, -1)):
+            j = index[t.tree]
+            col[j] = col.get(j, 0) + s * t.sign
+        items = [(j, v) for j, v in sorted(col.items()) if v]
+        if not items:
+            continue
+        if items[0][1] < 0:
+            items = [(j, -v) for j, v in items]
+        if tuple(items) not in seen:
+            seen.add(tuple(items))
+            out.append(dict(items))
     return out

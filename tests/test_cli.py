@@ -113,6 +113,32 @@ class TestMap:
                          "--labels", "2", "--element", "<1,9>")
         assert code == 4
 
+    @pytest.mark.parametrize("name,order,element,reason", [
+        ("etaP", 2, "<1,(1,(1,3))>", "label 3 is outside 1..2"),
+        ("etaP", 2, "inf:(1,2)", "the domain has no infinity trees inf:T, "
+                                 "only unrooted trees <i,T>"),
+        ("etaP", 2, "<1,(1,2)>", "the tree has order 1, but the domain's "
+                                 "unrooted trees <i,T> have order 2"),
+        ("eta", 2, "inf:(1,(1,2))", "the tree has order 2, but the "
+                                    "domain's infinity trees inf:T have "
+                                    "order 1"),
+        ("bracket", 1, "3:(1,2)", "label 3 is outside 1..2"),
+        ("bracket", 1, "1:1", "the tree has order 0"),
+        ("sl", 2, "ker:9", "there is no generator ker:9; the domain has "
+                           "ker:0 to ker:8"),
+    ])
+    def test_element_outside_the_domain_names_the_reason(
+            self, capsys, name, order, element, reason):
+        # a well-formed generator that the domain lacks is not reported by
+        # its bare lookup key
+        code, out, err = run(capsys, "--max-order", "4", "map", name,
+                             "--order", str(order), "--labels", "2",
+                             "--element", element)
+        assert code == 4 and out == ""
+        assert err.startswith(f"error: cannot parse element {element!r} in "
+                              f"the domain of this map: ")
+        assert reason in err
+
     def test_deeply_nested_element_exit4(self, capsys):
         depth = 1200  # deeper than the interpreter's default recursion limit
         text = "<1," + "(" * depth + "1" + ",1)" * depth + ">"

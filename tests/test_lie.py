@@ -4,11 +4,12 @@ import random
 
 import pytest
 
+from oracles import relator_columns
 from quasilie.abelian import AbelianHom, Lattice, exact_at, tensor_Z2
 from quasilie.lie import (LIE, QUASI, bracket_hom, d_group, d_infinity,
                           d_tilde, lie_group, proj_p, sl, sq, tensor_with_L1,
                           witt_rank)
-from quasilie.trees import leaf
+from quasilie.trees import canonical_rooted, leaf, onequad_rooted_expansions
 
 
 class TestLieGroups:
@@ -32,6 +33,23 @@ class TestLieGroups:
                 assert tors == zl.torsion
             for n in (3, 5):
                 assert lie_group(n, m, QUASI).torsion == []
+
+
+class TestRelators:
+    @pytest.mark.parametrize("n,m", [(9, 2), (7, 3)])
+    @pytest.mark.parametrize("variant", [LIE, QUASI])
+    def test_jacobi_columns_are_the_distinct_triple_columns(self, n, m,
+                                                            variant):
+        # every Jacobi triple, turned into its column, against the distinct
+        # columns that the engine builds once each
+        g = lie_group(n, m, variant)
+        want = [{j: 1 if variant == LIE else 2}
+                for j, t in enumerate(g.generators)
+                if canonical_rooted(t).self_negating]
+        want += relator_columns(g.index, onequad_rooted_expansions(n - 3, m))
+        cols = g.relations.sparse_columns()
+        assert cols == want
+        assert all(list(col) == sorted(col) for col in cols)
 
 
 class TestBracket:

@@ -1,9 +1,10 @@
 """Tree groups T, T~, T^inf and the framing map."""
 
+from oracles import relator_columns
 from quasilie.abelian import AbelianHom, exact_at
 from quasilie.lie import LIE, d_group, witt_rank
 from quasilie.treegroups import delta, t_group, t_infinity, t_tilde
-from quasilie.trees import canonical_unrooted, leaf, node
+from quasilie.trees import canonical_unrooted, ihx_relators, leaf, node
 
 
 class TestPlain:
@@ -16,6 +17,17 @@ class TestPlain:
         # <(1,2),(1,2)> generates free rank in T_2(2)
         assert t_group(2, 2).structure == (1, ())
         assert t_group(2, 1).structure == (0, ())
+
+
+class TestRelators:
+    def test_ihx_columns_are_the_distinct_triple_columns(self):
+        g = t_group(8, 2)
+        want = [{j: 2} for j, t in enumerate(g.generators)
+                if canonical_unrooted(t.label, t.tree).self_negating]
+        want += relator_columns(g.index, ihx_relators(8, 2))
+        cols = g.relations.sparse_columns()
+        assert cols == want
+        assert all(list(col) == sorted(col) for col in cols)
 
 
 class TestRankOracle:
