@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from heapq import heapify, heappop, heappush
-from itertools import chain
 from math import gcd
 from operator import index
 
@@ -69,6 +68,14 @@ def _add_multiple(v, q, row):
             v[k] = y
         else:
             del v[k]
+
+
+def _apply(columns, vec):
+    """The sparse sum of x * columns[j] over the entries j: x of vec."""
+    out = {}
+    for j, x in vec.items():
+        _add_multiple(out, x, columns[j])
+    return out
 
 
 def _combination(p, u, q, w):
@@ -158,20 +165,17 @@ class IntMatrix:
         if self.cols != other.rows:
             raise ShapeMismatch("matrix product shape mismatch")
         out = []
-        for ocol in other._sparse:
-            acc = {}
-            for j, x in ocol.items():
-                for i, a in self._sparse[j].items():
-                    acc[i] = acc.get(i, 0) + a * x
-            out.append({i: acc[i] for i in sorted(acc) if acc[i]})
+        for col in other._sparse:
+            acc = _apply(self._sparse, col)
+            out.append({i: acc[i] for i in sorted(acc)})
         return IntMatrix._of(self.rows, tuple(out))
 
     def mul_vector(self, vec):
         """The dense product of the matrix with a dense or sparse vector."""
         out = [0] * self.rows
-        for j, x in _sparse_vector(vec, self.cols).items():
-            for i, a in self._sparse[j].items():
-                out[i] += a * x
+        vec = _sparse_vector(vec, self.cols)
+        for i, x in _apply(self._sparse, vec).items():
+            out[i] = x
         return out
 
     def hstack(self, other):
@@ -321,8 +325,8 @@ class Lattice:
     the rows change.  Vectors are given as dense sequences of length n
     or as sparse dicts; dicts are copied, never kept.  Every vector that
     comes out (`rows`, `coordinates`, `reduce`) is a fresh sparse dict.
-    Supports membership tests, canonical forms for equality of lattices, and
-    exact coordinates over the rows.
+    Supports membership tests, equality by mutual containment, the Hermite
+    normal form, and exact coordinates over the rows.
 
     >>> lat = Lattice(3, [[2, 4, 0], {1: 3, 2: 1}])
     >>> lat.rows, lat.pivots
@@ -460,11 +464,12 @@ class Lattice:
         return self
 
     def equals(self, other):
+        """Same pivots, and each side's rows lie in the other (no copies)."""
         if self.n != other.n or self.pivots != other.pivots:
             return False
-        a = Lattice(self.n, self._rows).canonicalize()
-        b = Lattice(other.n, other._rows).canonicalize()
-        return a._rows == b._rows
+        return all(b._eliminate(dict(row)) is not None
+                   for a, b in ((self, other), (other, self))
+                   for row in a._row_at.values())
 
 
 class FpAbelianGroup:
@@ -668,10 +673,7 @@ class AbelianHom:
         if check:
             lat = target.relation_lattice
             for col in source.relations._sparse:
-                image = {}
-                for j, x in col.items():
-                    _add_multiple(image, x, matrix._sparse[j])
-                if not lat.contains(image):
+                if not lat.contains(_apply(matrix._sparse, col)):
                     raise HomValidityError(
                         "source relator does not map to zero in the target")
 
@@ -697,10 +699,8 @@ class AbelianHom:
     def __call__(self, element):
         if not element.group.same_presentation(self.source):
             raise ShapeMismatch("element not in the source group")
-        image, cols = {}, self.matrix._sparse
-        for j, x in element._vec.items():
-            _add_multiple(image, x, cols[j])
-        return GroupElement(self.target, image)
+        return GroupElement(self.target,
+                            _apply(self.matrix._sparse, element._vec))
 
     def apply_vector(self, vec):
         """The image of a dense or sparse vector, as a dense list."""
@@ -717,10 +717,8 @@ class AbelianHom:
         if not (self.source.same_presentation(other.source)
                 and self.target.same_presentation(other.target)):
             raise ShapeMismatch("sum of homs with different end groups")
-        cols = self.matrix.sparse_columns()
-        for col, ocol in zip(cols, other.matrix.sparse_columns()):
-            for i, v in ocol.items():
-                col[i] = col.get(i, 0) + v
+        cols = [_combination(1, a, 1, b) for a, b in
+                zip(self.matrix._sparse, other.matrix._sparse)]
         return AbelianHom.from_columns(self.source, self.target, cols,
                                        check=False)
 
@@ -838,13 +836,13 @@ def _subgroup(lat, tag, relations):
 
 
 def exact_at(f, g):
-    """True iff image(f) == kernel(g) as subgroups of the middle group."""
+    """True iff image(f) == kernel(g) as subgroups of the middle group B:
+    f's `image_lattice` equals g's `kernel_lattice` {x : M x in R_C}, which
+    holds the relations of B as g is valid (for an unchecked g, the caller's
+    guarantee)."""
     if not f.target.same_presentation(g.source):
         raise ShapeMismatch("maps are not composable through a middle group")
-    ker = Lattice(g.source.ngens)
-    for row in chain(g.kernel_lattice._rows, g.source.relations._sparse):
-        ker._insert(dict(row))
-    return f.image_lattice.equals(ker)
+    return f.image_lattice.equals(g.kernel_lattice)
 
 
 def tensor_Z2(group):
@@ -862,22 +860,14 @@ def direct_sum(a, b):
 
 
 def pullback(f, g):
-    """Pullback of f: A -> C and g: B -> C.
-
-    Returns (P, to_A, to_B) where P is the kernel of the difference map
-    A + B -> C and the projections make the square commute.
-    """
+    """The difference map d: A + B -> C, (a, b) -> f(a) - g(b), of f: A -> C
+    and g: B -> C.  Its kernel is the pullback P, whose generators are the
+    rows of `d.kernel_lattice`; split at A.ngens, a row gives a generator's
+    projections to A and to B."""
     if not f.target.same_presentation(g.target):
         raise ShapeMismatch("pullback needs a common target")
-    ab = direct_sum(f.source, g.source)
     cols = f.matrix.sparse_columns()
     cols += [{i: -v for i, v in col.items()}
              for col in g.matrix.sparse_columns()]
-    diff = AbelianHom.from_columns(ab, f.target, cols, check=False)
-    P, incl = diff.kernel, diff.kernel_inclusion
-    na, nb = f.source.ngens, g.source.ngens
-    proj_a = AbelianHom.from_columns(
-        ab, f.source, [{j: 1} for j in range(na)] + [{}] * nb, check=False)
-    proj_b = AbelianHom.from_columns(
-        ab, g.source, [{}] * na + [{j: 1} for j in range(nb)], check=False)
-    return P, proj_a.compose(incl), proj_b.compose(incl)
+    return AbelianHom.from_columns(direct_sum(f.source, g.source), f.target,
+                                   cols, check=False)

@@ -155,20 +155,11 @@ def render_key(key):
     return str(key)
 
 
-def render_element(group, coeffs, via=None):
-    """Pretty-print a coefficient vector over a group's generators.
-
-    `via` composes with an inclusion first (used to show kernel elements in
-    ambient tensor coordinates).
-    """
-    if via is not None:
-        coeffs = via.apply_vector(list(coeffs))
-        group = via.target
+def render_element(element):
+    """Pretty-print a group element over its group's generators."""
     terms = []
-    for key, c in zip(group.generators, coeffs):
-        if not c:
-            continue
-        name = render_key(key)
+    for j, c in element.vector.items():
+        name = render_key(element.group.generators[j])
         if c == 1:
             terms.append(f"+ {name}")
         elif c == -1:
@@ -323,9 +314,9 @@ def cmd_map(args, cfg):
     if args.element is not None:
         img = h(_parse_element(h, args.element, labels))
         # kernel-presented targets read best in ambient tensor coordinates
-        via = (None if entry.ambient is None
-               else lie.d_group(order, labels, entry.ambient).inclusion)
-        print(render_element(img.group, img.coeffs, via=via))
+        if entry.ambient is not None:
+            img = lie.d_group(order, labels, entry.ambient).inclusion(img)
+        print(render_element(img))
         return 0
     out = {"map": name, "order": order, "labels": labels,
            "matrix": [list(r) for r in h.matrix.data],
@@ -431,12 +422,16 @@ def _presented_output(F):
 def cmd_table(args, cfg):
     names = args.names.split(",") if args.names else ["L", "Lq", "T",
                                                       "Ttilde", "Tinf"]
+    unknown = [name for name in names if name not in REGISTRY["group"]]
+    if unknown:
+        raise CliError(EXIT_BAD_NAME, f"unknown group name: {unknown[0]}")
+    if args.max_order < 0 or args.labels < 1:
+        raise CliError(EXIT_BAD_NAME,
+                       "table needs a --max-order >= 0 and labels >= 1")
     rows = [("name", "n", "m", "free_rank", "torsion")]
     skipped = set()
     for name in names:
-        entry = REGISTRY["group"].get(name)
-        if entry is None:
-            raise CliError(EXIT_BAD_NAME, f"unknown group name: {name}")
+        entry = REGISTRY["group"][name]
         for m in range(1, args.labels + 1):
             for n in range(entry.first, args.max_order + 1, entry.step):
                 if not cfg.allows(entry.tree_order(n), m):
@@ -480,7 +475,9 @@ def _global_options(ap):
                     help="label budget cap (default 2; 3 labels are allowed "
                          "up to order 2 regardless)")
     ap.add_argument("--format", choices=("json", "csv", "text"),
-                    default="json")
+                    default="json",
+                    help="output of group, map and quadratic (default "
+                         "json); verify always writes JSON, table CSV")
     ap.add_argument("--seed", type=int, default=0,
                     help="reserved: echoed in verify reports, read by no "
                          "claim")

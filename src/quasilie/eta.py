@@ -124,9 +124,8 @@ def eta_infinity(n, m):
     cols = []
     for g, top, low in zip(ti.group.generators, e.matrix.sparse_columns(),
                            c.matrix.sparse_columns()):
-        pair = top | {e.target.ngens + i: v for i, v in low.items()}
         try:
-            cols.append(di.basis.coordinates(pair))
+            cols.append(di.pair_coordinates(top, low))
         except NotDivisible as err:
             raise PullbackMismatch(
                 f"eta_infinity({n},{m}): sl.eta and p.coker disagree at "
@@ -324,8 +323,8 @@ def _kernel_generator_map(n, m, K, ker, entry):
     k = (n + 2) // 4
     ti = t_infinity(n, m)
     c = ti.maps["coker"]
-    sq2 = AbelianHom(tensor_Z2(sq(k, m).source), c.target,
-                     sq(k, m).matrix, check=False)
+    sq2 = AbelianHom(sq(k, m).source, c.target, sq(k, m).matrix,
+                     check=False)
     phi_cols = []
     for z in ker.rows:
         x = sq2.preimage_vector(c(ti.group.element(z)).vector)
@@ -421,7 +420,7 @@ def _master_block(k, m, twisted):
         eta_plain = eta_prime(hi, m)
         di = d_infinity(hi, m)
         dpd = dprime_to_d(hi, m)
-        jcols = [di.basis.coordinates(col)
+        jcols = [di.pair_coordinates(col, {})
                  for col in dpd.matrix.sparse_columns()]
         bottom_incl = AbelianHom.from_columns(dpd.source, di.group, jcols)
         bottom_coker = di.sl_prime

@@ -16,7 +16,7 @@ pullback group that repairs the failure of that epimorphism to split.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .abelian import (AbelianHom, FpAbelianGroup, IntMatrix, Lattice,
                       HomValidityError, _add_multiple, exact_at, pullback,
@@ -187,8 +187,23 @@ class DInfinity:
     group: FpAbelianGroup
     p_hom: AbelianHom            # D^inf -> D_{4k-2}
     sl_prime: AbelianHom         # D^inf -> Z2 (x) L'_{2k}
-    sq_inf: AbelianHom           # Z2 (x) L_k -> D^inf
-    basis: Lattice               # generators as (D | Z2 (x) L'_{2k}) rows
+    basis: Lattice               # the pullback's kernel lattice: generators
+                                 # as (D | Z2 (x) L'_{2k}) rows
+    sq_k: AbelianHom             # Z2 (x) L_k -> L'_{2k}
+
+    def pair_coordinates(self, d, lq):
+        """The sparse coordinates over `basis` of the pair (d in D,
+        lq in Z2 (x) L'_{2k}), both sparse; raises NotDivisible when the
+        pair is not in the pullback."""
+        nd = self.p_hom.target.ngens
+        return self.basis.coordinates(d | {nd + i: v for i, v in lq.items()})
+
+    @cached_property
+    def sq_inf(self):
+        """The injection Z2 (x) L_k -> D^inf, 1 (x) J -> (0, sq(1 (x) J))."""
+        cols = [self.pair_coordinates({}, col)
+                for col in self.sq_k.matrix._sparse]
+        return AbelianHom.from_columns(self.sq_k.source, self.group, cols)
 
 
 @lru_cache(maxsize=None)
@@ -205,25 +220,22 @@ def d_infinity(n, m):
     slmap = sl(n, m)
     pbar = AbelianHom.identity(tensor_Z2(lie_group(2 * k, m, QUASI)),
                                tensor_Z2(lie_group(2 * k, m, LIE)))
-    P, to_d, to_lq = pullback(slmap, pbar)
-
-    # P is the kernel of D + Z2 (x) L'_{2k} -> Z2 (x) L_{2k}; stacking the
-    # two projections gives its generators in the ambient coordinates.
-    nd = to_d.matrix.rows
-    basis = Lattice(nd + to_lq.matrix.rows,
-                    (a | {nd + i: v for i, v in b.items()}
-                     for a, b in zip(to_d.matrix.sparse_columns(),
-                                     to_lq.matrix.sparse_columns())))
-    sq_k = sq(k, m)  # Z2 (x) L_k -> L'_{2k}; push into the Z2 tensor
-    # pairs (0 in D, sq(1xJ) in Z2 (x) L'_{2k}) expressed in P's basis
-    cols = [basis.coordinates({nd + i: v for i, v in col.items()})
-            for col in sq_k.matrix.sparse_columns()]
-    sq_inf = AbelianHom.from_columns(sq_k.source, P, cols)
-
-    if not (sq_inf.injective and to_d.surjective and exact_at(sq_inf, to_d)):
+    diff = pullback(slmap, pbar)
+    P, basis, nd = diff.kernel, diff.kernel_lattice, slmap.source.ngens
+    # P's generators are the basis rows, pairs that the projections split
+    rows = basis._rows
+    to_d = AbelianHom.from_columns(
+        P, slmap.source,
+        [{i: v for i, v in r.items() if i < nd} for r in rows], check=False)
+    to_lq = AbelianHom.from_columns(
+        P, pbar.source, [{i - nd: v for i, v in r.items() if i >= nd}
+                         for r in rows], check=False)
+    di = DInfinity(P, to_d, to_lq, basis, sq(k, m))
+    if not (di.sq_inf.injective and to_d.surjective
+            and exact_at(di.sq_inf, to_d)):
         raise WellDefinednessError(
             f"d_infinity({n},{m}): row of the pullback diagram not exact")
-    return DInfinity(P, to_d, to_lq, sq_inf, basis)
+    return di
 
 
 def witt_rank(n, m):

@@ -7,6 +7,10 @@ transforms, a fraction-free determinant, and a dense-row Hermite echelon
 lattice that does the same arithmetic in the same order as `Lattice`, so the
 two must agree row for row.
 
+`exact_by_stacking` is exactness as it was first decided: the kernel
+lattice restacked with the middle group's relators, where the engine reads
+the lattices the two maps already hold.
+
 For `quasilie.quadratic` they hold the letter-by-letter cocycle of a relator,
 which the engine sums in closed form, and the quadratic-group identities as
 equalities of homomorphisms, which the engine checks element by element on
@@ -279,6 +283,24 @@ class DenseLattice:
         a = DenseLattice(self.n, self.rows).canonicalize()
         b = DenseLattice(other.n, other.rows).canonicalize()
         return a.rows == b.rows
+
+
+def exact_by_stacking(f, g):
+    """exact_at the way it was first written: a fresh lattice of the rows of
+    g's kernel lattice stacked with the relators of the middle group B,
+    against f's columns stacked with the same relators, compared by dense
+    Hermite normal forms."""
+    n = g.source.ngens
+
+    def dense(vec):
+        return [vec.get(k, 0) for k in range(n)]
+
+    relators = [dense(col) for col in g.source.relations.sparse_columns()]
+    ker = DenseLattice(n, [dense(row) for row in g.kernel_lattice.rows]
+                       + relators)
+    image = DenseLattice(n, [dense(col) for col in f.matrix.sparse_columns()]
+                         + relators)
+    return image.equals(ker)
 
 
 def signed_occurrences(col, ngens):

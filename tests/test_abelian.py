@@ -15,7 +15,7 @@ from quasilie.abelian import (AbelianHom, FpAbelianGroup, HomValidityError,
 from quasilie.eta import eta, eta_prime
 from quasilie.lie import LIE, bracket_hom, lie_group, sq
 
-from oracles import DenseLattice, det, snf
+from oracles import DenseLattice, det, exact_by_stacking, snf
 
 Z = FpAbelianGroup(("x",))
 Z2 = FpAbelianGroup(("q",), IntMatrix([[2]]))
@@ -320,9 +320,24 @@ class TestTensorZ2:
         assert tensor_Z2(Z3).structure == (0, ())
 
 
+def pullback_legs(f, g):
+    """The pullback P = ker d of the difference map d = pullback(f, g), and
+    its projections to f's and g's sources: the rows of d.kernel_lattice,
+    split at f.source.ngens."""
+    d = pullback(f, g)
+    P, na, rows = d.kernel, f.source.ngens, d.kernel_lattice.rows
+    pa = AbelianHom.from_columns(
+        P, f.source, [{i: v for i, v in r.items() if i < na} for r in rows])
+    pb = AbelianHom.from_columns(
+        P, g.source, [{i - na: v for i, v in r.items() if i >= na}
+                      for r in rows])
+    return P, pa, pb
+
+
 class TestPullback:
     def test_diagonal(self):
-        P, pa, pb = pullback(AbelianHom.identity(Z), AbelianHom.identity(Z))
+        P, pa, pb = pullback_legs(AbelianHom.identity(Z),
+                                  AbelianHom.identity(Z))
         assert P.structure == (1, ())
         for j in range(P.ngens):
             e = P.element({j: 1})
@@ -330,7 +345,7 @@ class TestPullback:
 
     def test_index_two_sublattice(self):
         red = AbelianHom(Z, Z2, IntMatrix([[1]]))
-        P, pa, pb = pullback(red, red)
+        P, pa, pb = pullback_legs(red, red)
         assert P.structure == (2, ())
         for j in range(P.ngens):
             e = P.element({j: 1})
@@ -339,12 +354,12 @@ class TestPullback:
     def test_zero_leg_gives_kernel(self):
         zero = FpAbelianGroup(())
         f = AbelianHom(Z, Z, IntMatrix([[2]]))
-        P, _, _ = pullback(f, AbelianHom.zero(zero, Z))
+        P = pullback(f, AbelianHom.zero(zero, Z)).kernel
         assert P.structure == f.kernel.structure
 
     def test_universal_property_witness(self):
         red = AbelianHom(Z, Z2, IntMatrix([[1]]))
-        P, pa, pb = pullback(red, red)
+        P, pa, pb = pullback_legs(red, red)
         incl = None
         # test cone: T = Z with u = 1, v = 1 (both reduce equally mod 2)
         T = Z
@@ -434,6 +449,66 @@ def presented_homs(draw):
     target = FpAbelianGroup(tuple(range(t)), IntMatrix.from_columns(
         tgt_rels, t) if tgt_rels else None)
     return AbelianHom(source, target, matrix)
+
+
+@st.composite
+def presented_pairs(draw):
+    """Composable maps f: A -> B, g: B -> C between random presentations
+    with free parts and torsion, each valid by construction (the next
+    group is related by the images of the previous relators).  Some pairs
+    are exact by construction (f the kernel inclusion of g, or g the
+    quotient map onto the cokernel of f), others need not be."""
+    a, b, c = (draw(st.integers(1, 3)) for _ in range(3))
+    rels_a = draw(vectors(a, 0, 2))
+    fm = IntMatrix.from_columns(draw(vectors(b, a, a)), b)
+    rels_b = draw(vectors(b, 0, 2)) + [fm.mul_vector(r) for r in rels_a]
+    gm = IntMatrix.from_columns(draw(vectors(c, b, b)), c)
+    rels_c = draw(vectors(c, 0, 2)) + [gm.mul_vector(r) for r in rels_b]
+    A, B, C = (FpAbelianGroup(tuple(range(n)), IntMatrix.from_columns(
+        rels, n) if rels else None)
+        for n, rels in ((a, rels_a), (b, rels_b), (c, rels_c)))
+    f, g = AbelianHom(A, B, fm), AbelianHom(B, C, gm)
+    shape = draw(st.sampled_from(("random", "kernel", "cokernel")))
+    if shape == "kernel":
+        f = g.kernel_inclusion.scale(draw(st.sampled_from((1, 2))))
+    elif shape == "cokernel":
+        g = AbelianHom.identity(B, f.cokernel)
+    return f, g
+
+
+class TestExactFromHeldLattices:
+    """exact_at compares the image and kernel lattices the two maps
+    already hold."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(presented_pairs())
+    def test_agrees_with_restacked_kernel(self, pair):
+        f, g = pair
+        assert exact_at(f, g) == exact_by_stacking(f, g)
+
+    def test_kernel_lattice_holds_the_source_relations(self):
+        for g in (AbelianHom(Z, Z2, IntMatrix([[1]])), sq(2, 2),
+                  bracket_hom(2, 2, LIE)):
+            lat = g.kernel_lattice
+            assert all(lat.contains(col)
+                       for col in g.source.relations.sparse_columns())
+
+    def test_inserts_no_row_once_both_lattices_exist(self, monkeypatch):
+        f = AbelianHom(Z, Z, IntMatrix([[2]]))
+        g = AbelianHom(Z, Z2, IntMatrix([[1]]))
+        pairs = [(f, g), (AbelianHom.zero(Z, Z), AbelianHom.zero(Z, Z)),
+                 (g.kernel_inclusion, g)]
+        for left, right in pairs:
+            left.image_lattice, right.kernel_lattice
+        inserted = []
+        insert = Lattice._insert
+
+        def counting(self, v):
+            inserted.append(v)
+            return insert(self, v)
+        monkeypatch.setattr(Lattice, "_insert", counting)
+        assert [exact_at(*p) for p in pairs] == [True, False, True]
+        assert inserted == []
 
 
 def combine(coeffs, rows, start):

@@ -350,6 +350,22 @@ class TestDomain:
         assert code == 3 and out == ""
         assert err.startswith("error:") and "budget" not in err
 
+    @pytest.mark.parametrize("argv", [
+        ("table", "--labels", "0"),
+        ("table", "--labels", "-2"),
+        ("table", "--names", "T", "--max-order", "-1"),
+    ], ids=" ".join)
+    def test_table_grid_out_of_domain_exit3(self, capsys, argv):
+        # an empty grid is refused, not printed as a bare CSV header
+        code, out, err = run(capsys, *argv)
+        assert code == 3 and out == ""
+        assert err.startswith("error: table needs") and err.count("\n") == 1
+
+    def test_table_checks_names_before_the_grid(self, capsys):
+        code, out, err = run(capsys, "table", "--names", "T,Nope",
+                             "--labels", "0")
+        assert (code, out, err) == (3, "", "error: unknown group name: Nope\n")
+
     def test_usage_error_exit6(self, capsys):
         # a global flag after the subcommand is a usage error, not a refusal
         with pytest.raises(SystemExit) as e:

@@ -5,7 +5,9 @@ import random
 import pytest
 
 from oracles import relator_columns
-from quasilie.abelian import AbelianHom, Lattice, exact_at, tensor_Z2
+from quasilie import lie
+from quasilie.abelian import (AbelianHom, Lattice, exact_at, pullback,
+                              tensor_Z2)
 from quasilie.lie import (LIE, QUASI, bracket_hom, d_group, d_infinity,
                           d_tilde, lie_group, proj_p, sl, sq, tensor_with_L1,
                           witt_rank)
@@ -233,6 +235,21 @@ class TestDInfinity:
                 a | {nd + i: v for i, v in b.items()}
                 for a, b in zip(di.p_hom.matrix.sparse_columns(),
                                 di.sl_prime.matrix.sparse_columns())]
+
+    def test_basis_is_the_difference_maps_kernel_lattice(self, monkeypatch):
+        made = []
+
+        def recording(f, g):
+            made.append(pullback(f, g))
+            return made[-1]
+        monkeypatch.setattr(lie, "pullback", recording)
+        di = d_infinity.__wrapped__(2, 2)
+        assert di.basis is made[0].kernel_lattice
+        assert di.group is made[0].kernel
+        # each generator's pair of projections has coordinates e_i
+        for i, (a, b) in enumerate(zip(di.p_hom.matrix.sparse_columns(),
+                                       di.sl_prime.matrix.sparse_columns())):
+            assert di.pair_coordinates(a, b) == {i: 1}
 
     def test_wrong_order_rejected(self):
         with pytest.raises(ValueError):
