@@ -484,9 +484,9 @@ class FpAbelianGroup:
 
     def __init__(self, generators, relations=None):
         self.generators = tuple(generators)
-        if relations is None:
+        if relations is None or relations.cols == 0:
             relations = IntMatrix.zeros(len(self.generators), 0)
-        if relations.rows != len(self.generators) and relations.cols != 0:
+        elif relations.rows != len(self.generators):
             raise ShapeMismatch("relation matrix has wrong number of rows")
         self.relations = relations
 

@@ -3,8 +3,8 @@
 This module is a thin shell over the library; it does no mathematics itself.
 Exit codes: 0 success, 1 failed verification claim, 2 budget exceeded,
 3 invalid name or order, 4 element parse error, 5 schema validation error,
-6 usage error (bad command line, reported by argparse), 7 a library
-consistency error (a map or lift failed a check of its construction).
+6 usage error (a bad command line, or an unwritable verify --report), 7 a
+library consistency error (a map or lift failed a check of its construction).
 """
 
 from __future__ import annotations
@@ -341,6 +341,11 @@ def cmd_verify(args, cfg):
                        f"budget exceeded for verify order={max_order} "
                        f"labels={args.labels} (raise the global "
                        f"--max-order/--max-labels)")
+    try:                # before any claim runs
+        report = args.report and open(args.report, "w")
+    except OSError as e:
+        raise CliError(EXIT_USAGE, f"cannot write --report {args.report}: "
+                       f"{e.strerror}") from e
     if args.claim == "all":
         reports = verify_all(max_order, args.labels, cfg.seed)
     else:
@@ -348,9 +353,9 @@ def cmd_verify(args, cfg):
     payload = json.dumps([r.to_dict() for r in reports],
                          sort_keys=True, indent=2) + "\n"
     sys.stdout.write(payload)
-    if args.report:
-        with open(args.report, "w") as f:
-            f.write(payload)
+    if report:
+        with report:
+            report.write(payload)
     return EXIT_FAILED_CLAIM if any(r.status == "failed" for r in reports) \
         else 0
 

@@ -213,7 +213,11 @@ def dprime_to_d(n, m):
     """The inclusion-induced map D'_n -> D_n."""
     Dq = d_group(n, m, QUASI)
     D = d_group(n, m, LIE)
-    cols = [D.basis.coordinates(z) for z in Dq.basis.rows]
+    try:
+        cols = [D.basis.coordinates(z) for z in Dq.basis.rows]
+    except NotDivisible as e:
+        raise ImageEscapesKernel(
+            f"dprime_to_d({n},{m}) image escapes D") from e
     return AbelianHom.from_columns(Dq.group, D.group, cols)
 
 

@@ -23,16 +23,17 @@ Write <p | q> for the unrooted tree that joins the root edges of two rooted
 trees p and q.  It is symmetric, and <p | q> = sign(p) sign(q) <canon p |
 canon q> (sign 1 when the tree is self-negating); glued() memoises the form
 of <canon p | canon q> in _glued on the unordered pair of canonical trees.
-For branches a, b, c, d the three terms of an IHX relator re-root to
+IHX is one relation at each 4-valent vertex, so ihx_relators() yields one
+relator per multiset of branches {a, b, c, d}.  Its three terms re-root to
 
     ((a,b),c) | d  =  <ab | cd>
     ((a,c),b) | d  =  <ac | bd>
     (a,(b,c)) | d  =  <bc | da>
 
-so ihx_relators() builds every term from canonical halves, and no raw glued
-tree is interned.  On rooted trees, jacobi_columns() builds each distinct
-Jacobi relator column once: the relators embedded under a further node come
-from the distinct columns one level down, not from every triple.
+so every term is built from canonical halves, and no raw glued tree is
+interned.  On rooted trees, jacobi_columns() builds each distinct Jacobi
+relator column once: the relators embedded under a further node come from
+the distinct columns one level down, not from every triple.
 
 Text grammar (used verbatim by the CLI):
 
@@ -47,6 +48,7 @@ where label is a decimal integer >= 1.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import chain, combinations_with_replacement, groupby, product
 from typing import NamedTuple
 
 
@@ -460,50 +462,35 @@ def jacobi_columns(binaries, labels):
     return tuple(seen)
 
 
-def _ihx_branches(order, labels):
-    """The branches (A, B, C, o(D)) of the IHX relators at a 4-valent vertex
-    (A, B, C | D) whose terms have the given order, one relator per D in
-    rooted_trees(o(D), labels)."""
-    total = order - 2
-    for o1 in range(total + 1):
-        for o2 in range(total + 1 - o1):
-            for o3 in range(total + 1 - o1 - o2):
-                o4 = total - o1 - o2 - o3
-                for a in rooted_trees(o1, labels):
-                    for b in rooted_trees(o2, labels):
-                        if o2 == o1 and b.sort_key < a.sort_key:
-                            continue
-                        for c in rooted_trees(o3, labels):
-                            if o3 == o2 and c.sort_key < b.sort_key:
-                                continue
-                            yield a, b, c, o4
-
-
 def ihx_relators(order, labels):
     """The IHX relators I - H - X among unrooted trees of the given order,
-    as triples (I, H, X) of canonical unrooted terms (CanonSign): the terms
-    ((A,B),C)|D, ((A,C),B)|D and (A,(B,C))|D, built as glued canonical
-    halves <AB | CD>, <AC | BD> and <BC | DA>."""
-    halves = {}
+    one per 4-valent vertex, as triples (I, H, X) of canonical unrooted
+    terms (CanonSign): for branches A <= B <= C <= D (by order, then by
+    sort_key, which alone is not monotone in the order for labels >= 10),
+    ((A,B),C)|D, ((A,C),B)|D and (A,(B,C))|D, glued from canonical halves
+    as <AB | CD>, <AC | BD> and <BC | DA>.
 
-    def with_each_d(x, o4, x_first):
-        # the halves (X, D), or (D, X), for every D of order o4; a branch
-        # meets the same D list in many relators
-        key = (x.tree, o4, x_first)
-        out = halves.get(key)
-        if out is None:
-            ds = [canonical_rooted(d) for d in rooted_trees(o4, labels)]
-            out = halves[key] = [_join(x, d) if x_first else _join(d, x)
-                                 for d in ds]
-        return out
-
-    for a, b, c, o4 in _ihx_branches(order, labels):
-        a, b, c = canonical_rooted(a), canonical_rooted(b), canonical_rooted(c)
-        ab, ac, bc = _join(a, b), _join(a, c), _join(b, c)
-        for cd, bd, da in zip(with_each_d(c, o4, True),
-                              with_each_d(b, o4, True),
-                              with_each_d(a, o4, False)):
-            yield glued(ab, cd), glued(ac, bd), glued(bc, da)
+    With the relators 2t of self-negating trees t, these span the relators
+    of every arrangement (A, B, C | D) of every vertex: an arrangement gives
+    its vertex's relator up to sign, except at self-negating terms, written
+    with sign 1 whatever their orientation, where the two differ by an even
+    multiple, a multiple of 2t.
+    """
+    total = order - 2
+    for o1 in range(total // 4 + 1):
+        for o2 in range(o1, (total - o1) // 3 + 1):
+            for o3 in range(o2, (total - o1 - o2) // 2 + 1):
+                orders = (o1, o2, o3, total - o1 - o2 - o3)
+                # a run of equal orders takes a sorted multiset of branches
+                runs = [combinations_with_replacement(
+                            map(canonical_rooted, rooted_trees(o, labels)),
+                            len(list(run)))
+                        for o, run in groupby(orders)]
+                for parts in product(*runs):
+                    a, b, c, d = chain.from_iterable(parts)
+                    yield (glued(_join(a, b), _join(c, d)),
+                           glued(_join(a, c), _join(b, d)),
+                           glued(_join(b, c), _join(d, a)))
 
 
 def parse_tree(text):

@@ -19,12 +19,17 @@ generators.
 For `quasilie.trees` they hold the unrooted canonical form taken by
 canonicalising every raw re-rooting, and the IHX and Jacobi relator terms as
 raw trees: the engine memoises forms on canonical content and builds every
-term from canonical halves.  `relator_columns` turns every relator triple
+term from canonical halves.  The IHX terms come twice: once for every
+arrangement (A, B, C | D) of every 4-valent vertex, the relators as first
+written, and once per vertex, from the branch 4-tuples that are sorted, as
+the engine enumerates them.  `relator_columns` turns every relator triple
 into its presented column, where the engine builds each distinct Jacobi
-column once and turns IHX triples into columns in one pass.
+column once and turns its one IHX triple per vertex into a column in one
+pass.
 """
 
 from bisect import bisect_left
+from itertools import product
 
 from quasilie.abelian import (AbelianHom, IntMatrix, NotDivisible,
                               ShapeMismatch, ext_gcd)
@@ -399,8 +404,9 @@ def canonical_unrooted_by_rootings(label, tree):
 
 def onequad_unrooted_expansions(order, labels):
     """The IHX relators among unrooted trees of the given order as raw glued
-    terms, in the engine's order: triples of ((label, raw tree), sign) for
-    ((A,B),C)|D, ((A,C),B)|D and (A,(B,C))|D."""
+    terms, at every arrangement (A, B, C | D) of every 4-valent vertex:
+    triples of ((label, raw tree), sign) for ((A,B),C)|D, ((A,C),B)|D and
+    (A,(B,C))|D."""
     total = order - 2
     if total < 0:
         return
@@ -419,6 +425,27 @@ def onequad_unrooted_expansions(order, labels):
                                 yield ((glue(node(node(a, b), c), d), 1),
                                        (glue(node(node(a, c), b), d), -1),
                                        (glue(node(a, node(b, c)), d), -1))
+
+
+def ihx_vertex_raw(order, labels):
+    """The IHX relators among unrooted trees of the given order as raw glued
+    terms, one per 4-valent vertex, in the engine's order: the triples of
+    onequad_unrooted_expansions over the branch 4-tuples (A, B, C, D) that
+    are sorted under (order, sort_key), taken from the product of every
+    4-tuple of rooted trees of nondecreasing orders."""
+    total = order - 2
+    if total < 0:
+        return
+    for orders in product(range(total + 1), repeat=4):
+        if sum(orders) != total or list(orders) != sorted(orders):
+            continue
+        for a, b, c, d in product(*(rooted_trees(o, labels)
+                                    for o in orders)):
+            keys = [(t.order, t.sort_key) for t in (a, b, c, d)]
+            if keys == sorted(keys):
+                yield ((glue(node(node(a, b), c), d), 1),
+                       (glue(node(node(a, c), b), d), -1),
+                       (glue(node(a, node(b, c)), d), -1))
 
 
 def onequad_rooted_raw(binaries, labels):

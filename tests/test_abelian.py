@@ -87,6 +87,21 @@ class TestStructure:
         assert FpAbelianGroup(("a",)).structure == (1, ())
         assert FpAbelianGroup(("q",), IntMatrix([[4]])).structure == (0, (4,))
 
+    def test_no_relators_at_any_height(self):
+        # a relation matrix with no columns is the free group's, whatever
+        # its height; a wrong height with columns is still refused
+        free = FpAbelianGroup(("a",))
+        for rel in (IntMatrix([]), IntMatrix.zeros(3, 0)):
+            G = FpAbelianGroup(("a",), rel)
+            assert G.relations == IntMatrix.zeros(1, 0)
+            assert G.same_presentation(free)
+            assert tensor_Z2(G).structure == (0, (2,))
+            assert G.with_extra_relations([[3]]).structure == (0, (3,))
+            assert AbelianHom.identity(G).scale(2).cokernel.structure \
+                == (0, (2,))
+        with pytest.raises(ShapeMismatch):
+            FpAbelianGroup(("a",), IntMatrix([[1], [2]]))
+
     def test_generator_permutation_invariance(self):
         rng = random.Random(2)
         for _ in range(40):

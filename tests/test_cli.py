@@ -171,6 +171,17 @@ class TestVerify:
         assert len(reports) >= 10
         assert path.read_text() == out
 
+    def test_unwritable_report_exit6(self, capsys, monkeypatch, tmp_path):
+        # the report is opened before any claim runs, so nothing is printed
+        ran = []
+        monkeypatch.setattr(cli, "verify_all", lambda *a: ran.append(a))
+        for path in (tmp_path / "missing" / "x.json", tmp_path):
+            code, out, err = run(capsys, "verify", "all", "--max-order", "1",
+                                 "--labels", "1", "--report", str(path))
+            assert code == 6 and out == "" and ran == []
+            assert err.startswith(f"error: cannot write --report {path}: ")
+            assert err.count("\n") == 1
+
     def test_order_option_removed(self, capsys):
         # --max-order is the one order option of verify
         with pytest.raises(SystemExit) as e:

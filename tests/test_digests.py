@@ -7,7 +7,10 @@ were taken before the builders were folded onto the shared helpers in lie,
 those of T_6(2), T_7(2), T_4(3), T_5(3) and Tinf_6(2) before unrooted
 canonical forms were memoised on canonical content, and those of L_8(2),
 L_6(3) and Lq_8(2) before Jacobi triples were built from canonical
-branches.
+branches.  The nine digests of T, Ttilde and Tinf groups were re-taken when
+IHX went from one relator per arrangement (A, B, C | D) of a 4-valent vertex
+to one per vertex: the columns are fewer, and the relation lattice, checked
+against the old relators in test_treegroups, is the same.
 
 The CLI digests pin the exit code, stdout and stderr of whole commands:
 `verify all` with its --report file, `map` on every map name at orders 0-4
@@ -42,23 +45,23 @@ RELATORS = {
     "Lq_8(2)": (lambda: lie_group(8, 2, QUASI),
             "ddd0522a39e2c194e72adcc569e7db9a5c9197871eb39f5d368adbaeb374c0ee"),
     "T_5(2)": (lambda: t_group(5, 2),
-            "d53ac04dc059b995669a1f79a0e3ebaf02b7e1b8f6a161b0361ec862c6933c7e"),
+            "90e6246e340c46df15d478046fdb3b417a3e7857d732fa64ea2385e0a737e921"),
     "T_6(2)": (lambda: t_group(6, 2),
-            "2ff52e64261dd5a5a941122e4b997ccfc46ca987b0996b9e54d5bdebd036a9f2"),
+            "3bd07af2f3a5f6c521ee3757586ea503a80abd4803c294d7a7fcbc7b4f940ad0"),
     "T_7(2)": (lambda: t_group(7, 2),
-            "b5132ae20ded079c0c51436996cfa3c96b8f2d2839780e6aca007d8a471cb3ac"),
+            "9009c2a8b9d2034c4976c8f4e4824a6d9acc74fc25c94ed24d1c057f1f198093"),
     "T_4(3)": (lambda: t_group(4, 3),
-            "adb8b6cea1647b134727b4851fdeb1bb5121077d41bce70f36e5a34f1a0a533a"),
+            "ccd96bba4d6c07361041933378683dff1538ee6e71f19a978a3e473a0840f8d3"),
     "T_5(3)": (lambda: t_group(5, 3),
-            "bf440d8d392b5a094e0a3f9de320dcd9a69fe174aa241dc881e7a3248a2888a4"),
+            "d2bf1c51f3df818dce3b0f6efbe796586f952eda60959f954f19cd79f045f23c"),
     "Ttilde_5(2)": (lambda: t_tilde(5, 2),
-            "7ed006954e70bd64436457c57b6566ccb42600bd62fbb2c3a2fc067c9186cb5b"),
+            "bc9b4e59a1802486ea9af82faa0fd4b22e50dbf55bc3bb9f09359c572bc1115d"),
     "Tinf_4(2)": (lambda: t_infinity(4, 2).group,
-            "3a64146a19b86f2edfa452b5289406293a6b5374553fc288caf7a8b355767ecd"),
+            "3a629e8eb0e7e9664936b1b9f79af94c346255d7c0740927200e88ac89da5bc6"),
     "Tinf_5(2)": (lambda: t_infinity(5, 2).group,
-            "df7aa44481c8f5d18b106a298b609e79617eded803c78e4ab900edf490a6146b"),
+            "2c23418198c72e20ad4f032aab625b6abe72d59870cf76c35691da4bb613770c"),
     "Tinf_6(2)": (lambda: t_infinity(6, 2).group,
-            "d2ad96ecbf0bd6a60e3468e13fe479af494c0560559a9951465c2cc4b240c153"),
+            "6fa29d2be2004ed8c553687e90aa174517ee208dcb1da1cb40e9c1958933ee07"),
     "Dtilde_3(2)": (lambda: d_tilde(3, 2),
             "0b1bdd28816bfb204f9c071aa04f03ef761792821eefc88697c95a79d7fa465d"),
 }

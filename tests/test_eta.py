@@ -1,5 +1,6 @@
 """The eta homomorphisms and the claim-verification suite."""
 
+import dataclasses
 import importlib
 import json
 
@@ -7,12 +8,12 @@ import pytest
 
 from quasilie import abelian
 from quasilie.abelian import (AbelianHom, FpAbelianGroup, IntMatrix,
-                              NotDivisible, tensor_Z2)
+                              Lattice, NotDivisible, tensor_Z2)
 from quasilie.eta import (ALL_CLAIMS, beta_hom, dprime_to_d, dtilde_left_map,
                           eta, eta_infinity, eta_prime, eta_tilde, eta_vector,
                           odd_left_map, verify, verify_all)
-from quasilie.lie import (LIE, QUASI, WellDefinednessError, d_group,
-                          d_infinity, lie_group, sl, tensor_with_L1)
+from quasilie.lie import (LIE, QUASI, ConsistencyError, WellDefinednessError,
+                          d_group, d_infinity, lie_group, sl, tensor_with_L1)
 from quasilie.trees import canonical_unrooted, glue, leaf, node, rooted_trees
 
 # the package re-exports the function eta, which shadows the module
@@ -157,6 +158,27 @@ class TestLeftMaps:
             n = 1
             lhs = eta_tilde(2 * n - 1, m).compose(odd_left_map(n, m))
             assert lhs.equals(dtilde_left_map(n, m))
+
+
+class TestDPrimeToD:
+    def test_escape_is_a_consistency_error(self, monkeypatch):
+        """A D' generator outside the D basis, forced by doubling its rows,
+        raises ImageEscapesKernel, which the CLI reports with exit 7."""
+        real = E.d_group
+
+        def d_group(n, m, variant):
+            k = real(n, m, variant)
+            if variant is not LIE:
+                return k
+            doubled = Lattice(k.basis.n, [{j: 2 * v for j, v in row.items()}
+                                          for row in k.basis.rows])
+            return dataclasses.replace(k, basis=doubled)
+        monkeypatch.setattr(E, "d_group", d_group)
+        with pytest.raises(E.ImageEscapesKernel,
+                           match=r"dprime_to_d\(2,2\)") as e:
+            dprime_to_d.__wrapped__(2, 2)
+        assert isinstance(e.value, ConsistencyError)
+        assert isinstance(e.value.__cause__, NotDivisible)
 
 
 class TestMasterBlock:

@@ -1,10 +1,14 @@
 """Tree groups T, T~, T^inf and the framing map."""
 
-from oracles import relator_columns
-from quasilie.abelian import AbelianHom, exact_at
+import pytest
+
+from oracles import (canonical_unrooted_by_rootings, ihx_vertex_raw,
+                     onequad_unrooted_expansions, relator_columns)
+from quasilie.abelian import (AbelianHom, FpAbelianGroup, IntMatrix, Lattice,
+                              exact_at)
 from quasilie.lie import LIE, d_group, witt_rank
 from quasilie.treegroups import delta, t_group, t_infinity, t_tilde
-from quasilie.trees import canonical_unrooted, ihx_relators, leaf, node
+from quasilie.trees import canonical_unrooted, leaf, node
 
 
 class TestPlain:
@@ -19,15 +23,39 @@ class TestPlain:
         assert t_group(2, 1).structure == (0, ())
 
 
+def canonical_triples(raw):
+    """Raw relator triples as triples of oracle canonical forms."""
+    return ([canonical_unrooted_by_rootings(*pair) for pair, _sign in trip]
+            for trip in raw)
+
+
+def two_torsion_columns(g):
+    """The relators 2t of the self-negating generators t of a tree group."""
+    return [{j: 2} for j, t in enumerate(g.generators)
+            if canonical_unrooted_by_rootings(t.label, t.tree).self_negating]
+
+
 class TestRelators:
     def test_ihx_columns_are_the_distinct_triple_columns(self):
+        # one triple per 4-valent vertex
         g = t_group(8, 2)
-        want = [{j: 2} for j, t in enumerate(g.generators)
-                if canonical_unrooted(t.label, t.tree).self_negating]
-        want += relator_columns(g.index, ihx_relators(8, 2))
+        want = two_torsion_columns(g) + relator_columns(
+            g.index, canonical_triples(ihx_vertex_raw(8, 2)))
         cols = g.relations.sparse_columns()
         assert cols == want
         assert all(list(col) == sorted(col) for col in cols)
+
+    @pytest.mark.parametrize("n,m", [(5, 2), (6, 2), (7, 2), (4, 3), (5, 3)])
+    def test_same_lattice_as_every_arrangement(self, n, m):
+        # IHX as first written, at every arrangement (A, B, C | D) of every
+        # vertex, presents the same group on the same generators
+        g = t_group(n, m)
+        cols = two_torsion_columns(g) + relator_columns(
+            g.index, canonical_triples(onequad_unrooted_expansions(n, m)))
+        assert len(cols) > g.relations.cols
+        assert Lattice(g.ngens, cols).equals(g.relation_lattice)
+        assert FpAbelianGroup(g.generators, IntMatrix.from_columns(
+            cols, g.ngens)).structure == g.structure
 
 
 class TestRankOracle:

@@ -5,8 +5,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import (canonical_unrooted_by_rootings, onequad_rooted_raw,
-                     onequad_unrooted_expansions)
+from oracles import (canonical_unrooted_by_rootings, ihx_vertex_raw,
+                     onequad_rooted_raw, onequad_unrooted_expansions)
 from quasilie import trees
 from quasilie.trees import (UnrootedTree, canonical_rooted,
                             canonical_rootings, canonical_unrooted,
@@ -179,8 +179,9 @@ class TestCanonicalHalves:
 
     @pytest.mark.parametrize("order,m", SMALL)
     def test_ihx_terms(self, order, m):
+        # one triple per 4-valent vertex, in the oracle's order
         got = list(ihx_relators(order, m))
-        want = list(onequad_unrooted_expansions(order, m))
+        want = list(ihx_vertex_raw(order, m))
         assert len(got) == len(want)
         for terms, trip in zip(got, want):
             for c, ((lab, t), _sign) in zip(terms, trip):
