@@ -3,16 +3,17 @@
 Everything in this module (and the whole package) works over Z with
 arbitrary-precision integers; no floating point is used anywhere.  A group is
 presented by an ordered list of generator keys and an integer relation matrix
-with one column per relator.  Structure computations go through Smith normal
-form, subgroup computations (kernels, images, membership) through Hermite
-echelon bases of integer lattices.
+with one column per relator.  One elimination engine serves every
+computation: Hermite echelon bases of integer lattices give kernels, images
+and membership, and the group structure is read off the Hermite normal form
+of the relation lattice.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from heapq import heapify, heappop, heappush
+from heapq import heappop, heappush
 from math import gcd
 from operator import index
 
@@ -211,107 +212,28 @@ def _normalize_divisors(values):
     return tuple(sorted(vals))
 
 
-def relation_divisors(ngens, columns):
-    """(free_rank, invariant factors) of Z^ngens modulo the given sparse
-    relator columns, {row: nonzero int} dicts; they are copied, not changed.
+def _diagonal_entries(rows):
+    """Diagonal entries of a diagonal matrix with the same invariant factors
+    as the independent sparse rows, found by Hermite normal forms of the
+    rows and their transpose in turn (Kannan and Bachem, SIAM J. Comput.
+    8 (1979)).
 
-    Sparse Smith reduction without transform tracking: repeatedly pick a pivot
-    of minimal absolute value (preferring +-1 and thin columns), clear its row
-    by column operations and its column by row operations, and retire it.
+    Transposing and taking a Hermite form (a unimodular row operation) both
+    keep the invariant factors, so the diagonal left at the end has those of
+    the rows.  The loop ends: every form is echelon, and the first entry of
+    the next form is the gcd of the first row of this one, so it divides the
+    first entry d here and is smaller unless d divides that whole row.  Then
+    the next form, being unique, has first row (d, 0, ..., 0) as well as
+    first column (d, 0, ..., 0), later forms keep both, and the entries
+    after d shrink in the same way.
     """
-    cols = {}
-    row_index = {}
-    for cid, col in enumerate(columns):
-        if col:
-            cols[cid] = dict(col)
-            for i in col:
-                row_index.setdefault(i, set()).add(cid)
-    divisors = []
-    pivoted_rows = 0
-
-    def col_weight(cid):
-        d = cols[cid]
-        best = min(abs(v) for v in d.values())
-        return (best != 1, len(d), cid)
-
-    # lazy heap of candidate pivot columns; stale entries are re-pushed
-    heap = [col_weight(cid) for cid in cols]
-    heapify(heap)
-
-    while cols:
-        while True:
-            if not heap:
-                for c in cols:
-                    heappush(heap, col_weight(c))
-            flag, nnz, cid = heappop(heap)
-            if cid not in cols:
-                continue
-            fresh = col_weight(cid)
-            if fresh[:2] != (flag, nnz):
-                heappush(heap, fresh)
-                continue
-            break
-        col = cols[cid]
-        r, v = min(col.items(), key=lambda kv: (abs(kv[1]), kv[0]))
-        # Clear row r from every other column.
-        while True:
-            others = [c for c in row_index.get(r, ()) if c != cid]
-            dirty = False
-            for oc in others:
-                ocol = cols[oc]
-                q = ocol[r] // v
-                if q:
-                    for rr, vv in col.items():
-                        nv = ocol.get(rr, 0) - q * vv
-                        if nv:
-                            ocol[rr] = nv
-                            row_index.setdefault(rr, set()).add(oc)
-                        elif rr in ocol:
-                            del ocol[rr]
-                            row_index[rr].discard(oc)
-                if not ocol:
-                    del cols[oc]
-                elif r in ocol:
-                    dirty = True  # residue smaller than |v| remains
-            if not dirty:
-                break
-            # A residue beats the current pivot; adopt the smallest.
-            r2, v2, c2 = None, None, None
-            for oc in list(row_index.get(r, ())):
-                val = cols[oc].get(r)
-                if val and (v2 is None or abs(val) < abs(v2)):
-                    r2, v2, c2 = r, val, oc
-            if c2 != cid:
-                heappush(heap, col_weight(cid))
-            cid, col, r, v = c2, cols[c2], r2, v2
-        # Row r now lives only in this column: clear the column by row
-        # operations (which touch no other column) if divisible, otherwise
-        # a smaller entry appears inside this column and becomes the pivot.
-        while True:
-            rest = [(rr, vv) for rr, vv in col.items() if rr != r]
-            bad = [(rr, vv) for rr, vv in rest if vv % v != 0]
-            if not bad:
-                break
-            rr, vv = bad[0]
-            nv = vv - (vv // v) * v
-            col[rr] = nv
-            if abs(nv) < abs(v):
-                r, v = rr, nv
-                others = [c for c in row_index.get(r, ()) if c != cid]
-                if others:
-                    break  # row r reappears elsewhere; redo row clearing
-        if any(c != cid for c in row_index.get(r, ())):
-            heappush(heap, col_weight(cid))
-            continue  # restart outer loop with same column, new pivot row
-        divisors.append(abs(v))
-        pivoted_rows += 1
-        for rr in col:
-            row_index[rr].discard(cid)
-        del cols[cid]
-        row_index.pop(r, None)
-
-    free_rank = ngens - pivoted_rows
-    return free_rank, _normalize_divisors(divisors)
+    while any(len(row) > 1 for row in rows):
+        columns = {}
+        for i, row in enumerate(rows):
+            for k, x in row.items():
+                columns.setdefault(k, {})[i] = x
+        rows = Lattice(len(rows), columns.values()).canonicalize()._rows
+    return [x for row in rows for x in row.values()]
 
 
 class Lattice:
@@ -500,8 +422,18 @@ class FpAbelianGroup:
 
     @cached_property
     def structure(self):
-        """(free_rank, torsion divisors d1 | d2 | ...)."""
-        return relation_divisors(self.ngens, self.relations._sparse)
+        """(free_rank, torsion divisors d1 | d2 | ...), read off the Hermite
+        normal form of the relation lattice.
+
+        A row with pivot 1 is the only row with an entry in its pivot
+        column, so it just eliminates that generator; the other rows lie in
+        the remaining columns and carry the torsion.
+        """
+        lat = self.relation_lattice
+        residual = [row for j, row in zip(lat.pivots, lat._rows)
+                    if row[j] != 1]
+        return (self.ngens - len(lat.pivots),
+                _normalize_divisors(_diagonal_entries(residual)))
 
     @property
     def free_rank(self):
@@ -658,8 +590,8 @@ class AbelianHom:
 
     The kernel (with its inclusion), image and cokernel, and the flags
     `injective`, `surjective` and `isomorphism`, are built on first read.
-    The flags need no Smith reduction: they are decided on `kernel_lattice`,
-    `image_lattice` and the source relation lattice.
+    The flags need no structure computation: they are decided on
+    `kernel_lattice`, `image_lattice` and the source relation lattice.
     """
 
     __slots__ = ("source", "target", "matrix", "__dict__")

@@ -1,11 +1,14 @@
 """Dense reference implementations that the tests check the engine against.
 
-The engine (`quasilie.abelian`) works on sparse vectors: `relation_divisors`
-for group structure and a sparse-row `Lattice` for echelon bases.  These are
-the plain dense-row algorithms they replaced: Smith normal form with
-transforms, a fraction-free determinant, and a dense-row Hermite echelon
-lattice that does the same arithmetic in the same order as `Lattice`, so the
-two must agree row for row.
+The engine (`quasilie.abelian`) works on sparse vectors with one elimination
+engine, a sparse-row Hermite echelon `Lattice`, and reads group structure off
+the Hermite normal form of the relation lattice.  These are the plain
+dense-row algorithms it replaced: Smith normal form with transforms, a
+fraction-free determinant, and a dense-row Hermite echelon lattice that does
+the same arithmetic in the same order as `Lattice`, so the two must agree row
+for row.  `rank_mod_p` is Gaussian elimination over F_p, which shares no code
+with the engine: ngens - rank_p(relators) is the dimension of G/pG, the free
+rank plus the number of invariant factors that p divides.
 
 `exact_by_stacking` is exactness as it was first decided: the kernel
 lattice restacked with the middle group's relators, where the engine reads
@@ -492,3 +495,27 @@ def relator_columns(index, triples):
             seen.add(tuple(items))
             out.append(dict(items))
     return out
+
+
+def rank_mod_p(columns, p):
+    """Rank over F_p of integer columns ({row: value} dicts or dense lists),
+    by Gaussian elimination with one stored column per pivot row."""
+    rows = {}   # pivot row -> stored column mod p, with pivot entry 1
+    for col in columns:
+        items = col.items() if isinstance(col, dict) else enumerate(col)
+        v = {i: x % p for i, x in items if x % p}
+        while v:
+            i = min(v)
+            row = rows.get(i)
+            if row is None:
+                inv = pow(v[i], -1, p)
+                rows[i] = {k: x * inv % p for k, x in v.items()}
+                break
+            q = v[i]
+            for k, x in row.items():
+                y = (v.get(k, 0) - q * x) % p
+                if y:
+                    v[k] = y
+                else:
+                    v.pop(k, None)
+    return len(rows)

@@ -10,12 +10,12 @@ from hypothesis import given, settings, strategies as st
 
 from quasilie.abelian import (AbelianHom, FpAbelianGroup, HomValidityError,
                               IntMatrix, Lattice, NotDivisible, ShapeMismatch,
-                              direct_sum, exact_at, pullback,
-                              relation_divisors, tensor_Z2)
+                              direct_sum, exact_at, pullback, tensor_Z2)
+from quasilie import cli
 from quasilie.eta import eta, eta_prime
 from quasilie.lie import LIE, bracket_hom, lie_group, sq
 
-from oracles import DenseLattice, det, exact_by_stacking, snf
+from oracles import DenseLattice, det, exact_by_stacking, rank_mod_p, snf
 
 Z = FpAbelianGroup(("x",))
 Z2 = FpAbelianGroup(("q",), IntMatrix([[2]]))
@@ -75,9 +75,87 @@ class TestSnf:
             S, _, _ = snf(m)
             d = [x for x in diag(S) if x not in (0, 1)]
             rank = sum(1 for x in diag(S) if x)
-            free, tors = relation_divisors(r, m.sparse_columns())
+            free, tors = FpAbelianGroup(tuple(range(r)), m).structure
             assert free == r - rank
             assert list(tors) == sorted(d)
+
+
+def hermite_forms(monkeypatch):
+    """A list that records each Hermite normal form taken from now on."""
+    taken = []
+    canonicalize = Lattice.canonicalize
+
+    def counted(lat):
+        taken.append(lat.n)
+        return canonicalize(lat)
+
+    monkeypatch.setattr(Lattice, "canonicalize", counted)
+    return taken
+
+
+class TestStructureFromHermiteForm:
+    """`structure` reads the Hermite normal form of the relation lattice and
+    takes further Hermite forms only of the rows whose pivot is not 1."""
+
+    def test_alternations_until_diagonal(self, monkeypatch):
+        # relation lattice [[2, 1], [0, 2]], then its transpose's form
+        # [[1, 2], [0, 4]], then [[1, 0], [0, 4]]: three forms in all
+        G = FpAbelianGroup("ab", IntMatrix([[0, -2], [2, -1]]))
+        taken = hermite_forms(monkeypatch)
+        assert G.structure == (0, (4,))
+        assert taken == [2, 2, 2]
+
+    def test_all_pivots_one(self, monkeypatch):
+        G = FpAbelianGroup("abcd", IntMatrix.from_columns(
+            [[1, 2, 0, 5], [0, 1, -3, 0], [0, 0, 1, 1]], 4))
+        taken = hermite_forms(monkeypatch)
+        assert G.structure == (1, ())
+        assert G.relation_lattice.pivots == [0, 1, 2]
+        assert taken == [4]
+
+    def test_no_generators(self):
+        G = FpAbelianGroup(())
+        assert G.structure == (0, ())
+        assert G.is_trivial
+        assert FpAbelianGroup((), IntMatrix.zeros(0, 3)).structure == (0, ())
+
+
+def registry_groups():
+    """Every registry group up to tree order 6 with 2 labels and order 4
+    with 3 labels, as (name, order, labels)."""
+    for labels, max_tree_order in ((2, 6), (3, 4)):
+        for name, entry in cli.REGISTRY["group"].items():
+            order = entry.first
+            while entry.tree_order(order) <= max_tree_order:
+                if entry.defined(order, labels):
+                    yield name, order, labels
+                order += entry.step
+
+
+# the groups of the benchmark's `structure` workload
+STRUCTURE_WORKLOAD = (("T", 7, 2), ("L", 8, 2), ("L", 6, 3), ("T", 5, 3))
+
+
+class TestModPRankOracle:
+    """dim(G/pG) = ngens - rank_p(relators) = free rank + #{d : p | d},
+    with the rank taken over F_p, apart from the engine."""
+
+    def test_hand_cases(self):
+        cols = [[2, 0], [0, 3]]
+        assert [rank_mod_p(cols, p) for p in (2, 3, 5)] == [1, 1, 2]
+        assert rank_mod_p([{0: 4, 2: 6}, {1: 2}, {2: 8}], 2) == 0
+        assert rank_mod_p([], 3) == 0
+
+    @pytest.mark.parametrize(
+        "name,order,labels",
+        [*registry_groups(), *STRUCTURE_WORKLOAD])
+    def test_registry_group(self, name, order, labels):
+        G = cli.REGISTRY["group"][name].build(order, labels)
+        free, torsion = G.structure
+        for p in (2, 3):
+            rank = rank_mod_p(G.relations.sparse_columns(), p)
+            assert G.ngens - rank == free + sum(1 for d in torsion
+                                                if d % p == 0)
 
 
 class TestStructure:
@@ -302,7 +380,8 @@ class TestStoredColumnsUnchanged:
                     h.kernel.structure,
                     h.image.structure,
                     h.cokernel.structure)
-        # Smith reduction works on copies of the stored columns
+        # structure reads relation lattices built from copies of the
+        # stored columns
         assert (src.structure, tgt.structure) == (h.source.structure,
                                                   h.target.structure)
         assert f.isomorphism == (f.injective and f.surjective)
@@ -614,7 +693,7 @@ class TestImageLattice:
 
 
 class TestHomAnalysisFlags:
-    """The flags, decided on lattices, against Smith reduction of the kernel
+    """The flags, decided on lattices, against the structure of the kernel
     and cokernel presentations."""
 
     @settings(max_examples=300, deadline=None, derandomize=True)
