@@ -756,6 +756,21 @@ class AbelianHom:
             return None
         return {k - h: -v for k, v in rest.items()}
 
+    def lift(self, f, target=None):
+        """The map phi: f.source -> target (by default this map's source)
+        with self . phi == f modulo this map's target relations, or None
+        when a column of f has no preimage.  phi is checked: a relator of
+        f.source that the chosen preimages do not kill raises
+        HomValidityError."""
+        cols = []
+        for col in f.matrix._sparse:
+            x = self.preimage_vector(col)
+            if x is None:
+                return None
+            cols.append(x)
+        return AbelianHom.from_columns(
+            f.source, self.source if target is None else target, cols)
+
     def __repr__(self):
         return f"AbelianHom({self.source!r} -> {self.target!r})"
 

@@ -30,21 +30,15 @@ EXIT_USAGE = 6
 EXIT_CONSISTENCY = 7
 
 
-@dataclass
-class Config:
-    max_order: int = 4
-    max_labels: int = 2
-    fmt: str = "json"
-    seed: int = 0
-
-    def allows(self, tree_order, labels):
-        if tree_order < 0 or labels < 1:
-            return False
-        if tree_order <= self.max_order and labels <= self.max_labels:
-            return True
-        # default allowance: three labels up to order two, unless the label
-        # cap was lowered below the default
-        return labels == 3 and tree_order <= 2 and self.max_labels >= 2
+def _allows(args, tree_order, labels):
+    """Whether the global --max-order/--max-labels budget allows a job."""
+    if tree_order < 0 or labels < 1:
+        return False
+    if tree_order <= args.max_order and labels <= args.max_labels:
+        return True
+    # default allowance: three labels up to order two, unless the label cap
+    # was lowered below the default
+    return labels == 3 and tree_order <= 2 and args.max_labels >= 2
 
 
 class CliError(Exception):
@@ -122,7 +116,7 @@ GROUP_NAMES = tuple(REGISTRY["group"])
 MAP_NAMES = tuple(REGISTRY["map"])
 
 
-def _entry(kind, name, order, labels, cfg):
+def _entry(kind, name, order, labels, args):
     """The registry entry of a request that is in its domain and budget."""
     entry = REGISTRY[kind].get(name)
     if entry is None:
@@ -131,7 +125,7 @@ def _entry(kind, name, order, labels, cfg):
         raise CliError(EXIT_BAD_NAME,
                        f"{name} is defined in orders {entry.first}, "
                        f"{entry.first + entry.step}, ... with labels >= 1")
-    if not cfg.allows(entry.tree_order(order), labels):
+    if not _allows(args, entry.tree_order(order), labels):
         raise CliError(EXIT_BUDGET,
                        f"budget exceeded for {name} order={order} "
                        f"labels={labels} (raise --max-order/--max-labels)")
@@ -149,7 +143,7 @@ def render_key(key):
             t = key[1]
             right = f"X{t.label}" if t.is_leaf else t.key
             return f"X{key[0]}⊗{right}"
-        if len(key) == 2 and key[0] in ("ker", "im", "pb"):
+        if len(key) == 2 and key[0] in ("ker", "im"):
             return f"{key[0]}:{key[1]}"
         return ":".join(render_key(k) for k in key)
     return str(key)
@@ -174,19 +168,15 @@ def render_element(element):
     return out[2:] if out.startswith("+ ") else ("-" + out[2:])
 
 
-def _emit(obj, cfg):
-    if cfg.fmt == "json":
+def _emit(obj, args):
+    if args.format == "json":
         sys.stdout.write(json.dumps(obj, sort_keys=True, indent=2) + "\n")
-    elif cfg.fmt == "csv":
+    elif args.format == "csv":
         buf = io.StringIO()
         w = csv.writer(buf)
-        if isinstance(obj, dict):
-            w.writerow(obj.keys())
-            w.writerow([json.dumps(v) if isinstance(v, (list, dict)) else v
-                        for v in obj.values()])
-        else:
-            for row in obj:
-                w.writerow(row)
+        w.writerow(obj.keys())
+        w.writerow([json.dumps(v) if isinstance(v, (list, dict)) else v
+                    for v in obj.values()])
         sys.stdout.write(buf.getvalue())
     else:
         sys.stdout.write(_textual(obj) + "\n")
@@ -207,14 +197,14 @@ def _textual(obj, indent=0):
     return pad + str(obj)
 
 
-def cmd_group(args, cfg):
+def cmd_group(args):
     name, order, labels = args.name, args.order, args.labels
-    g = _entry("group", name, order, labels, cfg).build(order, labels)
+    g = _entry("group", name, order, labels, args).build(order, labels)
     out = {"group": name, "order": order, "labels": labels,
            "free_rank": g.free_rank, "torsion": g.torsion}
     if args.generators:
         out["generators"] = [render_key(k) for k in g.generators]
-    _emit(out, cfg)
+    _emit(out, args)
     return 0
 
 
@@ -307,9 +297,9 @@ def _parse_element(h, text, labels):
                                f"domain of this map: {reason}")
 
 
-def cmd_map(args, cfg):
+def cmd_map(args):
     name, order, labels = args.name, args.order, args.labels
-    entry = _entry("map", name, order, labels, cfg)
+    entry = _entry("map", name, order, labels, args)
     h = entry.build(order, labels)
     if args.element is not None:
         img = h(_parse_element(h, args.element, labels))
@@ -324,11 +314,11 @@ def cmd_map(args, cfg):
            "kernel": h.kernel.describe(), "cokernel": h.cokernel.describe(),
            "injective": h.injective, "surjective": h.surjective,
            "isomorphism": h.isomorphism}
-    _emit(out, cfg)
+    _emit(out, args)
     return 0
 
 
-def cmd_verify(args, cfg):
+def cmd_verify(args):
     if args.claim != "all" and args.claim not in ALL_CLAIMS:
         raise CliError(EXIT_BAD_NAME, f"unknown claim: {args.claim} "
                        f"(choose from {', '.join(ALL_CLAIMS)})")
@@ -336,7 +326,7 @@ def cmd_verify(args, cfg):
     if max_order < 0 or args.labels < 1:
         raise CliError(EXIT_BAD_NAME,
                        "verify needs an order >= 0 and labels >= 1")
-    if not cfg.allows(max_order, args.labels):
+    if not _allows(args, max_order, args.labels):
         raise CliError(EXIT_BUDGET,
                        f"budget exceeded for verify order={max_order} "
                        f"labels={args.labels} (raise the global "
@@ -347,9 +337,9 @@ def cmd_verify(args, cfg):
         raise CliError(EXIT_USAGE, f"cannot write --report {args.report}: "
                        f"{e.strerror}") from e
     if args.claim == "all":
-        reports = verify_all(max_order, args.labels, cfg.seed)
+        reports = verify_all(max_order, args.labels, args.seed)
     else:
-        reports = [verify(args.claim, max_order, args.labels, cfg.seed)]
+        reports = [verify(args.claim, max_order, args.labels, args.seed)]
     payload = json.dumps([r.to_dict() for r in reports],
                          sort_keys=True, indent=2) + "\n"
     sys.stdout.write(payload)
@@ -360,7 +350,7 @@ def cmd_verify(args, cfg):
         else 0
 
 
-def cmd_quadratic(args, cfg):
+def cmd_quadratic(args):
     sub = args.subcommand
     if sub == "bridge":
         if (args.order is None or args.order < 0 or args.order % 2 != 0
@@ -368,7 +358,7 @@ def cmd_quadratic(args, cfg):
             raise CliError(EXIT_BAD_NAME, "bridge needs an even --order "
                                           "(2n >= 0) and labels >= 1")
         n = args.order // 2
-        if not cfg.allows(args.order, args.labels):
+        if not _allows(args, args.order, args.labels):
             raise CliError(EXIT_BUDGET,
                            f"budget exceeded for bridge order={args.order} "
                            f"labels={args.labels} (raise the global "
@@ -378,7 +368,7 @@ def cmd_quadratic(args, cfg):
                "checks": br.checks,
                "universal_side": br.refinement.target.e.describe(),
                "twisted_side": br.twisted.group.describe()}
-        _emit(out, cfg)
+        _emit(out, args)
         return 0
     if args.input is None:
         raise CliError(EXIT_SCHEMA, f"{sub} needs --input FORM.json")
@@ -408,7 +398,7 @@ def cmd_quadratic(args, cfg):
             out["p_injective"] = F.target.p.injective
     except (quadratic.SchemaError, quadratic.NotAMorphism) as e:
         raise CliError(EXIT_SCHEMA, str(e))
-    _emit(out, cfg)
+    _emit(out, args)
     return 0
 
 
@@ -424,13 +414,16 @@ def _presented_output(F):
                    for g in F.A.generators}}
 
 
-def cmd_table(args, cfg):
+def cmd_table(args):
     names = args.names.split(",") if args.names else ["L", "Lq", "T",
                                                       "Ttilde", "Tinf"]
     unknown = [name for name in names if name not in REGISTRY["group"]]
     if unknown:
         raise CliError(EXIT_BAD_NAME, f"unknown group name: {unknown[0]}")
-    if args.max_order < 0 or args.labels < 1:
+    # the grid runs to table's own --max-order, else to the global one
+    top = args.max_order if args.table_max_order is None \
+        else args.table_max_order
+    if top < 0 or args.labels < 1:
         raise CliError(EXIT_BAD_NAME,
                        "table needs a --max-order >= 0 and labels >= 1")
     rows = [("name", "n", "m", "free_rank", "torsion")]
@@ -438,8 +431,8 @@ def cmd_table(args, cfg):
     for name in names:
         entry = REGISTRY["group"][name]
         for m in range(1, args.labels + 1):
-            for n in range(entry.first, args.max_order + 1, entry.step):
-                if not cfg.allows(entry.tree_order(n), m):
+            for n in range(entry.first, top + 1, entry.step):
+                if not _allows(args, entry.tree_order(n), m):
                     skipped.add(n)
                     continue
                 g = entry.build(n, m)
@@ -563,12 +556,8 @@ def main(argv=None):
     if stray:
         ap.error("unrecognized arguments: " + " ".join(stray))
     args = ap.parse_args(argv)
-    cfg = Config(max_order=args.max_order, max_labels=args.max_labels,
-                 fmt=args.format, seed=args.seed)
-    if args.command == "table" and args.table_max_order is not None:
-        args.max_order = args.table_max_order
     try:
-        return args.func(args, cfg)
+        return args.func(args)
     except CliError as e:
         print(f"error: {e}", file=sys.stderr)
         return e.code

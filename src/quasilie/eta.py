@@ -43,61 +43,59 @@ def eta_vector(ambient, lab, raw_tree):
     return list(ambient.element(eta_column(ambient, lab, raw_tree)).coeffs)
 
 
-@lru_cache(maxsize=None)
-def eta_prime(n, m):
-    """eta'_n: T_n -> D'_n, the root-summing map into the quasi-Lie kernel."""
-    src = t_group(n, m)
-    Dq = d_group(n, m, QUASI)
-    ambient = Dq.inclusion.target
-    cols = []
-    for t in src.generators:
-        vec = eta_column(ambient, t.label, t.tree)
-        try:
-            cols.append(Dq.basis.coordinates(vec))
-        except NotDivisible as e:
-            raise ImageEscapesKernel(
-                f"eta'({n},{m}) image of {t} escapes D'") from e
-    return AbelianHom.from_columns(src, Dq.group, cols)
+def _root_sum(n, m, group, variant):
+    """The root-summing map from a tree group of order n into the bracket
+    kernel D_n of `variant`.
 
-
-@lru_cache(maxsize=None)
-def eta(n, m):
-    """eta_n: T^inf_n -> D_n.
-
-    Unrooted generators use the root-summing formula in the Lie setting;
-    infinity generators take half of eta(<J, J>), a preimage under one
-    doubling map, exact and unique in the torsion-free tensor group.
-    Construction fails loudly on an odd double or a twisted relator that is
-    not killed.
+    An unrooted generator goes to its eta_column; an infinity generator
+    J^inf to half of eta(<J, J>), a preimage under one doubling map, exact
+    and unique in the torsion-free tensor group.  An image outside the
+    kernel raises ImageEscapesKernel; an odd double, a torsion ambient or a
+    relator that is not killed raise WellDefinednessError.
     """
-    ti = t_infinity(n, m)
-    D = d_group(n, m, LIE)
+    name, kernel = ("eta'", "D'") if variant == QUASI else ("eta", "D")
+    D = d_group(n, m, variant)
     ambient = D.inclusion.target
     doubling = None
     cols = []
-    for g in ti.group.generators:
+    for g in group.generators:
         if isinstance(g, tuple) and g[0] == "inf":
             if doubling is None:
                 if ambient.structure[1]:
-                    raise TorsionPresent(
-                        f"eta({n},{m}): halving needs a torsion-free ambient")
+                    raise WellDefinednessError(
+                        f"{name}({n},{m}): halving needs a torsion-free "
+                        f"ambient") from TorsionPresent(ambient.torsion)
                 doubling = AbelianHom.identity(ambient).scale(2)
             vec = doubling.preimage_vector(
                 eta_column(ambient, *glue(g[1], g[1])))
             if vec is None:
-                raise NotDivisible(
-                    f"eta({n},{m}) image of {g} is not divisible by 2")
+                raise WellDefinednessError(
+                    f"{name}({n},{m}) image of {g} is not divisible by 2"
+                ) from NotDivisible(f"odd double at {g}")
         else:
             vec = eta_column(ambient, g.label, g.tree)
         try:
             cols.append(D.basis.coordinates(vec))
         except NotDivisible as e:
             raise ImageEscapesKernel(
-                f"eta({n},{m}) image of {g} escapes D") from e
+                f"{name}({n},{m}) image of {g} escapes {kernel}") from e
     try:
-        return AbelianHom.from_columns(ti.group, D.group, cols)
+        return AbelianHom.from_columns(group, D.group, cols)
     except HomValidityError as e:
-        raise WellDefinednessError(f"eta({n},{m}) not well-defined") from e
+        raise WellDefinednessError(f"{name}({n},{m}) not well-defined") from e
+
+
+@lru_cache(maxsize=None)
+def eta_prime(n, m):
+    """eta'_n: T_n -> D'_n, the root-summing map into the quasi-Lie kernel."""
+    return _root_sum(n, m, t_group(n, m), QUASI)
+
+
+@lru_cache(maxsize=None)
+def eta(n, m):
+    """eta_n: T^inf_n -> D_n, the root-summing map in the Lie setting,
+    extended to infinity generators by halving."""
+    return _root_sum(n, m, t_infinity(n, m).group, LIE)
 
 
 @lru_cache(maxsize=None)
@@ -167,16 +165,12 @@ def odd_left_map(n, m):
     """The injection Z2 (x) L'_{n+1} -> T~_{2n-1} induced by the framing
     diagram: lift a generator through the mod-2 bracket, square the lift
     into the quasi-Lie kernel, then pull back through eta'."""
-    src = tensor_Z2(lie_group(n + 1, m, QUASI))
-    ep = eta_prime(2 * n - 1, m)
-    cols = []
-    for col in dtilde_left_map(n, m).matrix.sparse_columns():
-        w = ep.preimage_vector(col)
-        if w is None:
-            raise WellDefinednessError(
-                f"odd_left_map({n},{m}): eta' preimage missing")
-        cols.append(w)
-    return AbelianHom.from_columns(src, t_tilde(2 * n - 1, m), cols)
+    phi = eta_prime(2 * n - 1, m).lift(dtilde_left_map(n, m),
+                                       t_tilde(2 * n - 1, m))
+    if phi is None:
+        raise WellDefinednessError(
+            f"odd_left_map({n},{m}): eta' preimage missing")
+    return phi
 
 
 @lru_cache(maxsize=None)
@@ -315,33 +309,27 @@ def _kernel_instances(max_order, labels):
                      "expected": {"free_rank": expected[0],
                                   "torsion": list(expected[1])}}
             if K.structure == expected:
-                entry["generator_map"] = _kernel_generator_map(
-                    n, m, K, e.kernel_lattice, entry)
+                entry["generator_map"] = _kernel_generator_map(n, m, e, entry)
             yield f"ker eta({n},{m})", entry, entry.get("generator_map", False)
 
 
-def _kernel_generator_map(n, m, K, ker, entry):
-    """The map ker eta_n -> Z2 (x) L_k through the cokernel and sq is an
-    isomorphism taking (J,J)^inf to 1 (x) J; a J where it fails is noted in
-    entry."""
+def _kernel_generator_map(n, m, e, entry):
+    """The map ker e -> Z2 (x) L_k of e = eta_n, through the cokernel and
+    sq, is an isomorphism taking (J,J)^inf to 1 (x) J; a J where it fails is
+    noted in entry."""
     k = (n + 2) // 4
     ti = t_infinity(n, m)
     c = ti.maps["coker"]
     sq2 = AbelianHom(sq(k, m).source, c.target, sq(k, m).matrix,
                      check=False)
-    phi_cols = []
-    for z in ker.rows:
-        x = sq2.preimage_vector(c(ti.group.element(z)).vector)
-        if x is None:
-            return False
-        phi_cols.append(x)
-    phi = AbelianHom.from_columns(K, sq2.source, phi_cols)
-    if not phi.isomorphism:
+    phi = sq2.lift(c.compose(e.kernel_inclusion))
+    if phi is None or not phi.isomorphism:
         return False
     for jt in rooted_trees(k - 1, m):
         sq_tree = canonical_rooted(node(jt, jt)).tree
-        z = ker.coordinates({ti.group.index[("inf", sq_tree)]: 1})
-        if phi(K.element(z)) != sq2.source.gen(jt):
+        z = e.kernel_lattice.coordinates(
+            {ti.group.index[("inf", sq_tree)]: 1})
+        if phi(e.kernel.element(z)) != sq2.source.gen(jt):
             entry["bad_generator"] = str(jt)
             return False
     return True
@@ -436,16 +424,11 @@ def _master_block(k, m, twisted):
         # D_hi -> Z2 x L_{2k+1} -> lift through the odd-degree iso pbar
         slh = sl(hi, m)
         lq = tensor_Z2(lie_group(nmid + 1, m, QUASI))
-        pbar = AbelianHom.identity(lq, slh.target)
-        cols = []
-        for col in slh.matrix.sparse_columns():
-            w = pbar.preimage_vector(col)
-            if w is None:
-                raise WellDefinednessError(
-                    f"master_diagram_1 block(k={k},m={m}): sl({hi},{m}) "
-                    f"does not lift through pbar")
-            cols.append(w)
-        bottom_coker = AbelianHom.from_columns(slh.source, lq, cols)
+        bottom_coker = AbelianHom.identity(lq, slh.target).lift(slh)
+        if bottom_coker is None:
+            raise WellDefinednessError(
+                f"master_diagram_1 block(k={k},m={m}): sl({hi},{m}) "
+                f"does not lift through pbar")
     checks = {
         "left_square": eta_hi.compose(top_incl).equals(
             bottom_incl.compose(eta_plain)),

@@ -21,7 +21,8 @@ from functools import cached_property, lru_cache
 from .abelian import (AbelianHom, FpAbelianGroup, IntMatrix, Lattice,
                       HomValidityError, _add_multiple, exact_at, pullback,
                       tensor_Z2)
-from .trees import canonical_rooted, jacobi_columns, leaf, node, rooted_trees
+from .trees import (UnrootedTree, canonical_rooted, canonical_unrooted,
+                    jacobi_columns, leaf, node, rooted_trees)
 
 LIE = "lie"
 QUASI = "quasi"
@@ -54,6 +55,24 @@ def signed_sum(columns):
     return acc
 
 
+def tree_presentation(gens, doubled, columns):
+    """The group on the canonical trees `gens`, sorted by sort_key, related
+    by 2t (t when not `doubled`) for each self-negating tree t, then by the
+    (tree, coeff) columns of `columns` (trees.distinct_columns).
+
+    A column's trees are in sort_key order, so its indices come out in
+    increasing order.
+    """
+    c = 2 if doubled else 1
+    cols = [{j: c} for j, t in enumerate(gens)
+            if (canonical_unrooted(t.label, t.tree)
+                if isinstance(t, UnrootedTree)
+                else canonical_rooted(t)).self_negating]
+    index = {t: j for j, t in enumerate(gens)}
+    cols.extend({index[t]: v for t, v in col} for col in columns)
+    return FpAbelianGroup(gens, IntMatrix._of(len(gens), tuple(cols)))
+
+
 @lru_cache(maxsize=None)
 def lie_group(n, m, variant=LIE):
     """Degree-n part of the free (quasi-)Lie algebra on m generators."""
@@ -61,18 +80,8 @@ def lie_group(n, m, variant=LIE):
         raise ValueError("need degree >= 1 and labels >= 1")
     if variant not in (LIE, QUASI):
         raise ValueError(f"unknown variant: {variant}")
-    gens = rooted_trees(n - 1, m)
-    cols = []
-    for j, t in enumerate(gens):
-        if canonical_rooted(t).self_negating:
-            cols.append({j: 1} if variant == LIE else {j: 2})
-    if n >= 3:
-        # the generators are sorted by sort_key, so each column's indices
-        # come out in increasing order
-        index = {t: j for j, t in enumerate(gens)}
-        cols.extend({index[t]: v for t, v in col}
-                    for col in jacobi_columns(n - 3, m))
-    return FpAbelianGroup(gens, IntMatrix._of(len(gens), tuple(cols)))
+    return tree_presentation(rooted_trees(n - 1, m), variant == QUASI,
+                             jacobi_columns(n - 3, m) if n >= 3 else ())
 
 
 @lru_cache(maxsize=None)
@@ -152,16 +161,15 @@ def sl(two_k, m):
     D = d_group(two_k, m, LIE)
     quasi_br = bracket_hom(two_k, m, QUASI)
     sqmap = sq(k + 1, m)
-    cols = []
     # L_1 (x) L_{2k+1} and L_1 (x) L'_{2k+1} share their generator keys, so
-    # the lift is the identity on coordinates: one column per generator z.
-    for b in quasi_br.matrix.mul(D.inclusion.matrix).sparse_columns():
-        x = sqmap.preimage_vector(b)
-        if x is None:
-            raise LiftMismatch(
-                f"sl({two_k},{m}): bracketed lift is not in the image of sq")
-        cols.append(x)
-    return AbelianHom.from_columns(D.group, sqmap.source, cols)
+    # the lift is the identity on coordinates
+    phi = sqmap.lift(AbelianHom(D.group, quasi_br.target,
+                                quasi_br.matrix.mul(D.inclusion.matrix),
+                                check=False))
+    if phi is None:
+        raise LiftMismatch(
+            f"sl({two_k},{m}): bracketed lift is not in the image of sq")
+    return phi
 
 
 @lru_cache(maxsize=None)

@@ -23,8 +23,9 @@ from functools import lru_cache
 
 from .abelian import (AbelianHom, FpAbelianGroup, HomValidityError,
                       IntMatrix, tensor_Z2)
-from .lie import WellDefinednessError, lie_group, signed_sum, QUASI
-from .trees import (canonical_rootings, canonical_unrooted, glued,
+from .lie import (WellDefinednessError, lie_group, signed_sum,
+                  tree_presentation, QUASI)
+from .trees import (canonical_rootings, distinct_columns, glued,
                     ihx_relators, inner_product, leaf, node,
                     onequad_rooted_expansions, rooted_trees, unrooted_trees)
 
@@ -41,31 +42,8 @@ def t_group(n, m):
     """T_n(m): order-n unrooted trees modulo AS and IHX."""
     if n < 0 or m < 1:
         raise ValueError("need order >= 0 and labels >= 1")
-    gens = unrooted_trees(n, m)
-    index = {t: j for j, t in enumerate(gens)}
-    cols = []
-    for j, t in enumerate(gens):
-        if canonical_unrooted(t.label, t.tree).self_negating:
-            cols.append({j: 2})
-    # each IHX column I - H - X once, in order of first appearance: sorted
-    # by index, signed so that its entry at the least index is positive
-    seen = {}
-    for t1, t2, t3 in ihx_relators(n, m):
-        col = {index[t1.tree]: t1.sign}
-        for t in (t2, t3):
-            j = index[t.tree]
-            v = col.get(j, 0) - t.sign
-            if v:
-                col[j] = v
-            else:
-                del col[j]
-        if col:
-            items = sorted(col.items())
-            if items[0][1] < 0:
-                items = [(j, -v) for j, v in items]
-            seen[tuple(items)] = None
-    cols.extend(map(dict, seen))
-    return FpAbelianGroup(gens, IntMatrix._of(len(gens), tuple(cols)))
+    return tree_presentation(unrooted_trees(n, m), True,
+                             distinct_columns(ihx_relators(n, m)))
 
 
 @lru_cache(maxsize=None)

@@ -424,20 +424,17 @@ def _signed_column(pairs):
     return tuple(pairs)
 
 
-@lru_cache(maxsize=None)
-def jacobi_columns(binaries, labels):
-    """The distinct Jacobi relator columns T1 - T2 - T3 of
-    onequad_rooted_expansions(binaries, labels), in the order in which they
-    first appear there.
+def distinct_columns(triples):
+    """The distinct relator columns T1 - T2 - T3 of canonical terms
+    (CanonSign) (T1, T2, T3), in the order in which they first appear.
 
     A column is a tuple of (canonical tree, nonzero coeff) pairs in sort_key
     order, signed so that its first coeff is positive; columns that cancel
-    are dropped.  Embedding under node(., R) is linear and injective on
-    canonical trees, so embedded relators come from the distinct columns one
-    level down: an inner duplicate embeds to a later duplicate.
+    are dropped.  Serves the Jacobi relators of rooted trees and the IHX
+    relators of unrooted ones.
     """
     seen = {}
-    for t1, t2, t3 in _jacobi_configurations(binaries, labels):
+    for t1, t2, t3 in triples:
         col = {t1.tree: t1.sign}
         for t in (t2, t3):
             v = col.get(t.tree, 0) - t.sign
@@ -447,6 +444,19 @@ def jacobi_columns(binaries, labels):
                 del col[t.tree]
         if col:
             seen[_signed_column(col.items())] = None
+    return tuple(seen)
+
+
+@lru_cache(maxsize=None)
+def jacobi_columns(binaries, labels):
+    """The distinct_columns of onequad_rooted_expansions(binaries, labels).
+
+    Embedding under node(., R) is linear and injective on canonical trees,
+    so embedded relators come from the distinct columns one level down: an
+    inner duplicate embeds to a later duplicate.
+    """
+    seen = dict.fromkeys(distinct_columns(
+        _jacobi_configurations(binaries, labels)))
     for inner_b in range(binaries):
         rs = rooted_trees(binaries - 1 - inner_b, labels)
         for col in jacobi_columns(inner_b, labels):

@@ -706,6 +706,66 @@ class TestHomAnalysisFlags:
 
 
 @st.composite
+def lift_problems(draw):
+    """A map g: B -> C from presented_homs and a map f: A -> C.  A column
+    of f is g of a random vector or a random vector; A is related by random
+    combinations of the kernel rows of f's matrix, so f is valid."""
+    g = draw(presented_homs())
+    a = draw(st.integers(1, 3))
+    cols = [g.matrix.mul_vector(draw(ints(g.source.ngens)))
+            if draw(st.booleans()) else draw(ints(g.target.ngens))
+            for _ in range(a)]
+    free = AbelianHom.from_columns(FpAbelianGroup(tuple(range(a))), g.target,
+                                   cols)
+    rows = [densify(row, a) for row in free.kernel_lattice.rows]
+    rels = [combine(draw(ints(len(rows))), rows, [0] * a)
+            for _ in range(draw(st.integers(0, 2)))]
+    source = FpAbelianGroup(tuple(range(a)), IntMatrix.from_columns(rels, a)
+                            if rels else None)
+    return g, AbelianHom.from_columns(source, g.target, cols)
+
+
+class TestLift:
+    """`lift` finds phi with g . phi == f exactly when every column of f
+    lies in g's image lattice."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(lift_problems())
+    def test_lift_exactly_when_every_column_has_a_preimage(self, gf):
+        g, f = gf
+        liftable = all(g.image_lattice.contains(col)
+                       for col in f.matrix.sparse_columns())
+        try:
+            phi = g.lift(f)
+        except HomValidityError:
+            # preimages can miss a relator of A only modulo a kernel of g
+            # larger than the relations of B
+            assert liftable and not g.injective
+            return
+        if liftable:
+            assert phi.source is f.source and phi.target is g.source
+            assert g.compose(phi).equals(f)
+            # phi is a map: it kills the relators of A
+            assert all(g.source.relation_lattice.contains(
+                phi.matrix.mul_vector(rel))
+                for rel in f.source.relations.sparse_columns())
+        else:
+            assert phi is None
+
+    def test_identity_does_not_lift_through_doubling(self):
+        double = AbelianHom.from_columns(Z, Z, [{0: 2}])
+        assert double.lift(AbelianHom.identity(Z)) is None
+
+    def test_target_on_the_source_generators(self):
+        # the identity of Z/2 lifts through Z ->> Z/2 into Z/2, not into Z
+        g = AbelianHom.identity(Z, Z2)
+        with pytest.raises(HomValidityError):
+            g.lift(AbelianHom.identity(Z2))
+        phi = g.lift(AbelianHom.identity(Z2), target=Z2)
+        assert phi.target is Z2 and phi.isomorphism
+
+
+@st.composite
 def dense_or_dict(draw, n):
     """A vector of length n, as a dense list or as a dict that may store
     zeros; returns (the input, its dense value)."""

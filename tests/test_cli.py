@@ -7,7 +7,8 @@ import time
 import pytest
 
 from quasilie import cli, lie
-from quasilie.eta import ImageEscapesKernel, PullbackMismatch
+from quasilie.abelian import AbelianHom
+from quasilie.eta import ImageEscapesKernel, PullbackMismatch, eta
 from quasilie.lie import (LIE, QUASI, LiftMismatch, WellDefinednessError,
                           lie_group)
 from quasilie.treegroups import t_group, t_infinity
@@ -438,6 +439,18 @@ class TestDomain:
         assert code == 7 and out == ""
         assert err.startswith("error: " + builder) and err.count("\n") == 1
         assert "Traceback" not in err
+
+    def test_odd_double_in_eta_exit7(self, capsys, monkeypatch):
+        # a doubling map with no preimages makes the J^inf columns of eta
+        # odd doubles; a fresh eta, since the cached one is already built
+        real = AbelianHom.scale
+        monkeypatch.setattr(AbelianHom, "scale", lambda h, k: real(h, 0))
+        monkeypatch.setattr(cli, "eta_map", eta.__wrapped__)
+        code, out, err = run(capsys, "map", "eta", "--order", "2",
+                             "--labels", "2")
+        assert code == 7 and out == ""
+        assert err == ("error: eta(2,2) image of ('inf', (1,2)) is not "
+                       "divisible by 2\n")
 
     def test_in_domain_over_budget_exit2(self, capsys):
         for argv in (("group", "Dinf", "--order", "10", "--labels", "2"),

@@ -80,8 +80,11 @@ class TestEta:
         # <1,2> stands in for every <J,J>: its eta image is not divisible by 2
         real = E.glue
         monkeypatch.setattr(E, "glue", lambda a, b: real(leaf(1), leaf(2)))
-        with pytest.raises(NotDivisible):
+        with pytest.raises(WellDefinednessError,
+                           match=r"eta\(0,2\) image of .* not divisible by 2"
+                           ) as e:
             eta.__wrapped__(0, 2)
+        assert isinstance(e.value.__cause__, NotDivisible)
 
     def test_square_infinity_in_kernel(self):
         e = eta(2, 1)
