@@ -61,6 +61,14 @@ def _sparse_vector(vec, n):
     return {k: index(x) for k, x in enumerate(vec) if x}
 
 
+def _dense(vec, n):
+    """The length-n dense list of a sparse vector."""
+    out = [0] * n
+    for k, x in vec.items():
+        out[k] = x
+    return out
+
+
 def _add_multiple(v, q, row):
     """v += q * row in place, dropping the entries that cancel (q != 0)."""
     for k, x in row.items():
@@ -173,11 +181,8 @@ class IntMatrix:
 
     def mul_vector(self, vec):
         """The dense product of the matrix with a dense or sparse vector."""
-        out = [0] * self.rows
-        vec = _sparse_vector(vec, self.cols)
-        for i, x in _apply(self._sparse, vec).items():
-            out[i] = x
-        return out
+        return _dense(_apply(self._sparse, _sparse_vector(vec, self.cols)),
+                      self.rows)
 
     def hstack(self, other):
         if self.rows != other.rows:
@@ -485,10 +490,7 @@ class FpAbelianGroup:
     def normal_form(self, vec):
         """Canonical coset representative of vec modulo the relation
         lattice, as a dense tuple."""
-        out = [0] * self.ngens
-        for k, x in self.relation_lattice.reduce(vec).items():
-            out[k] = x
-        return tuple(out)
+        return tuple(_dense(self.relation_lattice.reduce(vec), self.ngens))
 
     def same_presentation(self, other):
         return self is other or (self.generators == other.generators
@@ -522,10 +524,7 @@ class GroupElement:
     @property
     def coeffs(self):
         """The dense coefficient tuple, built on each read."""
-        out = [0] * self.group.ngens
-        for k, x in self._vec.items():
-            out[k] = x
-        return tuple(out)
+        return tuple(_dense(self._vec, self.group.ngens))
 
     @property
     def vector(self):
@@ -706,6 +705,12 @@ class AbelianHom:
             if piv >= h:
                 lat._insert({k - h: x for k, x in row.items()})
         return lat
+
+    def kernel_coordinates(self, vec):
+        """The sparse coordinates of a source vector (dense or sparse) over
+        the generators of `kernel`; raises NotDivisible when vec is not in
+        the kernel."""
+        return self.kernel_lattice.coordinates(vec)
 
     @cached_property
     def kernel(self):

@@ -186,12 +186,12 @@ def _textual(obj, indent=0):
     pad = "  " * indent
     if isinstance(obj, dict):
         return "\n".join(f"{pad}{k}: " + (("\n" + _textual(v, indent + 1))
-                                          if isinstance(v, (dict, list))
+                                          if isinstance(v, (dict, list)) and v
                                           else str(v))
                          for k, v in obj.items())
     if isinstance(obj, list):
         return "\n".join(f"{pad}- " + (("\n" + _textual(v, indent + 1))
-                                       if isinstance(v, (dict, list))
+                                       if isinstance(v, (dict, list)) and v
                                        else str(v))
                          for v in obj)
     return pad + str(obj)

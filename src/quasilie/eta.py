@@ -10,21 +10,20 @@ commuting squares) at budgeted sizes and returns serializable reports.
 from __future__ import annotations
 
 import json
+from collections.abc import Callable
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
+from typing import NamedTuple
 
 from .abelian import (AbelianHom, HomValidityError, NotDivisible,
                       TorsionPresent, exact_at, tensor_Z2)
 from .lie import (LIE, QUASI, ConsistencyError, WellDefinednessError,
-                  bracket_hom, d_group, d_infinity, d_tilde, lie_group,
-                  signed_sum, sl, sq, tensor_coords, tensor_with_L1)
+                  bracket_hom, d_group, d_infinity, d_tilde, inside_kernel,
+                  lie_group, signed_sum, sl, sq, tensor_coords,
+                  tensor_with_L1)
 from .treegroups import delta, t_group, t_infinity, t_tilde
 from .trees import (canonical_rooted, canonical_rootings, glue, node,
                     rooted_trees)
-
-
-class ImageEscapesKernel(ConsistencyError):
-    """An eta image failed to lie in the bracket kernel."""
 
 
 class PullbackMismatch(ConsistencyError):
@@ -54,8 +53,8 @@ def _root_sum(n, m, group, variant):
     relator that is not killed raise WellDefinednessError.
     """
     name, kernel = ("eta'", "D'") if variant == QUASI else ("eta", "D")
-    D = d_group(n, m, variant)
-    ambient = D.inclusion.target
+    bracket = d_group(n, m, variant).bracket
+    ambient = bracket.source
     doubling = None
     cols = []
     for g in group.generators:
@@ -74,13 +73,10 @@ def _root_sum(n, m, group, variant):
                 ) from NotDivisible(f"odd double at {g}")
         else:
             vec = eta_column(ambient, g.label, g.tree)
-        try:
-            cols.append(D.basis.coordinates(vec))
-        except NotDivisible as e:
-            raise ImageEscapesKernel(
-                f"{name}({n},{m}) image of {g} escapes {kernel}") from e
+        with inside_kernel(f"{name}({n},{m}) image of {g} escapes {kernel}"):
+            cols.append(bracket.kernel_coordinates(vec))
     try:
-        return AbelianHom.from_columns(group, D.group, cols)
+        return AbelianHom.from_columns(group, bracket.kernel, cols)
     except HomValidityError as e:
         raise WellDefinednessError(f"{name}({n},{m}) not well-defined") from e
 
@@ -178,7 +174,7 @@ def dtilde_left_map(n, m):
     """Z2 (x) L'_{n+1} -> D~_{2n-1}, the same chase on the kernel side."""
     src = tensor_Z2(lie_group(n + 1, m, QUASI))
     beta = beta_hom(n, m)
-    Dq = d_group(2 * n - 1, m, QUASI)
+    bracket = d_group(2 * n - 1, m, QUASI).bracket
     cols = []
     for j in range(src.ngens):
         y = beta.preimage_vector({j: 1})
@@ -186,11 +182,9 @@ def dtilde_left_map(n, m):
             raise WellDefinednessError(
                 f"dtilde_left_map({n},{m}): mod-2 bracket not surjective?")
         z = _sq_tensor_vector(n, m, y)
-        try:
-            cols.append(Dq.basis.coordinates(z))
-        except NotDivisible as e:
-            raise ImageEscapesKernel(
-                f"dtilde_left_map({n},{m}): squared lift escapes D'") from e
+        with inside_kernel(f"dtilde_left_map({n},{m}): squared lift escapes "
+                           f"D'"):
+            cols.append(bracket.kernel_coordinates(z))
     return AbelianHom.from_columns(src, d_tilde(2 * n - 1, m), cols)
 
 
@@ -207,11 +201,9 @@ def dprime_to_d(n, m):
     """The inclusion-induced map D'_n -> D_n."""
     Dq = d_group(n, m, QUASI)
     D = d_group(n, m, LIE)
-    try:
-        cols = [D.basis.coordinates(z) for z in Dq.basis.rows]
-    except NotDivisible as e:
-        raise ImageEscapesKernel(
-            f"dprime_to_d({n},{m}) image escapes D") from e
+    with inside_kernel(f"dprime_to_d({n},{m}) image escapes D"):
+        cols = [D.bracket.kernel_coordinates(z)
+                for z in Dq.inclusion.matrix.sparse_columns()]
     return AbelianHom.from_columns(Dq.group, D.group, cols)
 
 
@@ -275,42 +267,55 @@ def verify(claim, max_order=4, labels=2, seed=0):
     return fn(claim, params, max_order, labels)
 
 
-def _iso_instances(map_name, first, step, max_order, labels):
-    """The eta map of this module named map_name is an isomorphism in
-    orders first, first + step, ... up to max_order."""
-    build = globals()[map_name]  # read per run, so a rebound map is checked
-    for m in range(1, labels + 1):
-        for n in range(first, max_order + 1, step):
-            h = build(n, m)
-            iso = h.isomorphism
-            name = f"{map_name}(n={n},m={m})"
-            entry = {"source": h.source.describe(),
-                     "target": h.target.describe(),
-                     "isomorphism": iso}
-            if iso:
-                yield name, entry, True
-            else:
-                # the kernel and cokernel are built only for a failure
-                yield (name, entry, False,
-                       {"kernel": h.kernel.describe(),
-                        "cokernel": h.cokernel.describe()})
+class _Claim(NamedTuple):
+    """A claim checked at each order n = first, first + step, ... up to
+    max_order, for m = 1..labels: instance(n, m) returns (name, entry, ok)
+    or (name, entry, ok, extra), the items `_report` reads.
+
+    Calling the row runs the whole claim, so that what `verify` calls is
+    the `_CLAIMS` value, and a wrapper put in its place (the per-claim
+    timers of perfbench/tracer.py) covers the whole claim."""
+    instance: Callable
+    first: int
+    step: int
+
+    def __call__(self, claim, params, max_order, labels):
+        """The report on the instances within the budget, m outermost."""
+        return _report(claim, params, (
+            self.instance(n, m) for m in range(1, labels + 1)
+            for n in range(self.first, max_order + 1, self.step)))
 
 
-def _kernel_instances(max_order, labels):
+def _isomorphism(map_name, n, m):
+    """The eta map of this module named map_name is an isomorphism at
+    (n, m)."""
+    h = globals()[map_name](n, m)  # read per call, so a rebound map is checked
+    iso = h.isomorphism
+    name = f"{map_name}(n={n},m={m})"
+    entry = {"source": h.source.describe(),
+             "target": h.target.describe(),
+             "isomorphism": iso}
+    if iso:
+        return name, entry, True
+    # the kernel and cokernel are built only for a failure
+    return (name, entry, False,
+            {"kernel": h.kernel.describe(),
+             "cokernel": h.cokernel.describe()})
+
+
+def _eta_kernel(n, m):
     """thm31_v: ker eta_{4k-2} is Z2 (x) L_k, sent there by the generators
     (J,J)^inf -> 1 (x) J."""
-    for m in range(1, labels + 1):
-        for n in range(2, max_order + 1, 4):
-            k = (n + 2) // 4
-            e = eta(n, m)
-            K = e.kernel
-            expected = tensor_Z2(lie_group(k, m, LIE)).structure
-            entry = {"kernel": K.describe(),
-                     "expected": {"free_rank": expected[0],
-                                  "torsion": list(expected[1])}}
-            if K.structure == expected:
-                entry["generator_map"] = _kernel_generator_map(n, m, e, entry)
-            yield f"ker eta({n},{m})", entry, entry.get("generator_map", False)
+    k = (n + 2) // 4
+    e = eta(n, m)
+    K = e.kernel
+    expected = tensor_Z2(lie_group(k, m, LIE)).structure
+    entry = {"kernel": K.describe(),
+             "expected": {"free_rank": expected[0],
+                          "torsion": list(expected[1])}}
+    if K.structure == expected:
+        entry["generator_map"] = _kernel_generator_map(n, m, e, entry)
+    return f"ker eta({n},{m})", entry, entry.get("generator_map", False)
 
 
 def _kernel_generator_map(n, m, e, entry):
@@ -327,81 +332,72 @@ def _kernel_generator_map(n, m, e, entry):
         return False
     for jt in rooted_trees(k - 1, m):
         sq_tree = canonical_rooted(node(jt, jt)).tree
-        z = e.kernel_lattice.coordinates(
-            {ti.group.index[("inf", sq_tree)]: 1})
+        with inside_kernel(f"eta({n},{m}): (J,J)^inf escapes the kernel at "
+                           f"J={jt}"):
+            z = e.kernel_coordinates({ti.group.index[("inf", sq_tree)]: 1})
         if phi(e.kernel.element(z)) != sq2.source.gen(jt):
             entry["bad_generator"] = str(jt)
             return False
     return True
 
 
-def _square_instances(max_order, labels):
+def _lemma_cd(n, m):
     """lemma_cd: sl . eta = pbar . coker in even orders 2k."""
-    for m in range(1, labels + 1):
-        for n in range(2, max_order + 1, 2):
-            c = t_infinity(n, m).maps["coker"]
-            pbar = AbelianHom.identity(
-                c.target, tensor_Z2(lie_group(n // 2 + 1, m, LIE)))
-            ok = sl(n, m).compose(eta(n, m)).equals(pbar.compose(c))
-            yield f"square(2k={n},m={m})", {"commutes": ok}, ok
+    c = t_infinity(n, m).maps["coker"]
+    pbar = AbelianHom.identity(
+        c.target, tensor_Z2(lie_group(n // 2 + 1, m, LIE)))
+    ok = sl(n, m).compose(eta(n, m)).equals(pbar.compose(c))
+    return f"square(2k={n},m={m})", {"commutes": ok}, ok
 
 
-def _tau_even_instances(max_order, labels):
+def _tau_even(n, m):
     """0 -> T_n -> Tinf_n -> Z2 (x) L'_{n/2+1} -> 0 in even orders."""
-    for m in range(1, labels + 1):
-        for n in range(0, max_order + 1, 2):
-            ti = t_infinity(n, m)
-            left, right = ti.maps["inclusion"], ti.maps["coker"]
-            ok = _short_exact(left, right)
-            yield (f"0->T_{n}->Tinf_{n}->Z2xL'_{n//2+1} (m={m})",
-                   {"exact": ok,
-                    "cokernel_structure": left.cokernel.describe()},
-                   ok)
+    ti = t_infinity(n, m)
+    left, right = ti.maps["inclusion"], ti.maps["coker"]
+    ok = _short_exact(left, right)
+    return (f"0->T_{n}->Tinf_{n}->Z2xL'_{n//2+1} (m={m})",
+            {"exact": ok, "cokernel_structure": left.cokernel.describe()},
+            ok)
 
 
-def _tau_odd_instances(max_order, labels):
-    """0 -> Z2 (x) L'_{n+1} -> T~_{2n-1} -> Tinf_{2n-1} -> 0."""
-    for m in range(1, labels + 1):
-        for nn in range(1, max_order + 1, 2):
-            n = (nn + 1) // 2
-            left = odd_left_map(n, m)
-            right = t_infinity(nn, m).maps["quotient"]
-            ok = _short_exact(left, right)
-            yield (f"0->Z2xL'_{n+1}->Ttilde_{nn}->Tinf_{nn} (m={m})",
-                   {"exact": ok,
-                    "chain": [left.source.describe(),
-                              left.target.describe(),
-                              right.target.describe()]},
-                   ok)
+def _tau_odd(nn, m):
+    """0 -> Z2 (x) L'_{n+1} -> T~_{2n-1} -> Tinf_{2n-1} -> 0, nn = 2n-1."""
+    n = (nn + 1) // 2
+    left = odd_left_map(n, m)
+    right = t_infinity(nn, m).maps["quotient"]
+    ok = _short_exact(left, right)
+    return (f"0->Z2xL'_{n+1}->Ttilde_{nn}->Tinf_{nn} (m={m})",
+            {"exact": ok,
+             "chain": [left.source.describe(), left.target.describe(),
+                       right.target.describe()]},
+            ok)
 
 
-def _framing_instances(max_order, labels):
+def _framing(nn, m):
     """eta'(Delta(t)) = sq(1 (x) eta'(t)) for every generator t, in the
-    orders 2n-1 <= max_order."""
-    for m in range(1, labels + 1):
-        for n in range(1, (max_order + 1) // 2 + 1):
-            dl = delta(n, m)
-            # eta' into the full tensor group L_1 (x) L'_{2n}
-            epa = d_group(2 * n - 1, m, QUASI).inclusion.compose(
-                eta_prime(2 * n - 1, m))
-            low = tensor_with_L1(n, m, LIE)
-            entry = {"identity": True}
-            for t in dl.source.generators:
-                lhs = epa(dl(dl.source.gen(t)))
-                rhs = _sq_tensor_vector(n, m, eta_column(low, t.label, t.tree))
-                if lhs != epa.target.element(rhs):
-                    entry = {"identity": False, "offender": str(t)}
-                    break
-            yield (f"eta'(Delta)=sq(1xeta') at n={n}, m={m}", entry,
-                   entry["identity"])
+    order nn = 2n-1."""
+    n = (nn + 1) // 2
+    dl = delta(n, m)
+    # eta' into the full tensor group L_1 (x) L'_{2n}
+    epa = d_group(nn, m, QUASI).inclusion.compose(eta_prime(nn, m))
+    low = tensor_with_L1(n, m, LIE)
+    entry = {"identity": True}
+    for t in dl.source.generators:
+        lhs = epa(dl(dl.source.gen(t)))
+        rhs = _sq_tensor_vector(n, m, eta_column(low, t.label, t.tree))
+        if lhs != epa.target.element(rhs):
+            entry = {"identity": False, "offender": str(t)}
+            break
+    return (f"eta'(Delta)=sq(1xeta') at n={n}, m={m}", entry,
+            entry["identity"])
 
 
-def _master_block(k, m, twisted):
-    """Every check of one master-diagram block (T and D rows only).
-
-    twisted=False: orders (4k, 4k-1); twisted=True: orders (4k-2, 4k-3).
-    """
-    hi = 4 * k - 2 if twisted else 4 * k
+def _master_block(hi, m):
+    """Every check of one master-diagram block (T and D rows only):
+    master_diagram_1 at orders (hi, hi - 1) = (4k, 4k-1), and
+    master_diagram_2, twisted, at (4k-2, 4k-3)."""
+    twisted = hi % 4 == 2
+    k = (hi + 2) // 4
     lo, nmid = hi - 1, hi // 2                # nmid: odd sequence parameter
     ti_hi = t_infinity(hi, m)
     top_incl = ti_hi.maps["inclusion"]        # T_hi -> Tinf_hi
@@ -412,8 +408,10 @@ def _master_block(k, m, twisted):
         eta_plain = eta_prime(hi, m)
         di = d_infinity(hi, m)
         dpd = dprime_to_d(hi, m)
-        jcols = [di.pair_coordinates(col, {})
-                 for col in dpd.matrix.sparse_columns()]
+        with inside_kernel(f"master_diagram_2 block(k={k},m={m}): a pair "
+                           f"(D' column, 0) escapes D^inf"):
+            jcols = [di.pair_coordinates(col, {})
+                     for col in dpd.matrix.sparse_columns()]
         bottom_incl = AbelianHom.from_columns(dpd.source, di.group, jcols)
         bottom_coker = di.sl_prime
     else:
@@ -451,38 +449,22 @@ def _master_block(k, m, twisted):
     for name, h in (("eta_prime", eta_plain), (eta_hi_vert, eta_hi),
                     ("eta_tilde", et), ("eta_low", eta(lo, m))):
         checks[f"iso_{name}"] = h.isomorphism
-    return checks
-
-
-def _master_instances(twisted, max_order, labels):
-    """master_diagram_1 (blocks at orders 4k) or _2 (twisted, 4k-2)."""
-    for m in range(1, labels + 1):
-        for k in range(1, (max_order + 2 * twisted) // 4 + 1):
-            checks = _master_block(k, m, twisted)
-            yield f"block(k={k},m={m})", checks, all(checks.values())
-
-
-def _claim(instances, *args):
-    """The claim callable (claim, params, max_order, labels) that reports on
-    instances(*args, max_order, labels)."""
-    def run(claim, params, max_order, labels):
-        return _report(claim, params, instances(*args, max_order, labels))
-    return run
+    return f"block(k={k},m={m})", checks, all(checks.values())
 
 
 _CLAIMS = {
-    "thm31_i": _claim(_iso_instances, "eta_prime", 0, 1),
-    "thm31_ii": _claim(_iso_instances, "eta_tilde", 1, 2),
-    "thm31_iii": _claim(_iso_instances, "eta", 1, 2),
-    "thm31_iv": _claim(_iso_instances, "eta", 0, 4),
-    "thm31_v": _claim(_kernel_instances),
-    "thm31_vi": _claim(_iso_instances, "eta_infinity", 2, 4),
-    "lemma_cd": _claim(_square_instances),
-    "tau_even": _claim(_tau_even_instances),
-    "tau_odd": _claim(_tau_odd_instances),
-    "framing_factorization": _claim(_framing_instances),
-    "master_diagram_1": _claim(_master_instances, False),
-    "master_diagram_2": _claim(_master_instances, True),
+    "thm31_i": _Claim(partial(_isomorphism, "eta_prime"), 0, 1),
+    "thm31_ii": _Claim(partial(_isomorphism, "eta_tilde"), 1, 2),
+    "thm31_iii": _Claim(partial(_isomorphism, "eta"), 1, 2),
+    "thm31_iv": _Claim(partial(_isomorphism, "eta"), 0, 4),
+    "thm31_v": _Claim(_eta_kernel, 2, 4),
+    "thm31_vi": _Claim(partial(_isomorphism, "eta_infinity"), 2, 4),
+    "lemma_cd": _Claim(_lemma_cd, 2, 2),
+    "tau_even": _Claim(_tau_even, 0, 2),
+    "tau_odd": _Claim(_tau_odd, 1, 2),
+    "framing_factorization": _Claim(_framing, 1, 2),
+    "master_diagram_1": _Claim(_master_block, 4, 4),
+    "master_diagram_2": _Claim(_master_block, 2, 4),
 }
 
 ALL_CLAIMS = tuple(_CLAIMS)

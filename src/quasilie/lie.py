@@ -15,11 +15,12 @@ pullback group that repairs the failure of that epimorphism to split.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
-from .abelian import (AbelianHom, FpAbelianGroup, IntMatrix, Lattice,
-                      HomValidityError, _add_multiple, exact_at, pullback,
+from .abelian import (AbelianHom, FpAbelianGroup, IntMatrix, HomValidityError,
+                      NotDivisible, _add_multiple, exact_at, pullback,
                       tensor_Z2)
 from .trees import (UnrootedTree, canonical_rooted, canonical_unrooted,
                     jacobi_columns, leaf, node, rooted_trees)
@@ -38,6 +39,21 @@ class LiftMismatch(ConsistencyError):
 
 class WellDefinednessError(ConsistencyError):
     """A generator formula fails to kill a relator (convention bug)."""
+
+
+class ImageEscapesKernel(ConsistencyError):
+    """A vector that a construction puts in a kernel lies outside it."""
+
+
+@contextmanager
+def inside_kernel(what):
+    """Kernel coordinates read in the block are of vectors the construction
+    puts in the kernel, so a NotDivisible raised there is a fault of the
+    construction: it is raised again as ImageEscapesKernel(what)."""
+    try:
+        yield
+    except NotDivisible as e:
+        raise ImageEscapesKernel(what) from e
 
 
 def tree_coords(group, raw_tree):
@@ -115,16 +131,24 @@ def bracket_hom(n, m, variant=LIE):
 
 @dataclass(frozen=True)
 class BracketKernel:
-    group: FpAbelianGroup
-    inclusion: AbelianHom
-    basis: Lattice               # rows: the inclusion's columns, in order
+    """The kernel of a bracket map, with its inclusion into the ambient
+    L_1 (x) L_{n+1}; `bracket.kernel_coordinates` reads an ambient vector
+    over the kernel's generators."""
+    bracket: AbelianHom
+
+    @property
+    def group(self):
+        return self.bracket.kernel
+
+    @property
+    def inclusion(self):
+        return self.bracket.kernel_inclusion
 
 
 @lru_cache(maxsize=None)
 def d_group(n, m, variant=LIE):
     """Kernel of the bracket map, with its inclusion into L_1 (x) L_{n+1}."""
-    h = bracket_hom(n, m, variant)
-    return BracketKernel(h.kernel, h.kernel_inclusion, h.kernel_lattice)
+    return BracketKernel(bracket_hom(n, m, variant))
 
 
 @lru_cache(maxsize=None)
@@ -192,25 +216,30 @@ def d_tilde(n, m):
 
 @dataclass(frozen=True)
 class DInfinity:
-    group: FpAbelianGroup
+    difference: AbelianHom       # (d, lq) -> sl(d) - pbar(lq) on
+                                 # D + Z2 (x) L'_{2k}; D^inf is its kernel
     p_hom: AbelianHom            # D^inf -> D_{4k-2}
     sl_prime: AbelianHom         # D^inf -> Z2 (x) L'_{2k}
-    basis: Lattice               # the pullback's kernel lattice: generators
-                                 # as (D | Z2 (x) L'_{2k}) rows
     sq_k: AbelianHom             # Z2 (x) L_k -> L'_{2k}
 
+    @property
+    def group(self):
+        return self.difference.kernel
+
     def pair_coordinates(self, d, lq):
-        """The sparse coordinates over `basis` of the pair (d in D,
-        lq in Z2 (x) L'_{2k}), both sparse; raises NotDivisible when the
-        pair is not in the pullback."""
+        """The sparse coordinates over the generators of D^inf of the pair
+        (d in D, lq in Z2 (x) L'_{2k}), both sparse; raises NotDivisible
+        when the pair is not in the pullback."""
         nd = self.p_hom.target.ngens
-        return self.basis.coordinates(d | {nd + i: v for i, v in lq.items()})
+        return self.difference.kernel_coordinates(
+            d | {nd + i: v for i, v in lq.items()})
 
     @cached_property
     def sq_inf(self):
         """The injection Z2 (x) L_k -> D^inf, 1 (x) J -> (0, sq(1 (x) J))."""
-        cols = [self.pair_coordinates({}, col)
-                for col in self.sq_k.matrix._sparse]
+        with inside_kernel("sq_inf: a pair (0, sq(1 (x) J)) escapes D^inf"):
+            cols = [self.pair_coordinates({}, col)
+                    for col in self.sq_k.matrix._sparse]
         return AbelianHom.from_columns(self.sq_k.source, self.group, cols)
 
 
@@ -229,16 +258,17 @@ def d_infinity(n, m):
     pbar = AbelianHom.identity(tensor_Z2(lie_group(2 * k, m, QUASI)),
                                tensor_Z2(lie_group(2 * k, m, LIE)))
     diff = pullback(slmap, pbar)
-    P, basis, nd = diff.kernel, diff.kernel_lattice, slmap.source.ngens
-    # P's generators are the basis rows, pairs that the projections split
-    rows = basis._rows
+    P, nd = diff.kernel, slmap.source.ngens
+    # P's generators are pairs, the inclusion's columns, that the
+    # projections split
+    pairs = diff.kernel_inclusion.matrix._sparse
     to_d = AbelianHom.from_columns(
         P, slmap.source,
-        [{i: v for i, v in r.items() if i < nd} for r in rows], check=False)
+        [{i: v for i, v in r.items() if i < nd} for r in pairs], check=False)
     to_lq = AbelianHom.from_columns(
         P, pbar.source, [{i - nd: v for i, v in r.items() if i >= nd}
-                         for r in rows], check=False)
-    di = DInfinity(P, to_d, to_lq, basis, sq(k, m))
+                         for r in pairs], check=False)
+    di = DInfinity(diff, to_d, to_lq, sq(k, m))
     if not (di.sq_inf.injective and to_d.surjective
             and exact_at(di.sq_inf, to_d)):
         raise WellDefinednessError(

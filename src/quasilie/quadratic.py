@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from math import comb, gcd
+from math import comb
 
 from .abelian import AbelianHom, FpAbelianGroup, GroupElement, IntMatrix
 from .eta import VerificationReport
@@ -370,23 +370,17 @@ def _cross_terms(form, coeffs):
     return acc
 
 
-def _relator_words(form, commutative):
+def _relator_words(form):
     """One relator column per nonzero relation of A, in order: the mu's of
-    its letters plus the telescoped cocycle.
-
-    In the commutative model mu(-a) = mu(a); otherwise the section of a
-    negative letter is s(-a_k) = -mu(a_k) + lambda(a_k, a_k).
-    """
+    its letters (mu(-a) = mu(a) in the commutative model) plus the
+    telescoped cocycle."""
     nm = form.M.ngens
     cols = []
     for rel in form.A.relations.sparse_columns():
         w = _cross_terms(form, rel.items())
         for k, c in rel.items():
-            diag = comb(abs(c), 2)
-            if c < 0 and not commutative:
-                diag -= c      # each section of -a_k adds lambda(a_k, a_k)
-            w = w + diag * form.table[k][k]
-        col = {nm + k: abs(c) if commutative else c for k, c in rel.items()}
+            w = w + comb(abs(c), 2) * form.table[k][k]
+        col = {nm + k: abs(c) for k, c in rel.items()}
         col.update(w.vector)
         if col:
             cols.append(col)
@@ -411,7 +405,7 @@ def universal_commutative(form):
         col = {i: v for i, v in col.items() if v}
         if col:
             cols.append(col)
-    cols += _relator_words(form, commutative=True)
+    cols += _relator_words(form)
     lam_diag = [form.lam(a, a).vector for a in map(A.gen, A.generators)]
     cols += [{nm + k: 2} | {i: -v for i, v in d.items()}
              for k, d in enumerate(lam_diag)]
@@ -445,64 +439,6 @@ def universal_symmetric(form):
     if not F.target.p.injective:
         raise NotInvariant("p failed to be injective on a symmetric form")
     return F
-
-
-def presented_noncommutative(form):
-    """Presented model of the universal refinement, for symmetric-value forms.
-
-    Only implemented where the extension group is abelian (symmetric lambda).
-    """
-    if not form.symmetric_values:
-        raise NotAMorphism("presented model requires symmetric lambda "
-                           "(abelian extension)")
-    A, M = form.A, form.M
-    gens = tuple(("m", g) for g in M.generators) \
-        + tuple(("q", g) for g in A.generators)
-    cols = M.relations.sparse_columns() + _relator_words(form,
-                                                          commutative=False)
-    return FpAbelianGroup(gens, IntMatrix.from_columns(cols, len(gens)))
-
-
-def enumerate_extension(Q, limit=20000):
-    """All elements of a finite extension-model group by BFS closure."""
-    gens = Q.e_generators()
-    gens += [Q.neg(g) for g in gens]
-    # a pair hashes and compares by the classes of its parts, so the dict
-    # keeps the first element found of each class
-    seen = {Q.zero(): None}
-    frontier = [Q.zero()]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in gens:
-                y = Q.add(x, g)
-                if y not in seen:
-                    if len(seen) >= limit:
-                        raise ValueError("extension group too large to "
-                                         "enumerate")
-                    seen[y] = None
-                    nxt.append(y)
-        frontier = nxt
-    return list(seen)
-
-
-def torsion_counts(elements, Q, divisors):
-    """Count solutions of d*x = 0 in an enumerated extension group."""
-    out = {}
-    for d in divisors:
-        out[d] = sum(1 for x in elements if Q.scalar(d, x) == Q.zero())
-    return out
-
-
-def presented_torsion_count(structure, d):
-    """Number of d-torsion elements of Z^r + sum Z_{di} (finite case r=0)."""
-    r, tors = structure
-    if r:
-        raise ValueError("infinite group")
-    n = 1
-    for t in tors:
-        n *= gcd(d, t)
-    return n
 
 
 # ---------------------------------------------------------------------------

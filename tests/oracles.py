@@ -17,7 +17,10 @@ the lattices the two maps already hold.
 For `quasilie.quadratic` they hold the letter-by-letter cocycle of a relator,
 which the engine sums in closed form, and the quadratic-group identities as
 equalities of homomorphisms, which the engine checks element by element on
-generators.
+generators.  They also hold the presented model of the universal
+(non-commutative) refinement of a form with symmetric values, built from
+those letter-by-letter words, and the brute-force enumeration and torsion
+counts of the extension model that it is checked against.
 
 For `quasilie.trees` they hold the unrooted canonical form taken by
 canonicalising every raw re-rooting, and the IHX and Jacobi relator terms as
@@ -33,9 +36,10 @@ pass.
 
 from bisect import bisect_left
 from itertools import product
+from math import gcd
 
-from quasilie.abelian import (AbelianHom, IntMatrix, NotDivisible,
-                              ShapeMismatch, ext_gcd)
+from quasilie.abelian import (AbelianHom, FpAbelianGroup, IntMatrix,
+                              NotDivisible, ShapeMismatch, ext_gcd)
 from quasilie.trees import (CanonSign, UnrootedTree, canonical_rooted, glue,
                             node, rooted_trees, rootings)
 
@@ -360,6 +364,64 @@ def relator_words(form, commutative):
         if col:
             out.append({i: col[i] for i in sorted(col)})
     return out
+
+
+def presented_noncommutative(form):
+    """Presented model of the universal refinement, for symmetric-value forms.
+
+    Only defined where the extension group is abelian (symmetric lambda).
+    """
+    if not form.symmetric_values:
+        raise ValueError("presented model requires symmetric lambda "
+                         "(abelian extension)")
+    A, M = form.A, form.M
+    gens = tuple(("m", g) for g in M.generators) \
+        + tuple(("q", g) for g in A.generators)
+    cols = M.relations.sparse_columns() + relator_words(form,
+                                                        commutative=False)
+    return FpAbelianGroup(gens, IntMatrix.from_columns(cols, len(gens)))
+
+
+def enumerate_extension(Q, limit=20000):
+    """All elements of a finite extension-model group by BFS closure."""
+    gens = Q.e_generators()
+    gens += [Q.neg(g) for g in gens]
+    # a pair hashes and compares by the classes of its parts, so the dict
+    # keeps the first element found of each class
+    seen = {Q.zero(): None}
+    frontier = [Q.zero()]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for g in gens:
+                y = Q.add(x, g)
+                if y not in seen:
+                    if len(seen) >= limit:
+                        raise ValueError("extension group too large to "
+                                         "enumerate")
+                    seen[y] = None
+                    nxt.append(y)
+        frontier = nxt
+    return list(seen)
+
+
+def torsion_counts(elements, Q, divisors):
+    """Count solutions of d*x = 0 in an enumerated extension group."""
+    out = {}
+    for d in divisors:
+        out[d] = sum(1 for x in elements if Q.scalar(d, x) == Q.zero())
+    return out
+
+
+def presented_torsion_count(structure, d):
+    """Number of d-torsion elements of Z^r + sum Z_{di} (finite case r=0)."""
+    r, tors = structure
+    if r:
+        raise ValueError("infinite group")
+    n = 1
+    for t in tors:
+        n *= gcd(d, t)
+    return n
 
 
 def axioms_by_homs(Q):

@@ -11,10 +11,10 @@ from quasilie.abelian import exact_at
 from quasilie.eta import verify, verify_all
 from quasilie.lie import LIE, lie_group, proj_p, sq, witt_rank
 from quasilie.quadratic import (bridge_T_infinity, check_axioms,
-                                enumerate_extension, presented_noncommutative,
-                                presented_torsion_count, torsion_counts,
                                 universal_commutative, universal_refinement)
 
+from oracles import (enumerate_extension, presented_noncommutative,
+                     presented_torsion_count, torsion_counts)
 from test_quadratic import arf_form, random_hermitian
 
 

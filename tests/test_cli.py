@@ -1,16 +1,18 @@
 """The command-line surface: routing, formats, and exit codes."""
 
+import csv
 import importlib
+import io
 import json
 import time
 
 import pytest
 
 from quasilie import cli, lie
-from quasilie.abelian import AbelianHom
-from quasilie.eta import ImageEscapesKernel, PullbackMismatch, eta
-from quasilie.lie import (LIE, QUASI, LiftMismatch, WellDefinednessError,
-                          lie_group)
+from quasilie.abelian import AbelianHom, NotDivisible
+from quasilie.eta import PullbackMismatch, eta, eta_infinity
+from quasilie.lie import (LIE, QUASI, ImageEscapesKernel, LiftMismatch,
+                          WellDefinednessError, lie_group)
 from quasilie.treegroups import t_group, t_infinity
 
 
@@ -306,6 +308,63 @@ class TestQuadratic:
         assert code == 5
 
 
+class TestFormats:
+    """--format text and csv of group and map; json is the default that the
+    other tests read."""
+
+    def test_group_text(self, capsys):
+        code, out, _ = run(capsys, "--format", "text", "group", "L",
+                           "--order", "1", "--labels", "1")
+        assert code == 0
+        assert out == ("group: L\norder: 1\nlabels: 1\nfree_rank: 1\n"
+                       "torsion: []\n")
+
+    def test_group_text_lists(self, capsys):
+        code, out, _ = run(capsys, "--format", "text", "group", "T",
+                           "--order", "1", "--labels", "2", "--generators")
+        assert code == 0
+        assert out == ("group: T\norder: 1\nlabels: 2\nfree_rank: 0\n"
+                       "torsion: \n" + "  - 2\n" * 4 + "generators: \n"
+                       "  - <1,(1,1)>\n  - <1,(1,2)>\n  - <1,(2,2)>\n"
+                       "  - <2,(2,2)>\n")
+
+    def test_map_text(self, capsys):
+        # an empty list prints as [], not as an empty line
+        code, out, _ = run(capsys, "--format", "text", "map", "sq",
+                           "--order", "1", "--labels", "1")
+        assert code == 0
+        assert out == (
+            "map: sq\norder: 1\nlabels: 1\nmatrix: \n  - \n    - 1\n"
+            "source: \n  free_rank: 0\n  torsion: \n    - 2\n"
+            "target: \n  free_rank: 0\n  torsion: \n    - 2\n"
+            "kernel: \n  free_rank: 0\n  torsion: []\n"
+            "cokernel: \n  free_rank: 0\n  torsion: []\n"
+            "injective: True\nsurjective: True\nisomorphism: True\n")
+        assert "" not in out[:-1].split("\n")
+
+    def test_group_csv(self, capsys):
+        code, out, _ = run(capsys, "--format", "csv", "group", "T",
+                           "--order", "1", "--labels", "2")
+        assert code == 0
+        assert out == ("group,order,labels,free_rank,torsion\r\n"
+                       'T,1,2,0,"[2, 2, 2, 2]"\r\n')
+
+    def test_map_csv(self, capsys):
+        code, out, _ = run(capsys, "--format", "csv", "map", "sq",
+                           "--order", "1", "--labels", "1")
+        assert code == 0
+        head, row = csv.reader(io.StringIO(out))
+        assert head == ["map", "order", "labels", "matrix", "source",
+                        "target", "kernel", "cokernel", "injective",
+                        "surjective", "isomorphism"]
+        assert row[:3] == ["sq", "1", "1"] and row[8:] == ["True"] * 3
+        # nested values are JSON, and agree with the json format
+        _, js, _ = run(capsys, "map", "sq", "--order", "1", "--labels", "1")
+        want = json.loads(js)
+        assert [json.loads(v) for v in row[3:8]] == [
+            want[k] for k in head[3:8]]
+
+
 class TestTable:
     def test_csv_grid(self, capsys):
         code, out, _ = run(capsys, "table", "--names", "L,T",
@@ -451,6 +510,58 @@ class TestDomain:
         assert code == 7 and out == ""
         assert err == ("error: eta(2,2) image of ('inf', (1,2)) is not "
                        "divisible by 2\n")
+
+    def test_sq_inf_escape_exit7(self, capsys, monkeypatch):
+        # D^inf is built afresh, and its sq_inf pairs (0, sq(1 (x) J))
+        # fall outside the pullback
+        real = lie.DInfinity.pair_coordinates
+
+        def pair_coordinates(di, d, lq):
+            if not d:
+                raise NotDivisible("forced")
+            return real(di, d, lq)
+        monkeypatch.setattr(lie.DInfinity, "pair_coordinates",
+                            pair_coordinates)
+        monkeypatch.setattr(lie, "d_infinity", lie.d_infinity.__wrapped__)
+        code, out, err = run(capsys, "group", "Dinf", "--order", "2",
+                             "--labels", "1")
+        assert code == 7 and out == ""
+        assert err == "error: sq_inf: a pair (0, sq(1 (x) J)) escapes D^inf\n"
+
+    def test_master_block_pair_escape_exit7(self, capsys, monkeypatch):
+        # D^inf and eta_inf are built first; then the pairs (D' column, 0)
+        # of the twisted block fall outside the pullback
+        eta_infinity(2, 1)
+        real = lie.DInfinity.pair_coordinates
+
+        def pair_coordinates(di, d, lq):
+            if not lq:
+                raise NotDivisible("forced")
+            return real(di, d, lq)
+        monkeypatch.setattr(lie.DInfinity, "pair_coordinates",
+                            pair_coordinates)
+        code, out, err = run(capsys, "verify", "master_diagram_2",
+                             "--max-order", "2", "--labels", "1")
+        assert code == 7 and out == ""
+        assert err == ("error: master_diagram_2 block(k=1,m=1): a pair "
+                       "(D' column, 0) escapes D^inf\n")
+
+    def test_kernel_generator_escape_exit7(self, capsys, monkeypatch):
+        # (J,J)^inf read outside ker eta(2,1) by thm31_v's generator map
+        e = eta(2, 1)
+        real = AbelianHom.kernel_coordinates
+
+        def kernel_coordinates(h, vec):
+            if h is e:
+                raise NotDivisible("forced")
+            return real(h, vec)
+        monkeypatch.setattr(AbelianHom, "kernel_coordinates",
+                            kernel_coordinates)
+        code, out, err = run(capsys, "verify", "thm31_v", "--max-order", "2",
+                             "--labels", "1")
+        assert code == 7 and out == ""
+        assert err == ("error: eta(2,1): (J,J)^inf escapes the kernel at "
+                       "J=1\n")
 
     def test_in_domain_over_budget_exit2(self, capsys):
         for argv in (("group", "Dinf", "--order", "10", "--labels", "2"),

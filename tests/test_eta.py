@@ -1,6 +1,5 @@
 """The eta homomorphisms and the claim-verification suite."""
 
-import dataclasses
 import importlib
 import json
 
@@ -12,8 +11,9 @@ from quasilie.abelian import (AbelianHom, FpAbelianGroup, IntMatrix,
 from quasilie.eta import (ALL_CLAIMS, beta_hom, dprime_to_d, dtilde_left_map,
                           eta, eta_infinity, eta_prime, eta_tilde, eta_vector,
                           odd_left_map, verify, verify_all)
-from quasilie.lie import (LIE, QUASI, ConsistencyError, WellDefinednessError,
-                          d_group, d_infinity, lie_group, sl, tensor_with_L1)
+from quasilie.lie import (LIE, QUASI, BracketKernel, ConsistencyError,
+                          ImageEscapesKernel, WellDefinednessError, d_group,
+                          d_infinity, lie_group, sl, tensor_with_L1)
 from quasilie.trees import canonical_unrooted, glue, leaf, node, rooted_trees
 
 # the package re-exports the function eta, which shadows the module
@@ -163,24 +163,68 @@ class TestLeftMaps:
             assert lhs.equals(dtilde_left_map(n, m))
 
 
+def doubled_reads(monkeypatch, variant):
+    """Make eta's bracket kernels of `variant` read coordinates through the
+    real `kernel_coordinates` over the doubled kernel lattice.  The kernel
+    group and its inclusion are kept, so a vector escapes exactly when one
+    of its kernel coordinates is odd."""
+    real = E.d_group
+
+    def d_group(n, m, var):
+        k = real(n, m, var)
+        if var != variant:
+            return k
+        b = k.bracket
+        h = AbelianHom(b.source, b.target, b.matrix, check=False)
+        h.kernel, h.kernel_inclusion = b.kernel, b.kernel_inclusion
+        h.kernel_lattice = Lattice(
+            b.kernel_lattice.n, [{j: 2 * v for j, v in row.items()}
+                                 for row in b.kernel_lattice.rows])
+        return BracketKernel(h)
+    monkeypatch.setattr(E, "d_group", d_group)
+
+
 class TestDPrimeToD:
     def test_escape_is_a_consistency_error(self, monkeypatch):
-        """A D' generator outside the D basis, forced by doubling its rows,
-        raises ImageEscapesKernel, which the CLI reports with exit 7."""
-        real = E.d_group
-
-        def d_group(n, m, variant):
-            k = real(n, m, variant)
-            if variant is not LIE:
-                return k
-            doubled = Lattice(k.basis.n, [{j: 2 * v for j, v in row.items()}
-                                          for row in k.basis.rows])
-            return dataclasses.replace(k, basis=doubled)
-        monkeypatch.setattr(E, "d_group", d_group)
-        with pytest.raises(E.ImageEscapesKernel,
+        """A D' generator outside the D kernel, forced by doubling the
+        lattice that D's coordinate read sees, raises ImageEscapesKernel,
+        which the CLI reports with exit 7."""
+        doubled_reads(monkeypatch, LIE)
+        with pytest.raises(ImageEscapesKernel,
                            match=r"dprime_to_d\(2,2\)") as e:
             dprime_to_d.__wrapped__(2, 2)
         assert isinstance(e.value, ConsistencyError)
+        assert isinstance(e.value.__cause__, NotDivisible)
+
+    def test_columns_are_the_quasi_inclusion_read_in_d(self):
+        # L_1 (x) L_{n+1} and L_1 (x) L'_{n+1} share their generator keys,
+        # so each D' column is, exactly, its D coordinates pushed back out
+        for m in (1, 2):
+            for n in range(4):
+                h = dprime_to_d(n, m)
+                assert d_group(n, m, LIE).inclusion.matrix.mul(h.matrix) \
+                    == d_group(n, m, QUASI).inclusion.matrix
+
+
+class TestKernelEscapes:
+    """A vector outside the bracket kernel, met on the real code path of a
+    builder, raises ImageEscapesKernel with the NotDivisible as its
+    cause."""
+
+    def test_root_sum_of_eta_prime(self, monkeypatch):
+        doubled_reads(monkeypatch, QUASI)
+        with pytest.raises(ImageEscapesKernel,
+                           match=r"eta'\(2,2\) image of <.*> escapes D'$"
+                           ) as e:
+            eta_prime.__wrapped__(2, 2)
+        assert isinstance(e.value.__cause__, NotDivisible)
+
+    def test_dtilde_left_map(self, monkeypatch):
+        doubled_reads(monkeypatch, QUASI)
+        with pytest.raises(ImageEscapesKernel,
+                           match=r"dtilde_left_map\(1,2\): squared lift "
+                                 r"escapes D'") as e:
+            dtilde_left_map.__wrapped__(1, 2)
         assert isinstance(e.value.__cause__, NotDivisible)
 
 

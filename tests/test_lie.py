@@ -6,8 +6,8 @@ import pytest
 
 from oracles import relator_columns
 from quasilie import lie
-from quasilie.abelian import (AbelianHom, Lattice, exact_at, pullback,
-                              tensor_Z2)
+from quasilie.abelian import (AbelianHom, Lattice, NotDivisible, exact_at,
+                              pullback, tensor_Z2)
 from quasilie.lie import (LIE, QUASI, bracket_hom, d_group, d_infinity,
                           d_tilde, lie_group, proj_p, sl, sq, tensor_with_L1,
                           witt_rank)
@@ -106,11 +106,23 @@ class TestDGroups:
         assert d_group(0, 1, LIE).group.structure == (1, ())
 
     def test_basis_rows_are_inclusion_columns(self):
+        # the kernel read is over the kernel's basis, the inclusion's
+        # columns in order, and rejects an ambient vector outside it
         for m in (1, 2):
             for n in range(0, 4):
                 for var in (LIE, QUASI):
                     D = d_group(n, m, var)
-                    assert D.basis.rows == D.inclusion.matrix.sparse_columns()
+                    read = D.bracket.kernel_coordinates
+                    cols = D.inclusion.matrix.sparse_columns()
+                    assert [read(c) for c in cols] \
+                        == [{j: 1} for j in range(len(cols))]
+                    coeffs = list(range(1, len(cols) + 1))
+                    assert read(D.inclusion.apply_vector(coeffs)) \
+                        == dict(enumerate(coeffs))
+                    for i, c in enumerate(D.bracket.matrix.sparse_columns()):
+                        if not D.bracket.target.element(c).is_zero:
+                            with pytest.raises(NotDivisible):
+                                read({i: 1})
 
     def test_inclusion_injective_and_exact(self):
         for m in (1, 2):
@@ -231,10 +243,13 @@ class TestDInfinity:
         for m in (1, 2):
             di = d_infinity(2, m)
             nd = di.p_hom.target.ngens
-            assert di.basis.rows == [
-                a | {nd + i: v for i, v in b.items()}
-                for a, b in zip(di.p_hom.matrix.sparse_columns(),
-                                di.sl_prime.matrix.sparse_columns())]
+            pairs = [a | {nd + i: v for i, v in b.items()}
+                     for a, b in zip(di.p_hom.matrix.sparse_columns(),
+                                     di.sl_prime.matrix.sparse_columns())]
+            assert di.difference.kernel_inclusion.matrix.sparse_columns() \
+                == pairs
+            assert [di.difference.kernel_coordinates(p) for p in pairs] \
+                == [{i: 1} for i in range(len(pairs))]
 
     def test_basis_is_the_difference_maps_kernel_lattice(self, monkeypatch):
         made = []
@@ -244,7 +259,7 @@ class TestDInfinity:
             return made[-1]
         monkeypatch.setattr(lie, "pullback", recording)
         di = d_infinity.__wrapped__(2, 2)
-        assert di.basis is made[0].kernel_lattice
+        assert di.difference is made[0]
         assert di.group is made[0].kernel
         # each generator's pair of projections has coordinates e_i
         for i, (a, b) in enumerate(zip(di.p_hom.matrix.sparse_columns(),
