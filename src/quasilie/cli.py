@@ -54,13 +54,21 @@ class Entry:
     The name is defined in the orders first, first + step, ... with at least
     one label; the budget is checked on tree_order(order).  For the eta maps
     into a bracket kernel, `ambient` names the variant whose inclusion
-    renders --element images in tensor coordinates.
+    renders --element images in tensor coordinates.  A group with `blocks`
+    is read for `group` and `table` through that builder of a lie.BlockSum,
+    one label-multidegree block at a time.
     """
     build: Callable[[int, int], object]
     tree_order: Callable[[int], int]
     first: int = 0
     step: int = 1
     ambient: str | None = None
+    blocks: Callable[[int, int], object] | None = None
+
+    def structured(self, order, labels):
+        """The group that `group` and `table` read: its BlockSum when the
+        entry has one, else the built group."""
+        return (self.blocks or self.build)(order, labels)
 
     def defined(self, order, labels):
         return (labels >= 1 and order >= self.first
@@ -83,14 +91,17 @@ def _same(n):
 # library functions up when called, so they always call the current ones.
 REGISTRY = {
     "group": {
-        "L": Entry(lambda n, m: lie.lie_group(n, m, lie.LIE), _grade, 1),
-        "Lq": Entry(lambda n, m: lie.lie_group(n, m, lie.QUASI), _grade, 1),
+        "L": Entry(lambda n, m: lie.lie_group(n, m, lie.LIE), _grade, 1,
+                   blocks=lambda n, m: lie.lie_blocks(n, m, lie.LIE)),
+        "Lq": Entry(lambda n, m: lie.lie_group(n, m, lie.QUASI), _grade, 1,
+                    blocks=lambda n, m: lie.lie_blocks(n, m, lie.QUASI)),
         "D": Entry(lambda n, m: lie.d_group(n, m, lie.LIE).group, _kernel),
         "Dq": Entry(lambda n, m: lie.d_group(n, m, lie.QUASI).group,
                     _kernel),
         "Dtilde": Entry(lambda n, m: lie.d_tilde(n, m), _kernel, 1, 2),
         "Dinf": Entry(lambda n, m: lie.d_infinity(n, m).group, _kernel, 2, 4),
-        "T": Entry(lambda n, m: treegroups.t_group(n, m), _same),
+        "T": Entry(lambda n, m: treegroups.t_group(n, m), _same,
+                   blocks=lambda n, m: treegroups.t_blocks(n, m)),
         "Ttilde": Entry(lambda n, m: treegroups.t_tilde(n, m), _same),
         "Tinf": Entry(lambda n, m: treegroups.t_infinity(n, m).group, _same),
         "Z2L": Entry(lambda n, m: abelian.tensor_Z2(
@@ -175,8 +186,8 @@ def _emit(obj, args):
         buf = io.StringIO()
         w = csv.writer(buf)
         w.writerow(obj.keys())
-        w.writerow([json.dumps(v) if isinstance(v, (list, dict)) else v
-                    for v in obj.values()])
+        w.writerow([json.dumps(v) if isinstance(v, (list, dict, bool))
+                    else v for v in obj.values()])
         sys.stdout.write(buf.getvalue())
     else:
         sys.stdout.write(_textual(obj) + "\n")
@@ -185,21 +196,24 @@ def _emit(obj, args):
 def _textual(obj, indent=0):
     pad = "  " * indent
     if isinstance(obj, dict):
-        return "\n".join(f"{pad}{k}: " + (("\n" + _textual(v, indent + 1))
-                                          if isinstance(v, (dict, list)) and v
-                                          else str(v))
+        return "\n".join(f"{pad}{k}:" + _nested(v, indent)
                          for k, v in obj.items())
     if isinstance(obj, list):
-        return "\n".join(f"{pad}- " + (("\n" + _textual(v, indent + 1))
-                                       if isinstance(v, (dict, list)) and v
-                                       else str(v))
-                         for v in obj)
+        return "\n".join(f"{pad}-" + _nested(v, indent) for v in obj)
     return pad + str(obj)
+
+
+def _nested(value, indent):
+    """What follows a key or a list dash: a nonempty list or dict on the
+    lines below, anything else after one space on the same line."""
+    if isinstance(value, (dict, list)) and value:
+        return "\n" + _textual(value, indent + 1)
+    return " " + str(value)
 
 
 def cmd_group(args):
     name, order, labels = args.name, args.order, args.labels
-    g = _entry("group", name, order, labels, args).build(order, labels)
+    g = _entry("group", name, order, labels, args).structured(order, labels)
     out = {"group": name, "order": order, "labels": labels,
            "free_rank": g.free_rank, "torsion": g.torsion}
     if args.generators:
@@ -435,7 +449,7 @@ def cmd_table(args):
                 if not _allows(args, entry.tree_order(n), m):
                     skipped.add(n)
                     continue
-                g = entry.build(n, m)
+                g = entry.structured(n, m)
                 rows.append((name, n, m, g.free_rank,
                              ";".join(str(t) for t in g.torsion)))
     w = csv.writer(sys.stdout)

@@ -15,13 +15,15 @@ pullback group that repairs the failure of that epimorphism to split.
 
 from __future__ import annotations
 
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from math import factorial
 
 from .abelian import (AbelianHom, FpAbelianGroup, IntMatrix, HomValidityError,
-                      NotDivisible, _add_multiple, exact_at, pullback,
-                      tensor_Z2)
+                      NotDivisible, _add_multiple, _normalize_divisors,
+                      exact_at, pullback, tensor_Z2)
 from .trees import (UnrootedTree, canonical_rooted, canonical_unrooted,
                     jacobi_columns, leaf, node, rooted_trees)
 
@@ -89,15 +91,105 @@ def tree_presentation(gens, doubled, columns):
     return FpAbelianGroup(gens, IntMatrix._of(len(gens), tuple(cols)))
 
 
-@lru_cache(maxsize=None)
-def lie_group(n, m, variant=LIE):
-    """Degree-n part of the free (quasi-)Lie algebra on m generators."""
+def lie_block(n, m, variant=LIE, degree=None):
+    """The part of lie_group(n, m, variant) of one label multidegree, a
+    tuple of m leaf counts that add up to n: its trees, related by their
+    self-negating and Jacobi relators.  The whole group when degree is
+    None.  Not memoised."""
     if n < 1 or m < 1:
         raise ValueError("need degree >= 1 and labels >= 1")
     if variant not in (LIE, QUASI):
         raise ValueError(f"unknown variant: {variant}")
-    return tree_presentation(rooted_trees(n - 1, m), variant == QUASI,
-                             jacobi_columns(n - 3, m) if n >= 3 else ())
+    return tree_presentation(rooted_trees(n - 1, m, degree), variant == QUASI,
+                             jacobi_columns(n - 3, m, degree) if n >= 3
+                             else ())
+
+
+@lru_cache(maxsize=None)
+def lie_group(n, m, variant=LIE):
+    """Degree-n part of the free (quasi-)Lie algebra on m generators."""
+    return lie_block(n, m, variant)
+
+
+def _partitions(total, parts, most=None):
+    """The multidegrees (l1 >= l2 >= ... >= 0) of `parts` entries that add
+    up to total: one per orbit of the label permutations."""
+    if parts == 0:
+        if total == 0:
+            yield ()
+        return
+    top = total if most is None else min(total, most)
+    for first in range(top, -1, -1):
+        for rest in _partitions(total - first, parts - 1, first):
+            yield (first,) + rest
+
+
+def orbit_size(degree):
+    """The number of multidegrees that permuting the labels makes of one:
+    m! over the product of the factorials of its repeated entries."""
+    size = factorial(len(degree))
+    for count in Counter(degree).values():
+        size //= factorial(count)
+    return size
+
+
+class BlockSum:
+    """A tree-presented group read one label-multidegree block at a time.
+
+    Every relator of L_n, L'_n and T_n (self-negating, Jacobi, IHX) lies
+    among trees of one multidegree, the number of leaves of each label, so
+    the group is the direct sum of its blocks, `block(degree)`.  Permuting
+    the labels by s maps the block of degree d isomorphically onto that of
+    s.d.  Relabelling the leaves commutes with child swaps, so it carries a
+    canonical tree t to +-canon(s t), a self-negating tree to one, and the
+    Jacobi configurations and IHX vertices of degree d one to one onto those
+    of s.d.  So each relator column goes to its image's column up to an
+    overall sign, except at self-negating terms, which a column writes with
+    sign 1 whatever their orientation: there the two differ by an even
+    multiple of t, a multiple of the relator 2t (or t).  The relation
+    lattice of degree d goes into that of s.d, and s^-1 brings it back.
+
+    So the structure adds |S_m.d| copies of one block per orbit, the
+    block with l1 >= l2 >= ... >= lm: free ranks add, and the torsion
+    divisors merge into invariant factors.  Each block is built, read and
+    dropped in turn, and the whole relation matrix is never built.  Reads
+    like an FpAbelianGroup for `generators`, `structure`, `free_rank` and
+    `torsion`; `generators` builds the whole group's generator keys.
+    """
+
+    def __init__(self, generators, block, leaves, labels):
+        self._generators = generators
+        self.block = block
+        self.leaves = leaves
+        self.labels = labels
+
+    @property
+    def generators(self):
+        return self._generators()
+
+    @cached_property
+    def structure(self):
+        free, torsion = 0, []
+        for degree in _partitions(self.leaves, self.labels):
+            rank, divisors = self.block(degree).structure
+            k = orbit_size(degree)
+            free += k * rank
+            torsion.extend(divisors * k)
+        return free, _normalize_divisors(torsion)
+
+    @property
+    def free_rank(self):
+        return self.structure[0]
+
+    @property
+    def torsion(self):
+        return list(self.structure[1])
+
+
+def lie_blocks(n, m, variant=LIE):
+    """lie_group(n, m, variant) as a BlockSum of lie_block."""
+    return BlockSum(lambda: rooted_trees(n - 1, m),
+                    lambda degree: lie_block(n, m, variant, degree), n, m)
 
 
 @lru_cache(maxsize=None)

@@ -23,7 +23,7 @@ from functools import lru_cache
 
 from .abelian import (AbelianHom, FpAbelianGroup, HomValidityError,
                       IntMatrix, tensor_Z2)
-from .lie import (WellDefinednessError, lie_group, signed_sum,
+from .lie import (BlockSum, WellDefinednessError, lie_group, signed_sum,
                   tree_presentation, QUASI)
 from .trees import (canonical_rootings, distinct_columns, glued,
                     ihx_relators, inner_product, leaf, node,
@@ -37,13 +37,27 @@ class TreeGroup:
     maps: dict
 
 
+def t_block(n, m, degree=None):
+    """The part of t_group(n, m) of one label multidegree, a tuple of m leaf
+    counts that add up to n + 2: its trees, related by their self-negating
+    and IHX relators.  The whole group when degree is None.  Not
+    memoised."""
+    if n < 0 or m < 1:
+        raise ValueError("need order >= 0 and labels >= 1")
+    return tree_presentation(unrooted_trees(n, m, degree), True,
+                             distinct_columns(ihx_relators(n, m, degree)))
+
+
 @lru_cache(maxsize=None)
 def t_group(n, m):
     """T_n(m): order-n unrooted trees modulo AS and IHX."""
-    if n < 0 or m < 1:
-        raise ValueError("need order >= 0 and labels >= 1")
-    return tree_presentation(unrooted_trees(n, m), True,
-                             distinct_columns(ihx_relators(n, m)))
+    return t_block(n, m)
+
+
+def t_blocks(n, m):
+    """t_group(n, m) as a BlockSum of t_block."""
+    return BlockSum(lambda: unrooted_trees(n, m),
+                    lambda degree: t_block(n, m, degree), n + 2, m)
 
 
 @lru_cache(maxsize=None)

@@ -35,6 +35,14 @@ interned.  On rooted trees, jacobi_columns() builds each distinct Jacobi
 relator column once: the relators embedded under a further node come from
 the distinct columns one level down, not from every triple.
 
+Every relator lies among trees of one label multidegree, the tuple of leaf
+counts per label.  rooted_trees, unrooted_trees, jacobi_columns and
+ihx_relators take an optional multidegree and then build only that block:
+each branch but the last is picked from the rooted_trees table of each
+degree that the others leave room for, and the last from the table of the
+degree that is left (_branches).  Without one they yield the whole
+sequence, in the same order.
+
 Text grammar (used verbatim by the CLI):
 
     tree      :=  label  |  "(" tree "," tree ")"
@@ -47,8 +55,9 @@ where label is a decimal integer >= 1.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from functools import lru_cache
-from itertools import chain, combinations_with_replacement, groupby, product
+from itertools import product
 from typing import NamedTuple
 
 
@@ -336,56 +345,116 @@ def inner_product(i_tree, j_tree):
     return glued(canonical_rooted(i_tree), canonical_rooted(j_tree))
 
 
-@lru_cache(maxsize=None)
-def rooted_trees(order, labels):
-    """All canonical rooted trees of the given order, sorted."""
-    if order == 0:
-        return tuple(leaf(i) for i in range(1, labels + 1))
+def _splits(degree, size):
+    """The ways to give a branch `size` of the leaves of a multidegree: the
+    pairs (the branch's degree, the degree left for the others).  A
+    multidegree is a tuple of leaf counts, one per label 1, 2, ...; without
+    one (None), the one pair (None, None), any degrees."""
+    if degree is None:
+        return ((None, None),)
     out = []
-    for k1 in range(order):
-        k2 = order - 1 - k1
-        if k1 > k2:
-            continue
-        for a in rooted_trees(k1, labels):
-            for b in rooted_trees(k2, labels):
-                if k1 == k2 and b.sort_key < a.sort_key:
-                    continue
+    for head in product(*(range(d + 1) for d in degree[:-1])):
+        last = size - sum(head)      # the last label's count is what is left
+        if 0 <= last <= degree[-1]:
+            mu = head + (last,)
+            out.append((mu, tuple(d - x for d, x in zip(degree, mu))))
+    return out
+
+
+def _sort_key(t):
+    return t.sort_key
+
+
+def _at_least(trees, least):
+    """The trees of a sorted tuple from `least` on (by sort_key); all of
+    them when least is None."""
+    if least is None:
+        return trees
+    return trees[bisect_left(trees, least.sort_key, key=_sort_key):]
+
+
+def _branches(orders, labels, degree, least=None):
+    """The choices of canonical rooted branches of the given orders, each at
+    least the one before it (by sort_key) where their orders are equal, in
+    lexicographic order: pairs (head, lasts) of a tuple of every branch but
+    the last and the sorted tuple of the choices for the last.
+
+    With a multidegree, the choices whose degrees add up to it: each branch
+    but the last is taken from the table of rooted_trees of each degree the
+    others leave room for, and the last from the one table of the degree
+    that is left.  `least` bounds the first branch from below.
+    """
+    o, rest = orders[0], orders[1:]
+    if not rest:
+        yield (), _at_least(rooted_trees(o, labels, degree), least)
+        return
+    for d, left in _splits(degree, o + 1):
+        for t in _at_least(rooted_trees(o, labels, d), least):
+            for head, lasts in _branches(rest, labels, left,
+                                         t if rest[0] == o else None):
+                yield (t,) + head, lasts
+
+
+def rooted_trees(order, labels, degree=None):
+    """All canonical rooted trees of the given order, sorted; with a
+    multidegree (see _splits), those whose label i occurs degree[i - 1]
+    times."""
+    return _rooted_trees(order, labels, degree)
+
+
+# Memoised behind the public signature, so that rooted_trees(o, m) and
+# rooted_trees(o, m, None) share one entry; so are unrooted_trees and
+# jacobi_columns.
+@lru_cache(maxsize=None)
+def _rooted_trees(order, labels, degree):
+    if order == 0:
+        return tuple(leaf(i) for i in range(1, labels + 1)
+                     if degree is None or degree[i - 1] == 1)
+    out = []
+    for k1 in range((order - 1) // 2 + 1):
+        for (a,), bs in _branches((k1, order - 1 - k1), labels, degree):
+            for b in bs:
                 out.append(node(a, b) if a.sort_key <= b.sort_key
                            else node(b, a))
-    return tuple(sorted(set(out), key=lambda t: t.sort_key))
+    return tuple(sorted(set(out), key=_sort_key))
+
+
+def unrooted_trees(order, labels, degree=None):
+    """All canonical unrooted trees of the given order, sorted; with a
+    multidegree, those of that degree."""
+    return _unrooted_trees(order, labels, degree)
 
 
 @lru_cache(maxsize=None)
-def unrooted_trees(order, labels):
-    """All canonical unrooted trees of the given order, sorted."""
+def _unrooted_trees(order, labels, degree):
     seen = {}
     for i in range(1, labels + 1):
-        for t in rooted_trees(order, labels):
+        rest = degree
+        if degree is not None:
+            if not degree[i - 1]:
+                continue
+            rest = degree[:i - 1] + (degree[i - 1] - 1,) + degree[i:]
+        for t in rooted_trees(order, labels, rest):
             c = canonical_unrooted(i, t)
             seen[c.tree] = True
     return tuple(sorted(seen, key=lambda u: u.sort_key))
 
 
-def _jacobi_configurations(binaries, labels):
+def _jacobi_configurations(binaries, labels, degree=None):
     """The Jacobi configurations with the trivalent vertex at the root: for
     rooted branches A <= B <= C with `binaries` nodes in all, the canonical
-    forms (CanonSign) of ((A,B),C), ((A,C),B) and (A,(B,C))."""
+    forms (CanonSign) of ((A,B),C), ((A,C),B) and (A,(B,C)); with a
+    multidegree, those of that degree."""
     for o1 in range(binaries + 1):
         for o2 in range(binaries + 1 - o1):
-            o3 = binaries - o1 - o2
-            for a in rooted_trees(o1, labels):
-                a = canonical_rooted(a)
-                for b in rooted_trees(o2, labels):
-                    if o2 == o1 and b.sort_key < a.tree.sort_key:
-                        continue
-                    b = canonical_rooted(b)
-                    ab = _join(a, b)
-                    for c in rooted_trees(o3, labels):
-                        if o3 == o2 and c.sort_key < b.tree.sort_key:
-                            continue
-                        c = canonical_rooted(c)
-                        yield (_join(ab, c), _join(_join(a, c), b),
-                               _join(a, _join(b, c)))
+            for (a, b), cs in _branches((o1, o2, binaries - o1 - o2),
+                                        labels, degree):
+                a, b = canonical_rooted(a), canonical_rooted(b)
+                ab = _join(a, b)
+                for c in cs:
+                    c = canonical_rooted(c)
+                    yield (_join(ab, c), _join(_join(a, c), b),
+                           _join(a, _join(b, c)))
 
 
 @lru_cache(maxsize=None)
@@ -447,38 +516,45 @@ def distinct_columns(triples):
     return tuple(seen)
 
 
-@lru_cache(maxsize=None)
-def jacobi_columns(binaries, labels):
-    """The distinct_columns of onequad_rooted_expansions(binaries, labels).
+def jacobi_columns(binaries, labels, degree=None):
+    """The distinct_columns of onequad_rooted_expansions(binaries, labels);
+    with a multidegree, those of that degree.
 
     Embedding under node(., R) is linear and injective on canonical trees,
     so embedded relators come from the distinct columns one level down: an
     inner duplicate embeds to a later duplicate.
     """
+    return _jacobi_columns(binaries, labels, degree)
+
+
+@lru_cache(maxsize=None)
+def _jacobi_columns(binaries, labels, degree):
     seen = dict.fromkeys(distinct_columns(
-        _jacobi_configurations(binaries, labels)))
+        _jacobi_configurations(binaries, labels, degree)))
     for inner_b in range(binaries):
-        rs = rooted_trees(binaries - 1 - inner_b, labels)
-        for col in jacobi_columns(inner_b, labels):
-            for r in rs:
-                # node(t, R) canonicalised: (t, R) in order, else (R, t) at
-                # the cost of one antisymmetry sign
-                rk = r.sort_key
-                seen[_signed_column([
-                    (_interned.get((t, r)) or node(t, r), v)
-                    if t.sort_key <= rk else
-                    (_interned.get((r, t)) or node(r, t), -v)
-                    for t, v in col])] = None
+        for inner, outer in _splits(degree, inner_b + 3):
+            rs = rooted_trees(binaries - 1 - inner_b, labels, outer)
+            for col in _jacobi_columns(inner_b, labels, inner):
+                for r in rs:
+                    # node(t, R) canonicalised: (t, R) in order, else (R, t)
+                    # at the cost of one antisymmetry sign
+                    rk = r.sort_key
+                    seen[_signed_column([
+                        (_interned.get((t, r)) or node(t, r), v)
+                        if t.sort_key <= rk else
+                        (_interned.get((r, t)) or node(r, t), -v)
+                        for t, v in col])] = None
     return tuple(seen)
 
 
-def ihx_relators(order, labels):
+def ihx_relators(order, labels, degree=None):
     """The IHX relators I - H - X among unrooted trees of the given order,
     one per 4-valent vertex, as triples (I, H, X) of canonical unrooted
     terms (CanonSign): for branches A <= B <= C <= D (by order, then by
     sort_key, which alone is not monotone in the order for labels >= 10),
     ((A,B),C)|D, ((A,C),B)|D and (A,(B,C))|D, glued from canonical halves
-    as <AB | CD>, <AC | BD> and <BC | DA>.
+    as <AB | CD>, <AC | BD> and <BC | DA>; with a multidegree, the relators
+    of that degree.
 
     With the relators 2t of self-negating trees t, these span the relators
     of every arrangement (A, B, C | D) of every vertex: an arrangement gives
@@ -491,16 +567,13 @@ def ihx_relators(order, labels):
         for o2 in range(o1, (total - o1) // 3 + 1):
             for o3 in range(o2, (total - o1 - o2) // 2 + 1):
                 orders = (o1, o2, o3, total - o1 - o2 - o3)
-                # a run of equal orders takes a sorted multiset of branches
-                runs = [combinations_with_replacement(
-                            map(canonical_rooted, rooted_trees(o, labels)),
-                            len(list(run)))
-                        for o, run in groupby(orders)]
-                for parts in product(*runs):
-                    a, b, c, d = chain.from_iterable(parts)
-                    yield (glued(_join(a, b), _join(c, d)),
-                           glued(_join(a, c), _join(b, d)),
-                           glued(_join(b, c), _join(d, a)))
+                for (a, b, c), ds in _branches(orders, labels, degree):
+                    a, b, c = map(canonical_rooted, (a, b, c))
+                    ab, ac, bc = _join(a, b), _join(a, c), _join(b, c)
+                    for d in ds:
+                        d = canonical_rooted(d)
+                        yield (glued(ab, _join(c, d)), glued(ac, _join(b, d)),
+                               glued(bc, _join(d, a)))
 
 
 def parse_tree(text):

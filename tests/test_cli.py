@@ -324,9 +324,10 @@ class TestFormats:
                            "--order", "1", "--labels", "2", "--generators")
         assert code == 0
         assert out == ("group: T\norder: 1\nlabels: 2\nfree_rank: 0\n"
-                       "torsion: \n" + "  - 2\n" * 4 + "generators: \n"
+                       "torsion:\n" + "  - 2\n" * 4 + "generators:\n"
                        "  - <1,(1,1)>\n  - <1,(1,2)>\n  - <1,(2,2)>\n"
                        "  - <2,(2,2)>\n")
+        assert not any(line.endswith(" ") for line in out.split("\n"))
 
     def test_map_text(self, capsys):
         # an empty list prints as [], not as an empty line
@@ -334,13 +335,14 @@ class TestFormats:
                            "--order", "1", "--labels", "1")
         assert code == 0
         assert out == (
-            "map: sq\norder: 1\nlabels: 1\nmatrix: \n  - \n    - 1\n"
-            "source: \n  free_rank: 0\n  torsion: \n    - 2\n"
-            "target: \n  free_rank: 0\n  torsion: \n    - 2\n"
-            "kernel: \n  free_rank: 0\n  torsion: []\n"
-            "cokernel: \n  free_rank: 0\n  torsion: []\n"
+            "map: sq\norder: 1\nlabels: 1\nmatrix:\n  -\n    - 1\n"
+            "source:\n  free_rank: 0\n  torsion:\n    - 2\n"
+            "target:\n  free_rank: 0\n  torsion:\n    - 2\n"
+            "kernel:\n  free_rank: 0\n  torsion: []\n"
+            "cokernel:\n  free_rank: 0\n  torsion: []\n"
             "injective: True\nsurjective: True\nisomorphism: True\n")
         assert "" not in out[:-1].split("\n")
+        assert not any(line.endswith(" ") for line in out.split("\n"))
 
     def test_group_csv(self, capsys):
         code, out, _ = run(capsys, "--format", "csv", "group", "T",
@@ -357,7 +359,7 @@ class TestFormats:
         assert head == ["map", "order", "labels", "matrix", "source",
                         "target", "kernel", "cokernel", "injective",
                         "surjective", "isomorphism"]
-        assert row[:3] == ["sq", "1", "1"] and row[8:] == ["True"] * 3
+        assert row[:3] == ["sq", "1", "1"] and row[8:] == ["true"] * 3
         # nested values are JSON, and agree with the json format
         _, js, _ = run(capsys, "map", "sq", "--order", "1", "--labels", "1")
         want = json.loads(js)

@@ -10,8 +10,9 @@ from quasilie.abelian import (AbelianHom, Lattice, NotDivisible, exact_at,
                               pullback, tensor_Z2)
 from quasilie.lie import (LIE, QUASI, bracket_hom, d_group, d_infinity,
                           d_tilde, lie_group, proj_p, sl, sq, tensor_with_L1,
-                          witt_rank)
-from quasilie.trees import canonical_rooted, leaf, onequad_rooted_expansions
+                          tree_coords, witt_rank)
+from quasilie.trees import (canonical_rooted, leaf, node,
+                            onequad_rooted_expansions, rooted_trees)
 
 
 class TestLieGroups:
@@ -35,6 +36,34 @@ class TestLieGroups:
                 assert tors == zl.torsion
             for n in (3, 5):
                 assert lie_group(n, m, QUASI).torsion == []
+
+
+class TestSquaresCentral:
+    """((u, u), w) = 0 in L': the Jacobi relator with A = B.  So squares are
+    central, and (u, u) spans an order-2 summand exactly where u is nonzero
+    in Z2 (x) L_k (sq is injective)."""
+
+    @pytest.mark.parametrize("m,top", [(2, 8), (3, 6)])
+    def test_squares(self, m, top):
+        for k in range(1, top // 2 + 1):
+            quasi = lie_group(2 * k, m, QUASI).relation_lattice
+            z2 = tensor_Z2(lie_group(k, m, LIE))
+            for u in rooted_trees(k - 1, m):
+                v = tree_coords(lie_group(2 * k, m, QUASI), node(u, u))
+                assert quasi.contains({j: 2 * c for j, c in v.items()})
+                assert quasi.contains(v) == z2.relation_lattice.contains(
+                    tree_coords(z2, u)), u
+                for j in range(1, top - 2 * k + 1):
+                    g = lie_group(2 * k + j, m, QUASI)
+                    for w in rooted_trees(j - 1, m):
+                        assert g.relation_lattice.contains(
+                            tree_coords(g, node(node(u, u), w))), (u, w)
+
+    def test_some_squares_are_nonzero(self):
+        # u = (1, 2) is a basis element of L_2, so ((1,2),(1,2)) has order 2
+        g = lie_group(4, 2, QUASI)
+        v = tree_coords(g, node(node(leaf(1), leaf(2)), node(leaf(1), leaf(2))))
+        assert not g.relation_lattice.contains(v)
 
 
 class TestRelators:
