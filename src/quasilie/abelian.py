@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from heapq import heappop, heappush
+from itertools import compress
 from math import gcd
 from operator import index
 
@@ -58,7 +59,8 @@ def _sparse_vector(vec, n):
         return {k: index(x) for k, x in vec.items() if x}
     if len(vec) != n:
         raise ShapeMismatch("vector has wrong ambient dimension")
-    return {k: index(x) for k, x in enumerate(vec) if x}
+    # compress() skips the zeros in C; dense vectors are mostly zeros
+    return {k: index(vec[k]) for k in compress(range(n), vec)}
 
 
 def _dense(vec, n):

@@ -235,7 +235,7 @@ def _parse_key(text):
     if ":" in text:
         lab, rest = text.split(":", 1)
         c = trees.canonical_rooted(trees.parse_tree(rest))
-        return (int(lab), c.tree), c.sign
+        return (trees.parse_label(lab), c.tree), c.sign
     c = trees.canonical_rooted(trees.parse_tree(text))
     return c.tree, c.sign
 

@@ -50,7 +50,7 @@ Text grammar (used verbatim by the CLI):
     infinity  :=  "inf:" tree                   an infinity-decorated tree
     tensor    :=  label ":" tree                X_i (x) T
 
-where label is a decimal integer >= 1.
+where label is a decimal integer >= 1 written in ASCII digits (parse_label).
 """
 
 from __future__ import annotations
@@ -576,10 +576,20 @@ def ihx_relators(order, labels, degree=None):
                                glued(bc, _join(d, a)))
 
 
+def parse_label(text):
+    """The label that text spells: a run of ASCII digits, read as a decimal
+    integer >= 1.  Signs, spaces, underscores and other Unicode digits,
+    which int() would accept, raise ValueError."""
+    label = int(text) if text.isascii() and text.isdigit() else 0
+    if label < 1:
+        raise ValueError(f"a label is a decimal integer >= 1 in ASCII "
+                         f"digits, not {text!r}")
+    return label
+
+
 def parse_tree(text):
     """Parse the rooted-tree grammar: '3' or '(A,B)'."""
     text = text.strip()
-    pos = 0
 
     def parse(i):
         if i >= len(text):
@@ -593,11 +603,11 @@ def parse_tree(text):
                 raise ValueError("expected ')' in tree string")
             return node(left, right), i + 1
         j = i
-        while j < len(text) and text[j].isdigit():
+        while j < len(text) and text[j] not in "(),":
             j += 1
         if j == i:
             raise ValueError(f"expected a label at position {i}: {text!r}")
-        return leaf(int(text[i:j])), j
+        return leaf(parse_label(text[i:j])), j
 
     t, pos = parse(0)
     if pos != len(text):
@@ -605,6 +615,10 @@ def parse_tree(text):
     return t
 
 
+# Memoised on the text, as the warm element reads repeat their tokens.  A
+# hit returns the objects a fresh parse would build, since leaf() and node()
+# hash-cons trees; a parse that raises stores nothing.
+@lru_cache(maxsize=None)
 def parse_unrooted(text):
     """Parse '<i,T>' into a raw (label, tree) pair."""
     text = text.strip()
@@ -612,4 +626,4 @@ def parse_unrooted(text):
         raise ValueError("unrooted tree must look like '<i,T>'")
     body = text[1:-1]
     comma = body.index(",")
-    return int(body[:comma]), parse_tree(body[comma + 1:])
+    return parse_label(body[:comma]), parse_tree(body[comma + 1:])

@@ -2,15 +2,18 @@
 
 import copy
 import itertools
+import operator
 import random
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from quasilie.abelian import (AbelianHom, FpAbelianGroup, HomValidityError,
                               IntMatrix, Lattice, NotDivisible, ShapeMismatch,
-                              direct_sum, exact_at, pullback, tensor_Z2)
+                              _sparse_vector, direct_sum, exact_at, pullback,
+                              tensor_Z2)
 from quasilie import cli
 from quasilie.eta import eta, eta_prime
 from quasilie.lie import LIE, bracket_hom, lie_group, sq
@@ -870,6 +873,46 @@ class TestExactEntries:
         with pytest.raises(TypeError):
             h.apply_vector({1: 1.5})
         assert Lattice(2, [{0: True, 1: 2}]).rows == [{0: 1, 1: 2}]
+
+
+def sparse_by_enumerate(vec, n):
+    """The dense path of `_sparse_vector` as the plain comprehension."""
+    if len(vec) != n:
+        raise ShapeMismatch("vector has wrong ambient dimension")
+    return {k: operator.index(x) for k, x in enumerate(vec) if x}
+
+
+class TestSparseVector:
+    """The dense path of `_sparse_vector`, which skips zeros with
+    `itertools.compress`, against the comprehension over every entry."""
+
+    entries = st.one_of(st.just(0), st.just(0.0), st.booleans(),
+                        st.integers(-3, 3), st.integers(-2 ** 80, 2 ** 80))
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.lists(entries, max_size=40), st.sampled_from([list, tuple]))
+    def test_same_dict(self, vec, kind):
+        vec = kind(vec)
+        got = _sparse_vector(vec, len(vec))
+        want = sparse_by_enumerate(vec, len(vec))
+        assert got == want and list(got) == list(want)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.lists(entries, max_size=40), st.data(),
+           st.sampled_from([0.5, Fraction(1, 2)]))
+    def test_non_integer_raises(self, vec, data, bad):
+        vec.insert(data.draw(st.integers(0, len(vec))), bad)
+        for read in (_sparse_vector, sparse_by_enumerate):
+            with pytest.raises(TypeError):
+                read(vec, len(vec))
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.lists(entries, max_size=40), st.integers(1, 3))
+    def test_wrong_length_raises(self, vec, offset):
+        for n in (len(vec) + offset, len(vec) - offset):
+            for read in (_sparse_vector, sparse_by_enumerate):
+                with pytest.raises(ShapeMismatch):
+                    read(vec, n)
 
 
 class TestNormalForm:

@@ -115,6 +115,17 @@ class TestMap:
         code, _, _ = run(capsys, "map", "etaP", "--order", "1",
                          "--labels", "2", "--element", "<1,9>")
         assert code == 4
+        # labels that int() would read, but the grammar does not
+        for name, element in (
+                ("etaP", "<1_0,(1,2)>"), ("etaP", "<+1,(1,2)>"),
+                ("etaP", "< 1,(1,2)>"), ("etaP", "<\u0663,(1,2)>"),
+                ("etaP", "<1,(1,+2)>"), ("sq", "(\u0663,1)"),
+                ("bracket", "1_0:(1,2)"), ("bracket", "+1:(1,2)"),
+                ("bracket", "1 :(1,2)"), ("bracket", "\u0663:(1,2)")):
+            code, out, err = run(capsys, "map", name, "--order", "1",
+                                 "--labels", "2", "--element", element)
+            assert code == 4 and out == ""
+            assert "a label is a decimal integer >= 1 in ASCII" in err
 
     @pytest.mark.parametrize("name,order,element,reason", [
         ("etaP", 2, "<1,(1,(1,3))>", "label 3 is outside 1..2"),
@@ -144,12 +155,16 @@ class TestMap:
 
     def test_deeply_nested_element_exit4(self, capsys):
         depth = 1200  # deeper than the interpreter's default recursion limit
-        text = "<1," + "(" * depth + "1" + ",1)" * depth + ">"
-        code, out, err = run(capsys, "map", "etaP", "--order", "0",
-                             "--labels", "2", "--element", text)
-        assert code == 4
-        assert out == "" and err.startswith("error:")
-        assert "Traceback" not in err
+        tree = "(" * depth + "1" + ",1)" * depth
+        for argv in (("sq", "--order", "1", "--labels", "1",
+                      "--element", tree),
+                     ("etaP", "--order", "0", "--labels", "2",
+                      "--element", f"<1,{tree}>")):
+            code, out, err = run(capsys, "map", *argv)
+            assert code == 4
+            assert out == "" and err.startswith("error:")
+            assert err.count("error:") == 1 and len(err.splitlines()) == 1
+            assert "Traceback" not in err
 
     def test_bad_map_exit3(self, capsys):
         code, _, _ = run(capsys, "map", "nosuch", "--order", "0",

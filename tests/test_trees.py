@@ -11,9 +11,9 @@ from quasilie import trees
 from quasilie.trees import (UnrootedTree, canonical_rooted,
                             canonical_rootings, canonical_unrooted,
                             edge_splits, ihx_relators, inner_product, leaf,
-                            node, onequad_rooted_expansions, parse_tree,
-                            parse_unrooted, root_at, rooted_trees, rootings,
-                            unrooted_trees)
+                            node, onequad_rooted_expansions, parse_label,
+                            parse_tree, parse_unrooted, root_at,
+                            rooted_trees, rootings, unrooted_trees)
 
 
 def raw_trees(order, m):
@@ -315,6 +315,10 @@ class TestEdgeSplits:
                     assert inner_product(left, right).tree == base.tree
 
 
+BAD_LABELS = ("1_0", "+1", "-1", " 1", "1 ", "0", "", "\u0663", "1\u0663",
+              "\u00b9", "\uff11")
+
+
 class TestGrammar:
     def test_roundtrip(self):
         for text in ("1", "(1,2)", "((1,2),(1,(2,2)))"):
@@ -325,7 +329,10 @@ class TestGrammar:
         assert lab == 1 and t.key == "(2,2)"
 
     def test_errors(self):
-        for bad in ("", "(1", "(1,)", "1x", "<1>", "(1,2))"):
+        labels = [f(lab) for lab in BAD_LABELS
+                  for f in ("({},1)".format, "<{},(1,2)>".format,
+                            "<1,(1,{})>".format)]
+        for bad in ["", "(1", "(1,)", "1x", "<1>", "(1,2))"] + labels:
             with pytest.raises(ValueError):
                 if bad.startswith("<"):
                     parse_unrooted(bad)
@@ -335,3 +342,42 @@ class TestGrammar:
     def test_multidigit_labels(self):
         t = parse_tree("(10,11)")
         assert t.left.label == 10 and t.right.label == 11
+
+    def test_label_reader(self):
+        assert parse_label("1") == 1 and parse_label("12") == 12
+        assert parse_unrooted("<12,(1,2)>")[0] == 12
+        # int() reads most of these as a number; the grammar reads none
+        for bad in BAD_LABELS:
+            with pytest.raises(ValueError):
+                parse_label(bad)
+
+
+class TestUnrootedMemo:
+    """parse_unrooted is memoised on its text; leaf() and node() hash-cons
+    trees, so a cached read is the read a fresh parse makes."""
+
+    def test_reads_are_identical_and_equal_an_uncached_read(self):
+        for text in ("<1,(2,2)>", "<2,((1,2),1)>", " <1,1> ", "<3,2>"):
+            first = parse_unrooted(text)
+            assert parse_unrooted(text) is first
+            fresh = parse_unrooted.__wrapped__(text)
+            assert fresh == first
+            assert fresh[1] is first[1]
+
+    @pytest.mark.parametrize("bad", [
+        "", "<", "<1>", "<1,>", "<,1>", "1,2", "<1,(1,2)", "<1,(1,2)>>",
+        "<1_0,(1,2)>", "<+1,(1,2)>", "< 1,(1,2)>", "<0,1>", "<\u0663,1>",
+        "<1,(1,\u0663)>"])
+    def test_bad_input_raises_every_time_and_stores_nothing(self, bad):
+        size = parse_unrooted.cache_info().currsize
+        for _ in range(3):
+            with pytest.raises(ValueError):
+                parse_unrooted(bad)
+        assert parse_unrooted.cache_info().currsize == size
+
+    def test_keys_read_back(self):
+        for n, m in [(n, 2) for n in range(6)] + [(n, 3) for n in range(5)]:
+            for u in unrooted_trees(n, m):
+                label, tree = parse_unrooted(u.key)
+                assert (label, tree) == (u.label, u.tree)
+                assert tree is u.tree
