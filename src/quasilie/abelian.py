@@ -429,18 +429,11 @@ class FpAbelianGroup:
 
     @cached_property
     def structure(self):
-        """(free_rank, torsion divisors d1 | d2 | ...), read off the Hermite
-        normal form of the relation lattice.
-
-        A row with pivot 1 is the only row with an entry in its pivot
-        column, so it just eliminates that generator; the other rows lie in
-        the remaining columns and carry the torsion.
-        """
-        lat = self.relation_lattice
-        residual = [row for j, row in zip(lat.pivots, lat._rows)
-                    if row[j] != 1]
-        return (self.ngens - len(lat.pivots),
-                _normalize_divisors(_diagonal_entries(residual)))
+        """(free_rank, torsion divisors d1 | d2 | ...), read off `reduced`:
+        the residual rows are brought to a diagonal."""
+        survivors, _, residual = self.reduced
+        return (len(survivors) - len(residual),
+                _normalize_divisors(_diagonal_entries(residual.values())))
 
     @property
     def free_rank(self):
@@ -456,6 +449,50 @@ class FpAbelianGroup:
         for col in self.relations._sparse:
             lat._insert(dict(col))
         return lat.canonicalize()
+
+    @cached_property
+    def reduced(self):
+        """The Hermite normal form of `relation_lattice` read as a reduced
+        presentation (Havas, Holt and Rees, Linear Algebra Appl. 192
+        (1993)), the triple of
+        - survivors: the generators, increasing, whose column has no pivot
+          or a pivot above 1;
+        - substitution: {j: row} for each row with pivot 1, which says
+          g_j = -sum row[k] g_k over k != j (those k are survivors, as the
+          normal form has 0 at every other pivot-1 column);
+        - residual: {pivot: row} for the other rows, pivots increasing.
+        The rows are the lattice's own, which nothing changes once it is
+        canonical.  With relators a - 2b and 3b, b and c survive and a = -b:
+
+        >>> FpAbelianGroup("abc", IntMatrix([[1, 0], [-2, 3], [0, 0]])).reduced
+        ((1, 2), {0: {0: 1, 1: 1}}, {1: {1: 3}})
+        """
+        lat = self.relation_lattice
+        substitution, residual = {}, {}
+        for j, row in zip(lat.pivots, lat._rows):
+            (substitution if row[j] == 1 else residual)[j] = row
+        survivors = tuple(k for k in range(self.ngens)
+                          if k not in substitution)
+        return survivors, substitution, residual
+
+    def _representative(self, v):
+        """The coset representative of the sparse v (not changed) that
+        `relation_lattice.reduce` gives, as a fresh dict: one substitution
+        pass, which leaves entries at survivors only, then one floor-reducing
+        sweep over the residual rows, each of which lies in later survivor
+        columns, so no heap orders the columns."""
+        _, substitution, residual = self.reduced
+        out = dict(v)
+        for k, x in v.items():
+            row = substitution.get(k)
+            if row is not None:
+                _add_multiple(out, -x, row)
+        if not residual.keys().isdisjoint(out):
+            for j, row in residual.items():
+                q = out.get(j, 0) // row[j]
+                if q:
+                    _add_multiple(out, -q, row)
+        return out
 
     @property
     def is_trivial(self):
@@ -492,7 +529,8 @@ class FpAbelianGroup:
     def normal_form(self, vec):
         """Canonical coset representative of vec modulo the relation
         lattice, as a dense tuple."""
-        return tuple(_dense(self.relation_lattice.reduce(vec), self.ngens))
+        n = self.ngens
+        return tuple(_dense(self._representative(_sparse_vector(vec, n)), n))
 
     def same_presentation(self, other):
         return self is other or (self.generators == other.generators
@@ -560,21 +598,23 @@ class GroupElement:
 
     @property
     def is_zero(self):
-        lat = self.group.relation_lattice
-        return lat._eliminate(dict(self._vec)) is not None
+        return not self.group._representative(self._vec)
 
     def __eq__(self, other):
         if not isinstance(other, GroupElement):
             return NotImplemented
         # elements of different presentations are unequal, not an error,
         # since they may share a hash
-        return self.group.same_presentation(other.group) and \
-            (self - other).is_zero
+        if not self.group.same_presentation(other.group):
+            return False
+        diff = dict(self._vec)
+        _add_multiple(diff, -1, other._vec)
+        return not (diff and self.group._representative(diff))
 
     def __hash__(self):
         # equal elements have equal presentations, hence equal coset
-        # representatives: the reduction `normal_form` makes
-        rep = self.group.relation_lattice._reduce(dict(self._vec))
+        # representatives
+        rep = self.group._representative(self._vec)
         return hash(tuple(sorted(rep.items())))
 
     def __repr__(self):

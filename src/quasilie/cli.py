@@ -231,7 +231,11 @@ def _parse_key(text):
         c = trees.canonical_unrooted(*trees.parse_unrooted(text))
         return c.tree, c.sign
     if text.startswith("ker:"):
-        return ("ker", int(text[4:])), 1
+        i = text[4:]
+        if not (i.isascii() and i.isdigit()):
+            raise ValueError(f"a kernel generator index is a decimal "
+                             f"integer >= 0 in ASCII digits, not {i!r}")
+        return ("ker", int(i)), 1
     if ":" in text:
         lab, rest = text.split(":", 1)
         c = trees.canonical_rooted(trees.parse_tree(rest))

@@ -588,8 +588,9 @@ def parse_label(text):
 
 
 def parse_tree(text):
-    """Parse the rooted-tree grammar: '3' or '(A,B)'."""
-    text = text.strip()
+    """Parse the rooted-tree grammar: '3' or '(A,B)'.  The text is read
+    exactly, so whitespace anywhere in it raises ValueError; a reader of a
+    whole token trims that token once."""
 
     def parse(i):
         if i >= len(text):
@@ -620,7 +621,8 @@ def parse_tree(text):
 # hash-cons trees; a parse that raises stores nothing.
 @lru_cache(maxsize=None)
 def parse_unrooted(text):
-    """Parse '<i,T>' into a raw (label, tree) pair."""
+    """Parse '<i,T>', trimmed of whitespace around it, into a raw (label,
+    tree) pair."""
     text = text.strip()
     if not (text.startswith("<") and text.endswith(">")):
         raise ValueError("unrooted tree must look like '<i,T>'")

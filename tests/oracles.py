@@ -10,6 +10,10 @@ for row.  `rank_mod_p` is Gaussian elimination over F_p, which shares no code
 with the engine: ngens - rank_p(relators) is the dimension of G/pG, the free
 rank plus the number of invariant factors that p divides.
 
+`lattice_hash` is the hash of an element as it was first computed: the
+heap-driven `Lattice.reduce` of its vector, where the engine reads the
+representative off `FpAbelianGroup.reduced` in one pass.
+
 `exact_by_stacking` is exactness as it was first decided: the kernel
 lattice restacked with the middle group's relators, where the engine reads
 the lattices the two maps already hold.
@@ -295,6 +299,12 @@ class DenseLattice:
         a = DenseLattice(self.n, self.rows).canonicalize()
         b = DenseLattice(other.n, other.rows).canonicalize()
         return a.rows == b.rows
+
+
+def lattice_hash(e):
+    """hash(e) as `Lattice.reduce` on the relation lattice gives it."""
+    lat = e.group.relation_lattice
+    return hash(tuple(sorted(lat.reduce(e.vector).items())))
 
 
 def exact_by_stacking(f, g):

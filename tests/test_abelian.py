@@ -18,7 +18,8 @@ from quasilie import cli
 from quasilie.eta import eta, eta_prime
 from quasilie.lie import LIE, bracket_hom, lie_group, sq
 
-from oracles import DenseLattice, det, exact_by_stacking, rank_mod_p, snf
+from oracles import (DenseLattice, det, exact_by_stacking, lattice_hash,
+                     rank_mod_p, snf)
 
 Z = FpAbelianGroup(("x",))
 Z2 = FpAbelianGroup(("q",), IntMatrix([[2]]))
@@ -944,6 +945,130 @@ class TestNormalForm:
                            IntMatrix.from_columns([[4, 6, 0], [2, 0, 8]], 3))
         rows = dense_rows(G.relation_lattice)
         assert dense_rows(G.relation_lattice.canonicalize()) == rows
+
+
+@st.composite
+def sparse_presentations(draw):
+    """A group on 1 to 8 generators with up to 8 relators of 1 to 3 entries
+    each: unit entries eliminate generators, the others leave torsion, and
+    generators that no relator spans stay free."""
+    n = draw(st.integers(1, 8))
+    entries = st.sampled_from((1, -1, 1, 2, -2, 3, 4, -6, 5))
+    rels = draw(st.lists(st.dictionaries(st.integers(0, n - 1), entries,
+                                         min_size=1, max_size=3),
+                         max_size=8))
+    return FpAbelianGroup(tuple(range(n)), IntMatrix.from_columns(rels, n)
+                          if rels else None)
+
+
+def sparse_vectors(n):
+    return st.dictionaries(st.integers(0, n - 1),
+                           st.integers(-30, 30).filter(bool), max_size=4)
+
+
+def substituted(substitution, v):
+    """v with each eliminated generator g_j replaced by -sum row[k] g_k over
+    the other entries k of its row."""
+    out = {}
+    for j, x in v.items():
+        row = substitution.get(j)
+        terms = {j: 1} if row is None else \
+            {k: -a for k, a in row.items() if k != j}
+        for k, a in terms.items():
+            out[k] = out.get(k, 0) + x * a
+    return {k: y for k, y in out.items() if y}
+
+
+class TestReduced:
+    """`FpAbelianGroup.reduced` and the one-pass representative read off it,
+    against the heap-driven `Lattice.reduce` of the relation lattice."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(sparse_presentations(), st.data())
+    def test_representative_hash_and_equality(self, G, data):
+        lat, n = G.relation_lattice, G.ngens
+        rows = lat.rows
+        v = data.draw(sparse_vectors(n))
+        w = data.draw(sparse_vectors(n))
+        if data.draw(st.booleans()):
+            # w = v plus relators: another vector for the same element
+            w = dict(v)
+            for col in G.relations.sparse_columns():
+                c = data.draw(st.integers(-3, 3))
+                w = {k: w.get(k, 0) + c * col.get(k, 0)
+                     for k in w.keys() | col.keys()}
+            w = {k: x for k, x in w.items() if x}
+        a, b = G.element(v), G.element(w)
+        assert G._representative(v) == lat.reduce(v)
+        assert G.normal_form(v) == tuple(densify(lat.reduce(v), n))
+        assert hash(a) == lattice_hash(a) and hash(b) == lattice_hash(b)
+        assert a.is_zero == lat.contains(v)
+        in_lattice = lat.contains({k: v.get(k, 0) - w.get(k, 0)
+                                   for k in v.keys() | w.keys()})
+        assert (a == b) == (b == a) == in_lattice
+        # the reads change neither the vectors nor the shared rows
+        assert a.vector == v and b.vector == w and lat.rows == rows
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(sparse_presentations(), st.data())
+    def test_parts(self, G, data):
+        lat, n = G.relation_lattice, G.ngens
+        survivors, substitution, residual = G.reduced
+        assert sorted(survivors + tuple(substitution)) == list(range(n))
+        assert list(survivors) == sorted(survivors)
+        assert list(residual) == sorted(residual)
+        kept = set(survivors)
+        # each generator minus its substitution lies in the relation lattice
+        for j, row in substitution.items():
+            assert min(row) == j and row[j] == 1 and set(row) - {j} <= kept
+            assert lat.contains(row)
+        for j, row in residual.items():
+            assert min(row) == j and row[j] > 1 and set(row) <= kept
+        # substitution after embedding is the identity on survivors, and
+        # every vector is congruent to its substitution
+        on_survivors = {k: x for k, x in data.draw(sparse_vectors(n)).items()
+                        if k in kept}
+        assert substituted(substitution, on_survivors) == on_survivors
+        v = data.draw(sparse_vectors(n))
+        s = substituted(substitution, v)
+        assert set(s) <= kept
+        assert lat.contains({k: v.get(k, 0) - s.get(k, 0)
+                             for k in v.keys() | s.keys()})
+        # the residual rows plus the substitution rows span the relations
+        rows = [*substitution.values(), *residual.values()]
+        assert Lattice(n, rows).equals(
+            Lattice(n, G.relations.sparse_columns()))
+        # and the structure is the dense Smith normal form's
+        if G.relations.cols:
+            d = diag(snf(G.relations)[0])
+            assert G.structure == (n - sum(1 for x in d if x),
+                                   tuple(x for x in d if x > 1))
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(sparse_presentations())
+    def test_relation_lattice_is_in_hermite_normal_form(self, G):
+        # what the one-pass reader relies on: a row's entry at another
+        # row's pivot column lies in [0, that pivot), so it is 0 at a
+        # column with pivot 1
+        lat = G.relation_lattice
+        pivot = {j: row[j] for j, row in zip(lat.pivots, lat._rows)}
+        for j, row in zip(lat.pivots, lat._rows):
+            assert min(row) == j and row[j] > 0
+            for k, x in row.items():
+                if k != j and k in pivot:
+                    assert 0 <= x < pivot[k]
+
+    def test_query_targets(self):
+        # the eta' targets that warm reads hash: the substitution leaves
+        # few survivors, and the reduced reads agree with the lattice
+        for n, m, survivors in ((4, 2, 3), (3, 3, 15)):
+            G = eta_prime(n, m).target
+            assert len(G.reduced[0]) == survivors
+            lat = G.relation_lattice
+            for j in range(G.ngens):
+                e = G.gen(G.generators[j])
+                assert G._representative({j: 1}) == lat.reduce({j: 1})
+                assert hash(e) == lattice_hash(e)
 
 
 @st.composite

@@ -127,6 +127,45 @@ class TestMap:
             assert code == 4 and out == ""
             assert "a label is a decimal integer >= 1 in ASCII" in err
 
+    @pytest.mark.parametrize("index", [
+        "+1", " 1", "1 2", "-1", "1_0", "", "\u0661", "1.0", "0x1"])
+    def test_kernel_index_is_ascii_digits(self, capsys, index):
+        # int() reads most of these; the grammar reads none, and the error
+        # quotes the token as given
+        element = f"ker:{index}"
+        code, out, err = run(capsys, "--max-order", "4", "map", "sl",
+                             "--order", "2", "--labels", "2",
+                             "--element", element)
+        assert code == 4 and out == ""
+        assert err == (f"error: cannot parse element {element!r} in the "
+                       f"domain of this map: a kernel generator index is a "
+                       f"decimal integer >= 0 in ASCII digits, not "
+                       f"{index!r}\n")
+
+    @pytest.mark.parametrize("name,order,element", [
+        ("etaP", 1, "<1, (1,2)>"), ("etaP", 1, "<1,(1,2) >"),
+        ("etaP", 1, "<1,(1, 2)>"), ("bracket", 1, "1: (1,2)"),
+        ("bracket", 1, "1:(1 ,2)"),
+        ("eta", 2, "inf: (1,2)"), ("eta", 2, "inf:(1,2 )")])
+    def test_whitespace_inside_a_token_exit4(self, capsys, name, order,
+                                             element):
+        code, out, err = run(capsys, "map", name, "--order", str(order),
+                             "--labels", "2", "--element", element)
+        assert code == 4 and out == ""
+        assert err.startswith(f"error: cannot parse element "
+                              f"{element.strip()!r}")
+
+    def test_whitespace_around_a_token_is_trimmed(self, capsys):
+        for name, order, element in (("etaP", 1, "<1,(1,2)>"),
+                                     ("bracket", 1, "1:(1,2)"),
+                                     ("eta", 2, "inf:(1,2)"),
+                                     ("sl", 2, "ker:1")):
+            argv = ("--max-order", "4", "map", name, "--order", str(order),
+                    "--labels", "2", "--element")
+            want = run(capsys, *argv, element)
+            assert want[0] == 0
+            assert run(capsys, *argv, f" {element}\t") == want
+
     @pytest.mark.parametrize("name,order,element,reason", [
         ("etaP", 2, "<1,(1,(1,3))>", "label 3 is outside 1..2"),
         ("etaP", 2, "inf:(1,2)", "the domain has no infinity trees inf:T, "

@@ -339,6 +339,16 @@ class TestGrammar:
                 else:
                     parse_tree(bad)
 
+    def test_tree_text_is_read_exactly(self):
+        # whitespace is trimmed once around a whole token, by its reader;
+        # the tree inside is read exactly
+        for bad in (" 1", "1 ", " (1,2)", "(1,2) ", "( 1,2)", "(1,2 )",
+                    "\t(1,2)", "(1,2)\n"):
+            with pytest.raises(ValueError):
+                parse_tree(bad)
+        for token in (" <1,(1,2)>", "<1,(1,2)> ", "\t<1,(1,2)>\n"):
+            assert parse_unrooted(token) == parse_unrooted("<1,(1,2)>")
+
     def test_multidigit_labels(self):
         t = parse_tree("(10,11)")
         assert t.left.label == 10 and t.right.label == 11
@@ -367,7 +377,7 @@ class TestUnrootedMemo:
     @pytest.mark.parametrize("bad", [
         "", "<", "<1>", "<1,>", "<,1>", "1,2", "<1,(1,2)", "<1,(1,2)>>",
         "<1_0,(1,2)>", "<+1,(1,2)>", "< 1,(1,2)>", "<0,1>", "<\u0663,1>",
-        "<1,(1,\u0663)>"])
+        "<1,(1,\u0663)>", "<1, (1,2)>", "<1,(1,2) >", "<1,(1, 2)>"])
     def test_bad_input_raises_every_time_and_stores_nothing(self, bad):
         size = parse_unrooted.cache_info().currsize
         for _ in range(3):
