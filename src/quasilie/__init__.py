@@ -5,10 +5,10 @@ from .abelian import (AbelianHom, FpAbelianGroup, GroupElement, IntMatrix,
                       Lattice, exact_at, pullback, tensor_Z2)
 from .trees import (CanonSign, RootedTree, UnrootedTree, canonical_rooted,
                     canonical_unrooted, inner_product, leaf, node, root_at)
-from .lie import (LIE, QUASI, bracket_hom, d_group, d_infinity, d_tilde,
-                  lie_group, proj_p, sl, sq, witt_rank)
+from .lie import (LIE, QUASI, bracket_hom, d_group, d_infinity, lie_group,
+                  proj_p, sl, sq, witt_rank)
 from .treegroups import delta, t_group, t_infinity, t_tilde
-from .eta import (ALL_CLAIMS, VerificationReport, eta, eta_infinity,
+from .eta import (ALL_CLAIMS, VerificationReport, d_tilde, eta, eta_infinity,
                   eta_prime, eta_tilde, verify, verify_all)
 from .quadratic import (HermitianForm, QuadraticForm, bridge_T_infinity,
                         check_axioms, form_from_json, induced_morphism,

@@ -444,40 +444,36 @@ class FpAbelianGroup:
         return list(self.structure[1])
 
     @cached_property
-    def relation_lattice(self):
-        lat = Lattice(self.ngens)
-        for col in self.relations._sparse:
-            lat._insert(dict(col))
-        return lat.canonicalize()
-
-    @cached_property
     def reduced(self):
-        """The Hermite normal form of `relation_lattice` read as a reduced
-        presentation (Havas, Holt and Rees, Linear Algebra Appl. 192
-        (1993)), the triple of
+        """The group's one view of its relations: the Hermite normal form of
+        the lattice of its relator columns, read as a reduced presentation
+        (Havas, Holt and Rees, Linear Algebra Appl. 192 (1993)), the triple of
         - survivors: the generators, increasing, whose column has no pivot
           or a pivot above 1;
         - substitution: {j: row} for each row with pivot 1, which says
           g_j = -sum row[k] g_k over k != j (those k are survivors, as the
           normal form has 0 at every other pivot-1 column);
         - residual: {pivot: row} for the other rows, pivots increasing.
-        The rows are the lattice's own, which nothing changes once it is
-        canonical.  With relators a - 2b and 3b, b and c survive and a = -b:
+        Only the rows of that local lattice are kept, and nothing changes
+        them.  With relators a - 2b and 3b, b and c survive and a = -b:
 
         >>> FpAbelianGroup("abc", IntMatrix([[1, 0], [-2, 3], [0, 0]])).reduced
         ((1, 2), {0: {0: 1, 1: 1}}, {1: {1: 3}})
         """
-        lat = self.relation_lattice
+        lat = Lattice(self.ngens)
+        for col in self.relations._sparse:
+            lat._insert(dict(col))
         substitution, residual = {}, {}
-        for j, row in zip(lat.pivots, lat._rows):
+        for j, row in zip(lat.canonicalize().pivots, lat._rows):
             (substitution if row[j] == 1 else residual)[j] = row
         survivors = tuple(k for k in range(self.ngens)
                           if k not in substitution)
         return survivors, substitution, residual
 
     def _representative(self, v):
-        """The coset representative of the sparse v (not changed) that
-        `relation_lattice.reduce` gives, as a fresh dict: one substitution
+        """The canonical coset representative of the sparse v (not changed),
+        empty exactly when v is a relation, as a fresh dict: what
+        `Lattice.reduce` gives on the rows of `reduced`, in one substitution
         pass, which leaves entries at survivors only, then one floor-reducing
         sweep over the residual rows, each of which lies in later survivor
         columns, so no heap orders the columns."""
@@ -512,8 +508,10 @@ class FpAbelianGroup:
                     k = self.index[k]
                 elif not 0 <= k < n:
                     raise ShapeMismatch("generator index out of range")
-                vec[k] = vec.get(k, 0) + index(v)
-            vec = {k: x for k, x in vec.items() if x}
+                if y := vec.get(k, 0) + index(v):
+                    vec[k] = y
+                else:
+                    vec.pop(k, None)
         else:
             if len(coeffs) != n:
                 raise ShapeMismatch("coefficient vector has wrong length")
@@ -627,12 +625,12 @@ class AbelianHom:
 
     The matrix has one column per source generator, holding the image in
     target generator coordinates.  Construction verifies that every source
-    relator maps into the target relation lattice.
+    relator reduces to 0 on the target's `reduced` relations.
 
     The kernel (with its inclusion), image and cokernel, and the flags
     `injective`, `surjective` and `isomorphism`, are built on first read.
     The flags need no structure computation: they are decided on
-    `kernel_lattice`, `image_lattice` and the source relation lattice.
+    `kernel_lattice`, `image_lattice` and the source's `reduced` relations.
     """
 
     __slots__ = ("source", "target", "matrix", "__dict__")
@@ -644,9 +642,8 @@ class AbelianHom:
         self.target = target
         self.matrix = matrix
         if check:
-            lat = target.relation_lattice
             for col in source.relations._sparse:
-                if not lat.contains(_apply(matrix._sparse, col)):
+                if target._representative(_apply(matrix._sparse, col)):
                     raise HomValidityError(
                         "source relator does not map to zero in the target")
 
@@ -706,9 +703,9 @@ class AbelianHom:
         if not (self.source.same_presentation(other.source)
                 and self.target.same_presentation(other.target)):
             return False
-        lat = self.target.relation_lattice
-        return all(lat.contains(_combination(1, a, -1, b)) for a, b in
-                   zip(self.matrix._sparse, other.matrix._sparse))
+        rep = self.target._representative
+        return not any(rep(_combination(1, a, -1, b)) for a, b in
+                       zip(self.matrix._sparse, other.matrix._sparse))
 
     @cached_property
     def _augmented(self):
@@ -740,12 +737,14 @@ class AbelianHom:
 
     @cached_property
     def kernel_lattice(self):
-        """Echelon basis of {x in Z^src : M x lies in the target lattice}."""
+        """Echelon basis of {x in Z^src : M x lies in the target lattice}:
+        the `_augmented` rows with pivot >= h, shifted down by h; they are
+        echelon already, so none is inserted again."""
         aug, h = self._augmented, self.target.ngens
         lat = Lattice(self.source.ngens)
-        for piv, row in zip(aug.pivots, aug._rows):
+        for piv, row in aug._row_at.items():
             if piv >= h:
-                lat._insert({k - h: x for k, x in row.items()})
+                lat._row_at[piv - h] = {k - h: x for k, x in row.items()}
         return lat
 
     def kernel_coordinates(self, vec):
@@ -777,10 +776,9 @@ class AbelianHom:
     def injective(self):
         """The kernel is L_ker / R_src with R_src inside L_ker (L_ker =
         `kernel_lattice`, R_src the source relations): trivial iff every row
-        of L_ker lies in R_src."""
-        relations = self.source.relation_lattice
-        return all(relations.contains(row)
-                   for row in self.kernel_lattice._rows)
+        of L_ker reduces to 0 on the source's `reduced` relations."""
+        rep = self.source._representative
+        return not any(map(rep, self.kernel_lattice._row_at.values()))
 
     @cached_property
     def surjective(self):

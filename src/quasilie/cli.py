@@ -18,8 +18,8 @@ from collections.abc import Callable
 from dataclasses import dataclass
 
 from . import abelian, lie, quadratic, treegroups, trees
-from .eta import (ALL_CLAIMS, eta as eta_map, eta_infinity, eta_prime,
-                  eta_tilde, verify, verify_all)
+from .eta import (ALL_CLAIMS, d_tilde, eta as eta_map, eta_infinity,
+                  eta_prime, eta_tilde, verify, verify_all)
 
 EXIT_FAILED_CLAIM = 1
 EXIT_BUDGET = 2
@@ -98,7 +98,7 @@ REGISTRY = {
         "D": Entry(lambda n, m: lie.d_group(n, m, lie.LIE).group, _kernel),
         "Dq": Entry(lambda n, m: lie.d_group(n, m, lie.QUASI).group,
                     _kernel),
-        "Dtilde": Entry(lambda n, m: lie.d_tilde(n, m), _kernel, 1, 2),
+        "Dtilde": Entry(lambda n, m: d_tilde(n, m), _kernel, 1, 2),
         "Dinf": Entry(lambda n, m: lie.d_infinity(n, m).group, _kernel, 2, 4),
         "T": Entry(lambda n, m: treegroups.t_group(n, m), _same,
                    blocks=lambda n, m: treegroups.t_blocks(n, m)),

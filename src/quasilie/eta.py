@@ -18,7 +18,7 @@ from typing import NamedTuple
 from .abelian import (AbelianHom, HomValidityError, NotDivisible,
                       TorsionPresent, exact_at, tensor_Z2)
 from .lie import (LIE, QUASI, ConsistencyError, WellDefinednessError,
-                  bracket_hom, d_group, d_infinity, d_tilde, inside_kernel,
+                  bracket_hom, d_group, d_infinity, inside_kernel,
                   lie_group, signed_sum, sl, sq, tensor_coords,
                   tensor_with_L1)
 from .treegroups import delta, t_group, t_infinity, t_tilde
@@ -92,6 +92,20 @@ def eta(n, m):
     """eta_n: T^inf_n -> D_n, the root-summing map in the Lie setting,
     extended to infinity generators by halving."""
     return _root_sum(n, m, t_infinity(n, m).group, LIE)
+
+
+@lru_cache(maxsize=None)
+def d_tilde(n, m):
+    """The quotient of D'_n by eta'(im Delta), on the generators of D'_n.
+
+    Defined for odd n; built from the framing map and eta' of the lower
+    tree groups.
+    """
+    if n % 2 != 1:
+        raise ValueError("d_tilde is defined in odd orders")
+    framing = eta_prime(n, m).compose(delta((n + 1) // 2, m))
+    return d_group(n, m, QUASI).group.with_extra_relations(
+        framing.matrix.sparse_columns())
 
 
 @lru_cache(maxsize=None)

@@ -288,24 +288,6 @@ def sl(two_k, m):
     return phi
 
 
-@lru_cache(maxsize=None)
-def d_tilde(n, m):
-    """The quotient of D'_n by eta'(im Delta), on the generators of D'_n.
-
-    Defined for odd n; built from the framing map and eta' of the lower
-    tree groups (late import keeps the module dependencies acyclic).
-    """
-    if n % 2 != 1:
-        raise ValueError("d_tilde is defined in odd orders")
-    from .eta import eta_prime
-    from .treegroups import delta
-    half = (n + 1) // 2
-    ep = eta_prime(n, m)
-    dl = delta(half, m)
-    return d_group(n, m, QUASI).group.with_extra_relations(
-        ep.compose(dl).matrix.sparse_columns())
-
-
 @dataclass(frozen=True)
 class DInfinity:
     difference: AbelianHom       # (d, lq) -> sl(d) - pbar(lq) on

@@ -10,9 +10,13 @@ for row.  `rank_mod_p` is Gaussian elimination over F_p, which shares no code
 with the engine: ngens - rank_p(relators) is the dimension of G/pG, the free
 rank plus the number of invariant factors that p divides.
 
-`lattice_hash` is the hash of an element as it was first computed: the
-heap-driven `Lattice.reduce` of its vector, where the engine reads the
-representative off `FpAbelianGroup.reduced` in one pass.
+`relation_lattice` is the Hermite normal form of a group's relator
+columns, canonicalised here apart from the group, which keeps only the rows
+of `FpAbelianGroup.reduced`: its `contains` is the reference for every
+membership test the engine reads off `reduced`.  `lattice_hash` is the hash
+of an element as it was first computed: the heap-driven `Lattice.reduce` of
+its vector on that lattice, where the engine reads the representative off
+`reduced` in one pass.
 
 `exact_by_stacking` is exactness as it was first decided: the kernel
 lattice restacked with the middle group's relators, where the engine reads
@@ -43,7 +47,7 @@ from itertools import product
 from math import gcd
 
 from quasilie.abelian import (AbelianHom, FpAbelianGroup, IntMatrix,
-                              NotDivisible, ShapeMismatch, ext_gcd)
+                              Lattice, NotDivisible, ShapeMismatch, ext_gcd)
 from quasilie.trees import (CanonSign, UnrootedTree, canonical_rooted, glue,
                             node, rooted_trees, rootings)
 
@@ -301,9 +305,14 @@ class DenseLattice:
         return a.rows == b.rows
 
 
+def relation_lattice(G):
+    """A fresh Hermite normal form of the lattice of G's relator columns."""
+    return Lattice(G.ngens, G.relations.sparse_columns()).canonicalize()
+
+
 def lattice_hash(e):
     """hash(e) as `Lattice.reduce` on the relation lattice gives it."""
-    lat = e.group.relation_lattice
+    lat = relation_lattice(e.group)
     return hash(tuple(sorted(lat.reduce(e.vector).items())))
 
 

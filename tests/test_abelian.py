@@ -1,10 +1,13 @@
 """Exact linear algebra layer: normal forms, presented groups, homs."""
 
 import copy
+import gc
+import inspect
 import itertools
 import operator
 import random
 import tracemalloc
+import types
 from fractions import Fraction
 
 import pytest
@@ -19,7 +22,7 @@ from quasilie.eta import eta, eta_prime
 from quasilie.lie import LIE, bracket_hom, lie_group, sq
 
 from oracles import (DenseLattice, det, exact_by_stacking, lattice_hash,
-                     rank_mod_p, snf)
+                     rank_mod_p, relation_lattice, snf)
 
 Z = FpAbelianGroup(("x",))
 Z2 = FpAbelianGroup(("q",), IntMatrix([[2]]))
@@ -114,7 +117,9 @@ class TestStructureFromHermiteForm:
             [[1, 2, 0, 5], [0, 1, -3, 0], [0, 0, 1, 1]], 4))
         taken = hermite_forms(monkeypatch)
         assert G.structure == (1, ())
-        assert G.relation_lattice.pivots == [0, 1, 2]
+        # every pivot of the normal form `reduced` holds is 1
+        _, substitution, residual = G.reduced
+        assert (sorted(substitution), residual) == ([0, 1, 2], {})
         assert taken == [4]
 
     def test_no_generators(self):
@@ -670,7 +675,7 @@ class TestLatticeProperties:
         x = h.preimage_vector(vec)
         assert x is not None
         diff = [a - b for a, b in zip(h.apply_vector(x), vec)]
-        assert h.target.relation_lattice.contains(diff)
+        assert relation_lattice(h.target).contains(diff)
         # two preimages of one vector differ by a kernel element
         x = densify(x, h.source.ngens)
         assert h.kernel_lattice.contains([a - b for a, b in zip(x0, x)])
@@ -678,8 +683,9 @@ class TestLatticeProperties:
     @PROPS
     @given(homs())
     def test_kernel_rows_map_into_relations(self, h):
+        relations = relation_lattice(h.target)
         for row in h.kernel_lattice.rows:
-            assert h.target.relation_lattice.contains(h.apply_vector(row))
+            assert relations.contains(h.apply_vector(row))
 
 
 class TestImageLattice:
@@ -750,7 +756,7 @@ class TestLift:
             assert phi.source is f.source and phi.target is g.source
             assert g.compose(phi).equals(f)
             # phi is a map: it kills the relators of A
-            assert all(g.source.relation_lattice.contains(
+            assert all(relation_lattice(g.source).contains(
                 phi.matrix.mul_vector(rel))
                 for rel in f.source.relations.sparse_columns())
         else:
@@ -943,8 +949,13 @@ class TestNormalForm:
     def test_relation_lattice_is_canonical(self):
         G = FpAbelianGroup(("a", "b", "c"),
                            IntMatrix.from_columns([[4, 6, 0], [2, 0, 8]], 3))
-        rows = dense_rows(G.relation_lattice)
-        assert dense_rows(G.relation_lattice.canonicalize()) == rows
+        lat = relation_lattice(G)
+        rows = dense_rows(lat)
+        assert dense_rows(lat.canonicalize()) == rows
+        # `reduced` holds exactly the rows of that normal form
+        _, substitution, residual = G.reduced
+        assert sorted({**substitution, **residual}.items()) == list(
+            zip(lat.pivots, lat.rows))
 
 
 @st.composite
@@ -986,8 +997,8 @@ class TestReduced:
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(sparse_presentations(), st.data())
     def test_representative_hash_and_equality(self, G, data):
-        lat, n = G.relation_lattice, G.ngens
-        rows = lat.rows
+        lat, n = relation_lattice(G), G.ngens
+        held = copy.deepcopy(G.reduced)
         v = data.draw(sparse_vectors(n))
         w = data.draw(sparse_vectors(n))
         if data.draw(st.booleans()):
@@ -1006,13 +1017,13 @@ class TestReduced:
         in_lattice = lat.contains({k: v.get(k, 0) - w.get(k, 0)
                                    for k in v.keys() | w.keys()})
         assert (a == b) == (b == a) == in_lattice
-        # the reads change neither the vectors nor the shared rows
-        assert a.vector == v and b.vector == w and lat.rows == rows
+        # the reads change neither the vectors nor the held rows
+        assert a.vector == v and b.vector == w and G.reduced == held
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(sparse_presentations(), st.data())
     def test_parts(self, G, data):
-        lat, n = G.relation_lattice, G.ngens
+        lat, n = relation_lattice(G), G.ngens
         survivors, substitution, residual = G.reduced
         assert sorted(survivors + tuple(substitution)) == list(range(n))
         assert list(survivors) == sorted(survivors)
@@ -1047,12 +1058,13 @@ class TestReduced:
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(sparse_presentations())
     def test_relation_lattice_is_in_hermite_normal_form(self, G):
-        # what the one-pass reader relies on: a row's entry at another
-        # row's pivot column lies in [0, that pivot), so it is 0 at a
-        # column with pivot 1
-        lat = G.relation_lattice
-        pivot = {j: row[j] for j, row in zip(lat.pivots, lat._rows)}
-        for j, row in zip(lat.pivots, lat._rows):
+        # what the one-pass reader relies on, on the rows `reduced` holds:
+        # a row's entry at another row's pivot column lies in [0, that
+        # pivot), so it is 0 at a column with pivot 1
+        _, substitution, residual = G.reduced
+        rows = {**substitution, **residual}
+        pivot = {j: row[j] for j, row in rows.items()}
+        for j, row in rows.items():
             assert min(row) == j and row[j] > 0
             for k, x in row.items():
                 if k != j and k in pivot:
@@ -1064,11 +1076,116 @@ class TestReduced:
         for n, m, survivors in ((4, 2, 3), (3, 3, 15)):
             G = eta_prime(n, m).target
             assert len(G.reduced[0]) == survivors
-            lat = G.relation_lattice
+            lat = relation_lattice(G)
             for j in range(G.ngens):
                 e = G.gen(G.generators[j])
                 assert G._representative({j: 1}) == lat.reduce({j: 1})
                 assert hash(e) == lattice_hash(e)
+
+
+@st.composite
+def relator_checks(draw):
+    """A source, a target and a matrix between them: the matrix of a valid
+    `presented_homs` map, or that matrix with one column moved by a random
+    vector, which may or may not keep every source relator a relation."""
+    h = draw(presented_homs())
+    cols = h.matrix.sparse_columns()
+    if draw(st.booleans()):
+        j = draw(st.integers(0, len(cols) - 1))
+        cols[j] = {k: cols[j].get(k, 0) + x
+                   for k, x in enumerate(draw(ints(h.target.ngens)))}
+    return h.source, h.target, IntMatrix.from_columns(cols, h.target.ngens)
+
+
+def lattices_reachable(obj):
+    """The `Lattice` objects reachable from the values of vars(obj), through
+    anything but classes, modules and functions."""
+    found, seen, todo = [], set(), list(vars(obj).values())
+    while todo:
+        o = todo.pop()
+        if (id(o) in seen or isinstance(o, (type, types.ModuleType))
+                or inspect.isroutine(o)):
+            continue
+        seen.add(id(o))
+        if isinstance(o, Lattice):
+            found.append(o)
+        todo.extend(gc.get_referents(o))
+    return found
+
+
+class TestMembershipReadsReduced:
+    """Every "is v a relation?" of `AbelianHom` (the relator check, `equals`
+    and `injective`) reads the groups' `reduced` rows, against `contains` on
+    the relation lattice the oracle builds apart from the group."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(relator_checks())
+    def test_relator_check(self, case):
+        source, target, matrix = case
+        lat = relation_lattice(target)
+        valid = all(lat.contains(matrix.mul_vector(rel))
+                    for rel in source.relations.sparse_columns())
+        if valid:
+            assert AbelianHom(source, target, matrix).matrix is matrix
+        else:
+            with pytest.raises(HomValidityError):
+                AbelianHom(source, target, matrix)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(presented_homs(), st.data())
+    def test_equals(self, h, data):
+        lat = relation_lattice(h.target)
+        rels = dense_columns(h.target.relations)
+        base = [h.apply_vector({j: 1}) for j in range(h.source.ngens)]
+        cols = []
+        for col in base:
+            # the same column modulo the relations, or a moved one
+            if data.draw(st.booleans()):
+                cols.append(combine(data.draw(ints(len(rels))), rels, col))
+            else:
+                move = data.draw(ints(len(col)))
+                cols.append([x + y for x, y in zip(col, move)])
+        other = AbelianHom.from_columns(h.source, h.target, cols, check=False)
+        same = all(lat.contains([x - y for x, y in zip(a, b)])
+                   for a, b in zip(base, cols))
+        assert h.equals(other) == other.equals(h) == same
+        assert h.equals(h)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(presented_homs())
+    def test_injective(self, h):
+        lat = relation_lattice(h.source)
+        assert h.injective == all(lat.contains(row)
+                                  for row in h.kernel_lattice.rows)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(presented_homs())
+    def test_kernel_rows_are_the_augmented_rows(self, h):
+        # the rows of (image | source) with pivot >= h have image part 0;
+        # shifted down by h they are the kernel basis, unchanged
+        aug, t = h._augmented, h.target.ngens
+        want = [(j - t, {k - t: x for k, x in row.items()})
+                for j, row in zip(aug.pivots, aug.rows) if j >= t]
+        lat = h.kernel_lattice
+        assert list(zip(lat.pivots, lat.rows)) == want
+
+    @pytest.mark.parametrize("build", [
+        lambda: eta_prime(3, 2),
+        lambda: AbelianHom(FpAbelianGroup("ab", IntMatrix([[4, 0], [0, 0]])),
+                           FpAbelianGroup("cd", IntMatrix([[2, 1], [0, 3]])),
+                           IntMatrix([[2, 0], [0, 3]]))],
+        ids=["eta_prime_3_2", "torsion"])
+    def test_no_lattice_held_by_a_group(self, build):
+        h = build()
+        f = AbelianHom(h.source, h.target, h.matrix)     # checked
+        assert f.injective == h.injective and f.equals(h)
+        for G in (h.source, h.target):
+            structure = G.structure
+            a = G.gen(G.generators[-1])
+            assert a + a - a == a and hash(a) == hash(a + G.zero())
+            assert lattices_reachable(G) == [] and G.structure is structure
+        # the walk does find the lattices a map holds
+        assert f.kernel_lattice in lattices_reachable(f)
 
 
 @st.composite
@@ -1104,6 +1221,32 @@ def element_inputs(draw, G):
         out[G.generators[k]] = want[k] - part
         out[k] = part
     return out, want
+
+
+def element_by_two_passes(G, coeffs):
+    """The vector `G.element` stores for a dict, as first written: add up
+    the entries, then copy the sums without the zeros."""
+    vec = {}
+    for k, v in coeffs.items():
+        if not isinstance(k, int):
+            k = G.index[k]
+        elif not 0 <= k < G.ngens:
+            raise ShapeMismatch("generator index out of range")
+        vec[k] = vec.get(k, 0) + operator.index(v)
+    return {k: x for k, x in vec.items() if x}
+
+
+@st.composite
+def mixed_element_inputs(draw, G):
+    """A dict on generator keys and indices, so that entries repeat and
+    often cancel; some draws add out-of-range indices, unknown keys and
+    coefficients that are not integers."""
+    keys = st.sampled_from(G.generators) | st.integers(0, G.ngens - 1)
+    values = st.integers(-3, 3)
+    if draw(st.booleans()):
+        keys |= st.sampled_from((-1, G.ngens, G.ngens + 2, "unknown"))
+        values |= st.sampled_from((0.5, 2.0, Fraction(4, 2), "1", None))
+    return draw(st.dictionaries(keys, values, max_size=8))
 
 
 def assert_element(e, want):
@@ -1143,6 +1286,20 @@ class TestElements:
         image = h(ea)
         assert_element(image, h.apply_vector(a))
         assert image == h.target.element(h.apply_vector(a))
+
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(named_homs(), st.data())
+    def test_dict_input_against_two_passes(self, h, data):
+        G = h.source
+        coeffs = data.draw(mixed_element_inputs(G))
+        try:
+            want = element_by_two_passes(G, coeffs)
+        except (ShapeMismatch, KeyError, TypeError) as err:
+            with pytest.raises(type(err)) as raised:
+                G.element(coeffs)
+            assert type(raised.value) is type(err)
+        else:
+            assert G.element(coeffs)._vec == want
 
     def test_repr_and_views_leave_the_element_alone(self):
         G = FpAbelianGroup(("a", "b", "c"))

@@ -24,8 +24,8 @@ import hashlib
 import pytest
 
 from quasilie import cli
-from quasilie.eta import beta_hom, dtilde_to_d, eta, eta_prime
-from quasilie.lie import LIE, QUASI, bracket_hom, d_tilde, lie_group, sq
+from quasilie.eta import beta_hom, d_tilde, dtilde_to_d, eta, eta_prime
+from quasilie.lie import LIE, QUASI, bracket_hom, lie_group, sq
 from quasilie.treegroups import delta, t_group, t_infinity, t_tilde
 
 

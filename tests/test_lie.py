@@ -4,12 +4,13 @@ import random
 
 import pytest
 
-from oracles import relator_columns
+from oracles import relation_lattice, relator_columns
 from quasilie import lie
 from quasilie.abelian import (AbelianHom, Lattice, NotDivisible, exact_at,
                               pullback, tensor_Z2)
+from quasilie.eta import d_tilde
 from quasilie.lie import (LIE, QUASI, bracket_hom, d_group, d_infinity,
-                          d_tilde, lie_group, proj_p, sl, sq, tensor_with_L1,
+                          lie_group, proj_p, sl, sq, tensor_with_L1,
                           tree_coords, witt_rank)
 from quasilie.trees import (canonical_rooted, leaf, node,
                             onequad_rooted_expansions, rooted_trees)
@@ -45,25 +46,33 @@ class TestSquaresCentral:
 
     @pytest.mark.parametrize("m,top", [(2, 8), (3, 6)])
     def test_squares(self, m, top):
+        lattices = {}
+
+        def quasi_lattice(n):
+            if n not in lattices:
+                lattices[n] = relation_lattice(lie_group(n, m, QUASI))
+            return lattices[n]
+
         for k in range(1, top // 2 + 1):
-            quasi = lie_group(2 * k, m, QUASI).relation_lattice
+            quasi = quasi_lattice(2 * k)
             z2 = tensor_Z2(lie_group(k, m, LIE))
+            z2_lattice = relation_lattice(z2)
             for u in rooted_trees(k - 1, m):
                 v = tree_coords(lie_group(2 * k, m, QUASI), node(u, u))
                 assert quasi.contains({j: 2 * c for j, c in v.items()})
-                assert quasi.contains(v) == z2.relation_lattice.contains(
+                assert quasi.contains(v) == z2_lattice.contains(
                     tree_coords(z2, u)), u
                 for j in range(1, top - 2 * k + 1):
                     g = lie_group(2 * k + j, m, QUASI)
                     for w in rooted_trees(j - 1, m):
-                        assert g.relation_lattice.contains(
+                        assert quasi_lattice(2 * k + j).contains(
                             tree_coords(g, node(node(u, u), w))), (u, w)
 
     def test_some_squares_are_nonzero(self):
         # u = (1, 2) is a basis element of L_2, so ((1,2),(1,2)) has order 2
         g = lie_group(4, 2, QUASI)
         v = tree_coords(g, node(node(leaf(1), leaf(2)), node(leaf(1), leaf(2))))
-        assert not g.relation_lattice.contains(v)
+        assert not relation_lattice(g).contains(v)
 
 
 class TestRelators:
@@ -228,7 +237,7 @@ class TestSl:
                 assert x is not None
                 diff = [x.get(i, 0) - base_col.get(i, 0)
                         for i in range(sqmap.source.ngens)]
-                assert sqmap.source.relation_lattice.contains(diff)
+                assert relation_lattice(sqmap.source).contains(diff)
 
 
 class TestDTilde:
