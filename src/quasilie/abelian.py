@@ -12,8 +12,7 @@ of the relation lattice.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from heapq import heappop, heappush
+from functools import cached_property, partial
 from itertools import compress
 from math import gcd
 from operator import index
@@ -94,6 +93,25 @@ def _combination(p, u, q, w):
     out = {k: p * x for k, x in u.items()} if p else {}
     if q:
         _add_multiple(out, q, w)
+    return out
+
+
+def _sweep(substitution, residual, ascending, v):
+    """The sparse v (not changed) floor-reduced by canonical Hermite rows,
+    as a fresh dict: first by the rows `substitution` {j: row} with pivot 1,
+    in one pass over v, as each is 0 at every other pivot-1 column; then by
+    the other rows `residual` {j: row}, which `ascending` yields as (j, row)
+    in increasing pivot order.  v comes last, so a group binds the rest."""
+    out = dict(v)
+    for k, x in v.items():
+        row = substitution.get(k)
+        if row is not None:
+            _add_multiple(out, -x, row)
+    if not residual.keys().isdisjoint(out):
+        for j, row in ascending:
+            q = out.get(j, 0) // row[j]
+            if q:
+                _add_multiple(out, -q, row)
     return out
 
 
@@ -253,9 +271,10 @@ class Lattice:
     and `_rows` list them in pivot order, built on request and cached until
     the rows change.  Vectors are given as dense sequences of length n
     or as sparse dicts; dicts are copied, never kept.  Every vector that
-    comes out (`rows`, `coordinates`, `reduce`) is a fresh sparse dict.
-    Supports membership tests, equality by mutual containment, the Hermite
-    normal form, and exact coordinates over the rows.
+    comes out (`rows`, `coordinates`) is a fresh sparse dict.  Supports
+    membership tests, equality by mutual containment, exact coordinates over
+    the rows, and the Hermite normal form, taken bottom-up by the one sweep
+    that also reads coset representatives.
 
     >>> lat = Lattice(3, [[2, 4, 0], {1: 3, 2: 1}])
     >>> lat.rows, lat.pivots
@@ -352,21 +371,6 @@ class Lattice:
             _add_multiple(v, -q, row)
         return v
 
-    def _reduce(self, v, after=-1):
-        """Floor-reduce, in place, the entries of v at pivot columns beyond
-        `after`, in increasing column order; returns v."""
-        row_at = self._row_at
-        todo = sorted(k for k in v if k > after and k in row_at)
-        while todo:
-            j = heappop(todo)
-            row = row_at[j]
-            q = v.get(j, 0) // row[j]
-            if q:
-                for k in (row.keys() - v.keys()) & row_at.keys():
-                    heappush(todo, k)
-                _add_multiple(v, -q, row)
-        return v
-
     def contains(self, vec):
         return self._eliminate(_sparse_vector(vec, self.n)) is not None
 
@@ -379,17 +383,23 @@ class Lattice:
         position = self._ordered()[2]
         return {position[j]: c for j, c in coeffs.items()}
 
-    def reduce(self, vec):
-        """Reduce vec by the basis as far as divisibility allows; the result
-        is a sparse dict."""
-        return self._reduce(_sparse_vector(vec, self.n))
+    def _hermite(self):
+        """Bring the rows to the unique Hermite normal form, bottom-up: each
+        row, replaced in place, is swept by the rows below it, which are
+        canonical already.  Returns the rows with pivot 1 and the others,
+        each as {pivot: row}, the second with pivots increasing."""
+        row_at = self._row_at
+        substitution, residual = {}, {}
+        for j in sorted(row_at, reverse=True):
+            row = row_at[j] = _sweep(substitution, residual,
+                                     reversed(residual.items()), row_at[j])
+            (substitution if row[j] == 1 else residual)[j] = row
+        self._order = None
+        return substitution, dict(reversed(residual.items()))
 
     def canonicalize(self):
         """Bring the basis to the unique Hermite normal form."""
-        # Row i is reduced by the rows below it, which are not yet reduced
-        # themselves: the order of the classical column sweep.
-        for j in self.pivots:
-            self._reduce(self._row_at[j], j)
+        self._hermite()
         return self
 
     def equals(self, other):
@@ -454,8 +464,9 @@ class FpAbelianGroup:
           g_j = -sum row[k] g_k over k != j (those k are survivors, as the
           normal form has 0 at every other pivot-1 column);
         - residual: {pivot: row} for the other rows, pivots increasing.
-        Only the rows of that local lattice are kept, and nothing changes
-        them.  With relators a - 2b and 3b, b and c survive and a = -b:
+        The two dicts are the split the bottom-up Hermite pass builds; only
+        their rows are kept, and nothing changes them.  With relators a - 2b
+        and 3b, b and c survive and a = -b:
 
         >>> FpAbelianGroup("abc", IntMatrix([[1, 0], [-2, 3], [0, 0]])).reduced
         ((1, 2), {0: {0: 1, 1: 1}}, {1: {1: 3}})
@@ -463,32 +474,18 @@ class FpAbelianGroup:
         lat = Lattice(self.ngens)
         for col in self.relations._sparse:
             lat._insert(dict(col))
-        substitution, residual = {}, {}
-        for j, row in zip(lat.canonicalize().pivots, lat._rows):
-            (substitution if row[j] == 1 else residual)[j] = row
+        substitution, residual = lat._hermite()
         survivors = tuple(k for k in range(self.ngens)
                           if k not in substitution)
         return survivors, substitution, residual
 
-    def _representative(self, v):
-        """The canonical coset representative of the sparse v (not changed),
-        empty exactly when v is a relation, as a fresh dict: what
-        `Lattice.reduce` gives on the rows of `reduced`, in one substitution
-        pass, which leaves entries at survivors only, then one floor-reducing
-        sweep over the residual rows, each of which lies in later survivor
-        columns, so no heap orders the columns."""
+    @cached_property
+    def _representative(self):
+        """v -> the canonical coset representative of the sparse v (not
+        changed), empty exactly when v is a relation, as a fresh dict: v
+        swept by the rows of `reduced`."""
         _, substitution, residual = self.reduced
-        out = dict(v)
-        for k, x in v.items():
-            row = substitution.get(k)
-            if row is not None:
-                _add_multiple(out, -x, row)
-        if not residual.keys().isdisjoint(out):
-            for j, row in residual.items():
-                q = out.get(j, 0) // row[j]
-                if q:
-                    _add_multiple(out, -q, row)
-        return out
+        return partial(_sweep, substitution, residual, residual.items())
 
     @property
     def is_trivial(self):

@@ -352,6 +352,8 @@ def d_infinity(n, m):
 
 def witt_rank(n, m):
     """Witt formula: rank of L_n(m) = (1/n) sum_{d|n} mu(d) m^(n/d)."""
+    if n < 1:
+        raise ValueError("need degree >= 1")
     total = 0
     for d in range(1, n + 1):
         if n % d == 0:

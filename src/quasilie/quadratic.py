@@ -60,7 +60,8 @@ class HermitianForm:
         self.M = M
         self.involution = involution
         self.table = tuple(tuple(row) for row in table)
-        if involution.source is not M and not involution.source.same_presentation(M):
+        if not (involution.source.same_presentation(M)
+                and involution.target.same_presentation(M)):
             raise NotAMorphism("involution must be an endomorphism of M")
         if not involution.compose(involution).equals(AbelianHom.identity(M)):
             raise NotAMorphism("involution squared is not the identity")

@@ -624,8 +624,7 @@ def parse_unrooted(text):
     """Parse '<i,T>', trimmed of whitespace around it, into a raw (label,
     tree) pair."""
     text = text.strip()
-    if not (text.startswith("<") and text.endswith(">")):
+    label, comma, tree = text[1:-1].partition(",")
+    if not (text.startswith("<") and text.endswith(">") and comma):
         raise ValueError("unrooted tree must look like '<i,T>'")
-    body = text[1:-1]
-    comma = body.index(",")
-    return parse_label(body[:comma]), parse_tree(body[comma + 1:])
+    return parse_label(label), parse_tree(tree)

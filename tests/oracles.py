@@ -13,10 +13,12 @@ rank plus the number of invariant factors that p divides.
 `relation_lattice` is the Hermite normal form of a group's relator
 columns, canonicalised here apart from the group, which keeps only the rows
 of `FpAbelianGroup.reduced`: its `contains` is the reference for every
-membership test the engine reads off `reduced`.  `lattice_hash` is the hash
-of an element as it was first computed: the heap-driven `Lattice.reduce` of
-its vector on that lattice, where the engine reads the representative off
-`reduced` in one pass.
+membership test the engine reads off `reduced`.  `dense_relation_lattice`
+is the same normal form taken on dense rows by `DenseLattice`, whose
+`reduce` floor-reduces a vector column by column: the reference for the
+canonical coset representative, which the engine reads off `reduced` in one
+sweep.  `lattice_hash` is the hash of an element as it was first computed,
+from that reduction of its vector.
 
 `exact_by_stacking` is exactness as it was first decided: the kernel
 lattice restacked with the middle group's relators, where the engine reads
@@ -310,10 +312,20 @@ def relation_lattice(G):
     return Lattice(G.ngens, G.relations.sparse_columns()).canonicalize()
 
 
-def lattice_hash(e):
-    """hash(e) as `Lattice.reduce` on the relation lattice gives it."""
-    lat = relation_lattice(e.group)
-    return hash(tuple(sorted(lat.reduce(e.vector).items())))
+def dense_relation_lattice(G):
+    """The Hermite normal form of G's relator columns, on dense rows."""
+    n = G.ngens
+    return DenseLattice(n, [[col.get(k, 0) for k in range(n)] for col in
+                            G.relations.sparse_columns()]).canonicalize()
+
+
+def lattice_hash(e, lat=None):
+    """hash(e) from the `DenseLattice.reduce` of its vector on lat, by
+    default `dense_relation_lattice(e.group)`."""
+    if lat is None:
+        lat = dense_relation_lattice(e.group)
+    return hash(tuple((k, x) for k, x in enumerate(lat.reduce(e.coeffs))
+                      if x))
 
 
 def exact_by_stacking(f, g):

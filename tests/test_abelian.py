@@ -21,8 +21,9 @@ from quasilie import cli
 from quasilie.eta import eta, eta_prime
 from quasilie.lie import LIE, bracket_hom, lie_group, sq
 
-from oracles import (DenseLattice, det, exact_by_stacking, lattice_hash,
-                     rank_mod_p, relation_lattice, snf)
+from oracles import (DenseLattice, dense_relation_lattice, det,
+                     exact_by_stacking, lattice_hash, rank_mod_p,
+                     relation_lattice, snf)
 
 Z = FpAbelianGroup(("x",))
 Z2 = FpAbelianGroup(("q",), IntMatrix([[2]]))
@@ -90,13 +91,13 @@ class TestSnf:
 def hermite_forms(monkeypatch):
     """A list that records each Hermite normal form taken from now on."""
     taken = []
-    canonicalize = Lattice.canonicalize
+    hermite = Lattice._hermite
 
     def counted(lat):
         taken.append(lat.n)
-        return canonicalize(lat)
+        return hermite(lat)
 
-    monkeypatch.setattr(Lattice, "canonicalize", counted)
+    monkeypatch.setattr(Lattice, "_hermite", counted)
     return taken
 
 
@@ -806,6 +807,20 @@ def paired_lattices(draw):
     return n, lat, ref
 
 
+@st.composite
+def mixed_pivot_lattices(draw):
+    """Relator columns followed by 2 e_i for a set of generators i, the
+    shape `tensor_Z2` builds: odd leading entries leave rows with pivot 1,
+    and the rows with pivot 2 carry entries at later pivot-2 columns."""
+    n = draw(st.integers(1, 12))
+    entries = st.sampled_from((1, -1, 1, 2, -2, 3, -3, 4, 5, -6))
+    cols = draw(st.lists(st.dictionaries(st.integers(0, n - 1), entries,
+                                         min_size=1, max_size=4),
+                         max_size=12))
+    cols += [{i: 2} for i in sorted(draw(st.sets(st.integers(0, n - 1))))]
+    return n, cols
+
+
 class TestLatticeAgainstDense:
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(paired_lattices(), st.data())
@@ -819,7 +834,6 @@ class TestLatticeAgainstDense:
         other, want = data.draw(dense_or_dict(n))
         for vec, dense in ((inside, inside), (shifted, shifted),
                            (other, want)):
-            assert densify(lat.reduce(vec), n) == ref.reduce(dense)
             assert lat.contains(vec) == ref.contains(dense)
             try:
                 expected = ref.coordinates(dense)
@@ -840,11 +854,18 @@ class TestLatticeAgainstDense:
         assert all(all(row.values()) for row in lat._rows)
         assert lat.equals(Lattice(lat.n, reversed(ref.rows)))
 
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(mixed_pivot_lattices())
+    def test_canonical_form_with_unit_and_residual_rows(self, nc):
+        n, cols = nc
+        lat = Lattice(n, cols).canonicalize()
+        ref = DenseLattice(n, [densify(c, n) for c in cols]).canonicalize()
+        assert (dense_rows(lat), lat.pivots) == (ref.rows, ref.pivots)
+
     def test_bad_shapes_raise(self):
         lat = Lattice(3, [[1, 2, 3]])
         for vec in ([1, 2], {3: 1}, {-1: 1}, {0: 1, 5: 0}):
-            for method in (lat.add, lat.contains, lat.coordinates,
-                           lat.reduce):
+            for method in (lat.add, lat.contains, lat.coordinates):
                 with pytest.raises(ShapeMismatch):
                     method(vec)
 
@@ -868,7 +889,7 @@ class TestExactEntries:
 
     def test_lattices_and_maps_reject_non_integers(self):
         lat = Lattice(2, [[1, 1]])
-        for method in (lat.add, lat.contains, lat.coordinates, lat.reduce):
+        for method in (lat.add, lat.contains, lat.coordinates):
             for vec in ([0.5, 1], {0: 0.5, 1: 1}):
                 with pytest.raises(TypeError):
                     method(vec)
@@ -992,12 +1013,14 @@ def substituted(substitution, v):
 
 class TestReduced:
     """`FpAbelianGroup.reduced` and the one-pass representative read off it,
-    against the heap-driven `Lattice.reduce` of the relation lattice."""
+    against the column-by-column `DenseLattice.reduce` on the dense Hermite
+    normal form of the relators."""
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(sparse_presentations(), st.data())
     def test_representative_hash_and_equality(self, G, data):
         lat, n = relation_lattice(G), G.ngens
+        ref = dense_relation_lattice(G)
         held = copy.deepcopy(G.reduced)
         v = data.draw(sparse_vectors(n))
         w = data.draw(sparse_vectors(n))
@@ -1010,9 +1033,10 @@ class TestReduced:
                      for k in w.keys() | col.keys()}
             w = {k: x for k, x in w.items() if x}
         a, b = G.element(v), G.element(w)
-        assert G._representative(v) == lat.reduce(v)
-        assert G.normal_form(v) == tuple(densify(lat.reduce(v), n))
-        assert hash(a) == lattice_hash(a) and hash(b) == lattice_hash(b)
+        assert densify(G._representative(v), n) == ref.reduce(densify(v, n))
+        assert G.normal_form(v) == tuple(ref.reduce(densify(v, n)))
+        assert hash(a) == lattice_hash(a, ref)
+        assert hash(b) == lattice_hash(b, ref)
         assert a.is_zero == lat.contains(v)
         in_lattice = lat.contains({k: v.get(k, 0) - w.get(k, 0)
                                    for k in v.keys() | w.keys()})
@@ -1076,11 +1100,13 @@ class TestReduced:
         for n, m, survivors in ((4, 2, 3), (3, 3, 15)):
             G = eta_prime(n, m).target
             assert len(G.reduced[0]) == survivors
-            lat = relation_lattice(G)
-            for j in range(G.ngens):
+            ref, n = dense_relation_lattice(G), G.ngens
+            for j in range(n):
                 e = G.gen(G.generators[j])
-                assert G._representative({j: 1}) == lat.reduce({j: 1})
-                assert hash(e) == lattice_hash(e)
+                unit = densify({j: 1}, n)
+                assert densify(G._representative({j: 1}), n) == \
+                    ref.reduce(unit)
+                assert hash(e) == lattice_hash(e, ref)
 
 
 @st.composite

@@ -23,6 +23,12 @@ class TestLieGroups:
                 g = lie_group(n, m, LIE)
                 assert g.structure == (witt_rank(n, m), ()), (n, m)
 
+    def test_witt_rank_needs_positive_degree(self):
+        for n in (0, -1, -4):
+            with pytest.raises(ValueError, match="degree >= 1"):
+                witt_rank(n, 2)
+        assert witt_rank(1, 2) == 2
+
     def test_quasi_examples(self):
         assert lie_group(2, 2, QUASI).structure == (1, (2, 2))
         assert lie_group(2, 1, QUASI).structure == (0, (2,))

@@ -304,6 +304,16 @@ class TestUniversalSymmetric:
             F = universal_symmetric(form)
             assert F.target.p.injective
 
+    def test_involution_into_another_group_rejected(self):
+        # the source is M, the target is another group: Z on another
+        # generator, or Z/2
+        M = FpAbelianGroup(("m",))
+        for target in (Z, Z2):
+            inv = AbelianHom(M, target, IntMatrix([[1]]), check=False)
+            with pytest.raises(NotAMorphism,
+                               match="involution must be an endomorphism"):
+                HermitianForm(FpAbelianGroup(("a",)), M, inv, [[M.zero()]])
+
     def test_nonsymmetric_rejected(self):
         M = FpAbelianGroup(("x", "y"))
         swap = AbelianHom(M, M, IntMatrix([[0, 1], [1, 0]]))

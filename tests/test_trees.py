@@ -379,10 +379,17 @@ class TestUnrootedMemo:
         "<1_0,(1,2)>", "<+1,(1,2)>", "< 1,(1,2)>", "<0,1>", "<\u0663,1>",
         "<1,(1,\u0663)>", "<1, (1,2)>", "<1,(1,2) >", "<1,(1, 2)>"])
     def test_bad_input_raises_every_time_and_stores_nothing(self, bad):
+        # a text not of the shape <i,T> gets the grammar message, never one
+        # that leaks from a string method
+        text = bad.strip()
+        shaped = (text.startswith("<") and text.endswith(">")
+                  and "," in text[1:-1])
         size = parse_unrooted.cache_info().currsize
         for _ in range(3):
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError) as err:
                 parse_unrooted(bad)
+            grammar = str(err.value) == "unrooted tree must look like '<i,T>'"
+            assert grammar != shaped, str(err.value)
         assert parse_unrooted.cache_info().currsize == size
 
     def test_keys_read_back(self):
