@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, partial
+from heapq import heapify, heappop, heappush
 from itertools import compress
 from math import gcd
 from operator import index
@@ -96,22 +97,34 @@ def _combination(p, u, q, w):
     return out
 
 
-def _sweep(substitution, residual, ascending, v):
+def _sweep(substitution, residual, v):
     """The sparse v (not changed) floor-reduced by canonical Hermite rows,
     as a fresh dict: first by the rows `substitution` {j: row} with pivot 1,
     in one pass over v, as each is 0 at every other pivot-1 column; then by
-    the other rows `residual` {j: row}, which `ascending` yields as (j, row)
-    in increasing pivot order.  v comes last, so a group binds the rest."""
+    the other rows `residual` {j: row} at the pivots that it meets, least
+    first, each row read once.  A canonical row has entries only after its
+    pivot, so the least pending pivot is final once reduced, and subtracting
+    its row meets no pivot but those of the row, all of them later.  v comes
+    last, so a group binds the rest."""
     out = dict(v)
     for k, x in v.items():
         row = substitution.get(k)
         if row is not None:
             _add_multiple(out, -x, row)
     if not residual.keys().isdisjoint(out):
-        for j, row in ascending:
+        pending = list(residual.keys() & out.keys())
+        heapify(pending)
+        while pending:
+            j = heappop(pending)
+            while pending and pending[0] == j:
+                heappop(pending)
+            row = residual[j]
             q = out.get(j, 0) // row[j]
             if q:
                 _add_multiple(out, -q, row)
+                for k in residual.keys() & row.keys():
+                    if k != j:
+                        heappush(pending, k)
     return out
 
 
@@ -187,7 +200,7 @@ class IntMatrix:
         return tuple(map(tuple, dense))
 
     def sparse_columns(self):
-        """Fresh {row: value} dicts, one per column, rows ascending."""
+        """Fresh {row: value} dicts, one per column, rows increasing."""
         return [dict(col) for col in self._sparse]
 
     def mul(self, other):
@@ -387,15 +400,14 @@ class Lattice:
         """Bring the rows to the unique Hermite normal form, bottom-up: each
         row, replaced in place, is swept by the rows below it, which are
         canonical already.  Returns the rows with pivot 1 and the others,
-        each as {pivot: row}, the second with pivots increasing."""
+        each as {pivot: row}."""
         row_at = self._row_at
         substitution, residual = {}, {}
         for j in sorted(row_at, reverse=True):
-            row = row_at[j] = _sweep(substitution, residual,
-                                     reversed(residual.items()), row_at[j])
+            row = row_at[j] = _sweep(substitution, residual, row_at[j])
             (substitution if row[j] == 1 else residual)[j] = row
         self._order = None
-        return substitution, dict(reversed(residual.items()))
+        return substitution, residual
 
     def canonicalize(self):
         """Bring the basis to the unique Hermite normal form."""
@@ -440,10 +452,11 @@ class FpAbelianGroup:
     @cached_property
     def structure(self):
         """(free_rank, torsion divisors d1 | d2 | ...), read off `reduced`:
-        the residual rows are brought to a diagonal."""
+        the residual rows, in pivot order, are brought to a diagonal."""
         survivors, _, residual = self.reduced
+        rows = [residual[j] for j in sorted(residual)]
         return (len(survivors) - len(residual),
-                _normalize_divisors(_diagonal_entries(residual.values())))
+                _normalize_divisors(_diagonal_entries(rows)))
 
     @property
     def free_rank(self):
@@ -463,7 +476,7 @@ class FpAbelianGroup:
         - substitution: {j: row} for each row with pivot 1, which says
           g_j = -sum row[k] g_k over k != j (those k are survivors, as the
           normal form has 0 at every other pivot-1 column);
-        - residual: {pivot: row} for the other rows, pivots increasing.
+        - residual: {pivot: row} for the other rows.
         The two dicts are the split the bottom-up Hermite pass builds; only
         their rows are kept, and nothing changes them.  With relators a - 2b
         and 3b, b and c survive and a = -b:
@@ -485,7 +498,7 @@ class FpAbelianGroup:
         changed), empty exactly when v is a relation, as a fresh dict: v
         swept by the rows of `reduced`."""
         _, substitution, residual = self.reduced
-        return partial(_sweep, substitution, residual, residual.items())
+        return partial(_sweep, substitution, residual)
 
     @property
     def is_trivial(self):
@@ -563,7 +576,7 @@ class GroupElement:
 
     @property
     def vector(self):
-        """A fresh sparse {index: nonzero} dict, indices ascending."""
+        """A fresh sparse {index: nonzero} dict, indices increasing."""
         v = self._vec
         return {k: v[k] for k in sorted(v)}
 
@@ -803,7 +816,11 @@ class AbelianHom:
         with self . phi == f modulo this map's target relations, or None
         when a column of f has no preimage.  phi is checked: a relator of
         f.source that the chosen preimages do not kill raises
-        HomValidityError."""
+        HomValidityError.  f must map into a group on this map's target
+        generators (ShapeMismatch otherwise)."""
+        if f.target.generators != self.target.generators:
+            raise ShapeMismatch("lift needs f to map into this map's target "
+                                "generators")
         cols = []
         for col in f.matrix._sparse:
             x = self.preimage_vector(col)

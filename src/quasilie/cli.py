@@ -54,21 +54,14 @@ class Entry:
     The name is defined in the orders first, first + step, ... with at least
     one label; the budget is checked on tree_order(order).  For the eta maps
     into a bracket kernel, `ambient` names the variant whose inclusion
-    renders --element images in tensor coordinates.  A group with `blocks`
-    is read for `group` and `table` through that builder of a lie.BlockSum,
-    one label-multidegree block at a time.
+    renders --element images in tensor coordinates.  L, Lq and T build a
+    lie.BlockSum, read one label-multidegree block at a time.
     """
     build: Callable[[int, int], object]
     tree_order: Callable[[int], int]
     first: int = 0
     step: int = 1
     ambient: str | None = None
-    blocks: Callable[[int, int], object] | None = None
-
-    def structured(self, order, labels):
-        """The group that `group` and `table` read: its BlockSum when the
-        entry has one, else the built group."""
-        return (self.blocks or self.build)(order, labels)
 
     def defined(self, order, labels):
         return (labels >= 1 and order >= self.first
@@ -91,17 +84,14 @@ def _same(n):
 # library functions up when called, so they always call the current ones.
 REGISTRY = {
     "group": {
-        "L": Entry(lambda n, m: lie.lie_group(n, m, lie.LIE), _grade, 1,
-                   blocks=lambda n, m: lie.lie_blocks(n, m, lie.LIE)),
-        "Lq": Entry(lambda n, m: lie.lie_group(n, m, lie.QUASI), _grade, 1,
-                    blocks=lambda n, m: lie.lie_blocks(n, m, lie.QUASI)),
+        "L": Entry(lambda n, m: lie.lie_blocks(n, m, lie.LIE), _grade, 1),
+        "Lq": Entry(lambda n, m: lie.lie_blocks(n, m, lie.QUASI), _grade, 1),
         "D": Entry(lambda n, m: lie.d_group(n, m, lie.LIE).group, _kernel),
         "Dq": Entry(lambda n, m: lie.d_group(n, m, lie.QUASI).group,
                     _kernel),
         "Dtilde": Entry(lambda n, m: d_tilde(n, m), _kernel, 1, 2),
         "Dinf": Entry(lambda n, m: lie.d_infinity(n, m).group, _kernel, 2, 4),
-        "T": Entry(lambda n, m: treegroups.t_group(n, m), _same,
-                   blocks=lambda n, m: treegroups.t_blocks(n, m)),
+        "T": Entry(lambda n, m: treegroups.t_blocks(n, m), _same),
         "Ttilde": Entry(lambda n, m: treegroups.t_tilde(n, m), _same),
         "Tinf": Entry(lambda n, m: treegroups.t_infinity(n, m).group, _same),
         "Z2L": Entry(lambda n, m: abelian.tensor_Z2(
@@ -213,7 +203,7 @@ def _nested(value, indent):
 
 def cmd_group(args):
     name, order, labels = args.name, args.order, args.labels
-    g = _entry("group", name, order, labels, args).structured(order, labels)
+    g = _entry("group", name, order, labels, args).build(order, labels)
     out = {"group": name, "order": order, "labels": labels,
            "free_rank": g.free_rank, "torsion": g.torsion}
     if args.generators:
@@ -433,8 +423,8 @@ def _presented_output(F):
 
 
 def cmd_table(args):
-    names = args.names.split(",") if args.names else ["L", "Lq", "T",
-                                                      "Ttilde", "Tinf"]
+    names = (["L", "Lq", "T", "Ttilde", "Tinf"] if args.names is None
+             else args.names.split(","))
     unknown = [name for name in names if name not in REGISTRY["group"]]
     if unknown:
         raise CliError(EXIT_BAD_NAME, f"unknown group name: {unknown[0]}")
@@ -453,7 +443,7 @@ def cmd_table(args):
                 if not _allows(args, entry.tree_order(n), m):
                     skipped.add(n)
                     continue
-                g = entry.structured(n, m)
+                g = entry.build(n, m)
                 rows.append((name, n, m, g.free_rank,
                              ";".join(str(t) for t in g.torsion)))
     w = csv.writer(sys.stdout)

@@ -68,8 +68,10 @@ class HermitianForm:
         g = A.ngens
         if len(self.table) != g or any(len(r) != g for r in self.table):
             raise SchemaError("lambda table must be square of size len(A gens)")
+        # as the involution squares to the identity, the pair (i, j) holds
+        # exactly when (j, i) does, and the first pair to fail has i <= j
         for i in range(g):
-            for j in range(g):
+            for j in range(i, g):
                 if not (self.table[j][i] - involution(self.table[i][j])).is_zero:
                     raise NotAMorphism(
                         f"lambda not hermitian at generator pair ({i},{j})")
@@ -102,7 +104,9 @@ class HermitianForm:
 
     @property
     def is_symmetric(self):
-        return self.trivial_involution and self.symmetric_values
+        """A trivial involution: the hermitian check at construction then
+        makes the values symmetric."""
+        return self.trivial_involution
 
 
 @dataclass(frozen=True)

@@ -21,10 +21,9 @@ maps eta' and Delta, sums over the univalent vertices, read it too.
 
 Write <p | q> for the unrooted tree that joins the root edges of two rooted
 trees p and q.  It is symmetric, and <p | q> = sign(p) sign(q) <canon p |
-canon q> (sign 1 when the tree is self-negating); glued() memoises the form
-of <canon p | canon q> in _glued on the unordered pair of canonical trees.
-IHX is one relation at each 4-valent vertex, so ihx_relators() yields one
-relator per multiset of branches {a, b, c, d}.  Its three terms re-root to
+canon q> (sign 1 when the tree is self-negating).  IHX is one relation at
+each 4-valent vertex, so ihx_relators() yields one relator per multiset of
+branches {a, b, c, d}.  Its three terms re-root to
 
     ((a,b),c) | d  =  <ab | cd>
     ((a,c),b) | d  =  <ac | bd>
@@ -293,32 +292,21 @@ def _canonical_content(label, tree):
         _unrooted[i, part.tree] = same if part.sign == 1 else opposite
 
 
-_glued = {}
-
-
 def glued(p, q):
     """<p | q>: the canonical unrooted tree joining the root edges of the
     canonical rooted trees p.tree and q.tree (CanonSign), with sign.
 
-    The form of <canon p | canon q> is memoised on the unordered pair
-    (p.tree, q.tree); the result carries sign(p) sign(q) times its sign, or
-    sign 1 when the tree is self-negating.
+    glue() over canonical halves: the walk down the left spine of the
+    smaller half ends at a leaf i and the canonical form c of the rest,
+    carrying sign(p) sign(q), and <i, c> is looked up in _unrooted.
     """
-    a, b = p.tree, q.tree
-    if b.sort_key < a.sort_key:
-        a, b = b, a
-    key = (a, b)
-    res = _glued.get(key)
-    if res is None:
-        # glue() over canonical halves: walk down the left spine of a
-        ctx = canonical_rooted(b)
-        while not a.is_leaf:
-            ctx = _join(canonical_rooted(a.right), ctx)
-            a = a.left
-        res = _glued[key] = _canonical_unrooted_of(a.label, ctx)
-    if p.sign == q.sign or res.self_negating:
-        return res
-    return CanonSign(res.tree, -res.sign, False)
+    if q.tree.sort_key < p.tree.sort_key:
+        p, q = q, p
+    a, ctx = p.tree, CanonSign(q.tree, p.sign * q.sign, q.self_negating)
+    while not a.is_leaf:
+        ctx = _join(canonical_rooted(a.right), ctx)
+        a = a.left
+    return _canonical_unrooted_of(a.label, ctx)
 
 
 def root_at(ut, v):
@@ -403,8 +391,7 @@ def rooted_trees(order, labels, degree=None):
 
 
 # Memoised behind the public signature, so that rooted_trees(o, m) and
-# rooted_trees(o, m, None) share one entry; so are unrooted_trees and
-# jacobi_columns.
+# rooted_trees(o, m, None) share one entry; so is jacobi_columns.
 @lru_cache(maxsize=None)
 def _rooted_trees(order, labels, degree):
     if order == 0:
@@ -421,12 +408,7 @@ def _rooted_trees(order, labels, degree):
 
 def unrooted_trees(order, labels, degree=None):
     """All canonical unrooted trees of the given order, sorted; with a
-    multidegree, those of that degree."""
-    return _unrooted_trees(order, labels, degree)
-
-
-@lru_cache(maxsize=None)
-def _unrooted_trees(order, labels, degree):
+    multidegree, those of that degree.  Not memoised."""
     seen = {}
     for i in range(1, labels + 1):
         rest = degree

@@ -15,11 +15,12 @@ from hypothesis import given, settings, strategies as st
 
 from quasilie.abelian import (AbelianHom, FpAbelianGroup, HomValidityError,
                               IntMatrix, Lattice, NotDivisible, ShapeMismatch,
-                              _sparse_vector, direct_sum, exact_at, pullback,
-                              tensor_Z2)
+                              _sparse_vector, _sweep, direct_sum, exact_at,
+                              pullback, tensor_Z2)
 from quasilie import cli
 from quasilie.eta import eta, eta_prime
-from quasilie.lie import LIE, bracket_hom, lie_group, sq
+from quasilie.lie import LIE, QUASI, bracket_hom, lie_group, sq
+from quasilie.treegroups import t_group
 
 from oracles import (DenseLattice, dense_relation_lattice, det,
                      exact_by_stacking, lattice_hash, rank_mod_p,
@@ -145,6 +146,11 @@ def registry_groups():
 # the groups of the benchmark's `structure` workload
 STRUCTURE_WORKLOAD = (("T", 7, 2), ("L", 8, 2), ("L", 6, 3), ("T", 5, 3))
 
+# the whole groups of the registry names that build a BlockSum
+WHOLE_GROUPS = {"L": lambda n, m: lie_group(n, m, LIE),
+                "Lq": lambda n, m: lie_group(n, m, QUASI),
+                "T": t_group}
+
 
 class TestModPRankOracle:
     """dim(G/pG) = ngens - rank_p(relators) = free rank + #{d : p | d},
@@ -160,7 +166,9 @@ class TestModPRankOracle:
         "name,order,labels",
         [*registry_groups(), *STRUCTURE_WORKLOAD])
     def test_registry_group(self, name, order, labels):
-        G = cli.REGISTRY["group"][name].build(order, labels)
+        # L, Lq and T build a BlockSum, which holds no relations
+        G = WHOLE_GROUPS[name](order, labels) if name in WHOLE_GROUPS \
+            else cli.REGISTRY["group"][name].build(order, labels)
         free, torsion = G.structure
         for p in (2, 3):
             rank = rank_mod_p(G.relations.sparse_columns(), p)
@@ -767,6 +775,18 @@ class TestLift:
         double = AbelianHom.from_columns(Z, Z, [{0: 2}])
         assert double.lift(AbelianHom.identity(Z)) is None
 
+    def test_f_must_map_into_the_target_generators(self):
+        # a target with fewer or more generators is refused, even when
+        # every column has a preimage; a quotient on the same generators
+        # is not
+        g = AbelianHom.identity(Z)
+        for target in (FpAbelianGroup(()), FpAbelianGroup(("x", "y"))):
+            with pytest.raises(ShapeMismatch):
+                g.lift(AbelianHom.zero(Z, target))
+        quotient = FpAbelianGroup(("x",), IntMatrix([[2]]))
+        phi = g.lift(AbelianHom.identity(Z, quotient))
+        assert phi.target is Z and phi.isomorphism
+
     def test_target_on_the_source_generators(self):
         # the identity of Z/2 lifts through Z ->> Z/2 into Z/2, not into Z
         g = AbelianHom.identity(Z, Z2)
@@ -980,6 +1000,79 @@ class TestNormalForm:
 
 
 @st.composite
+def chains(draw):
+    """Rows p_i e_i + c_i e_(i+1) + d_i e_(i+2), pivots p_i from 1 to 4:
+    each row meets the next pivots, so a reduction cascades along them."""
+    n = draw(st.integers(1, 12))
+    cols = []
+    for i in range(n):
+        col = {i: draw(st.integers(1, 4))}
+        for k in (i + 1, i + 2):
+            if k <= n and (x := draw(st.integers(-5, 5))):
+                col[k] = x
+        cols.append(col)
+    return n + 1, cols
+
+
+class CountingRows(dict):
+    """A {pivot: row} dict that records the pivot of each row read."""
+
+    def __init__(self, rows):
+        super().__init__(rows)
+        self.reads = []
+
+    def __getitem__(self, j):
+        self.reads.append(j)
+        return super().__getitem__(j)
+
+    def get(self, j, default=None):
+        return self[j] if j in self else default
+
+    def values(self):
+        return (self[j] for j in self)
+
+    def items(self):
+        return ((j, self[j]) for j in self)
+
+
+class TestSweep:
+    """The one sweep behind `canonicalize` and `_representative`: against
+    the dense oracle, and by the residual rows (pivot above 1) it reads."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.one_of(chains(), mixed_pivot_lattices()), st.data())
+    def test_against_dense(self, nc, data):
+        n, cols = nc
+        lat = Lattice(n, cols).canonicalize()
+        ref = DenseLattice(n, [densify(c, n) for c in cols]).canonicalize()
+        assert (dense_rows(lat), lat.pivots) == (ref.rows, ref.pivots)
+        G = FpAbelianGroup(tuple(range(n)), IntMatrix.from_columns(cols, n))
+        _, substitution, residual = G.reduced
+        counted = CountingRows(residual)
+        for _ in range(3):
+            v = data.draw(st.dictionaries(st.integers(0, n - 1),
+                                          st.integers(-30, 30).filter(bool)))
+            want = ref.reduce(densify(v, n))
+            assert densify(G._representative(v), n) == want
+            assert densify(_sweep(substitution, counted, v), n) == want
+            # no residual row is read twice
+            assert len(counted.reads) == len(set(counted.reads))
+            counted.reads.clear()
+
+    @pytest.mark.parametrize("n", [10, 100, 1000])
+    def test_reads_on_a_chain_do_not_grow_with_it(self, n):
+        # the canonical chain 2 e_i + e_(i+1): a vector at pivots 0 and 2
+        # carries to pivot 4 and stops there, whatever the chain's length
+        chain = {i: {i: 2, i + 1: 1} for i in range(n)}
+        residual = CountingRows(chain)
+        assert _sweep({}, residual, {0: 2, 2: 2}) == {1: 1, 2: 1, 3: 1, 4: 1}
+        assert residual.reads == [0, 1, 2, 3, 4]
+        # each row of the chain is canonical as it stands
+        lat = Lattice(n + 1, chain.values())
+        assert lat.canonicalize().rows == list(chain.values())
+
+
+@st.composite
 def sparse_presentations(draw):
     """A group on 1 to 8 generators with up to 8 relators of 1 to 3 entries
     each: unit entries eliminate generators, the others leave torsion, and
@@ -1051,7 +1144,6 @@ class TestReduced:
         survivors, substitution, residual = G.reduced
         assert sorted(survivors + tuple(substitution)) == list(range(n))
         assert list(survivors) == sorted(survivors)
-        assert list(residual) == sorted(residual)
         kept = set(survivors)
         # each generator minus its substitution lies in the relation lattice
         for j, row in substitution.items():

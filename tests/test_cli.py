@@ -493,6 +493,13 @@ class TestDomain:
                              "--labels", "0")
         assert (code, out, err) == (3, "", "error: unknown group name: Nope\n")
 
+    @pytest.mark.parametrize("names", ["", "L,,T"])
+    def test_empty_name_exit3(self, capsys, names):
+        # the default grid is only for an absent --names; an empty name,
+        # alone or in a list, is unknown
+        code, out, err = run(capsys, "table", "--names", names)
+        assert (code, out, err) == (3, "", "error: unknown group name: \n")
+
     def test_usage_error_exit6(self, capsys):
         # a global flag after the subcommand is a usage error, not a refusal
         with pytest.raises(SystemExit) as e:

@@ -314,6 +314,25 @@ class TestUniversalSymmetric:
                                match="involution must be an endomorphism"):
                 HermitianForm(FpAbelianGroup(("a",)), M, inv, [[M.zero()]])
 
+    def test_symmetric_exactly_with_a_trivial_involution(self):
+        # the hermitian check makes the values under a trivial involution
+        # symmetric, so is_symmetric reads the involution alone
+        rng = random.Random(37)
+        for _ in range(60):
+            form = random_hermitian(rng)
+            assert form.is_symmetric == (form.trivial_involution
+                                         and form.symmetric_values)
+
+    def test_hermitian_failure_names_the_first_pair(self):
+        # lambda(a, b) = x but lambda(b, a) = 0 under the identity: both
+        # (0, 1) and (1, 0) fail, and the message names the first
+        A = FpAbelianGroup(("a", "b"))
+        table = [[Z.zero(), Z.element([1])], [Z.zero(), Z.zero()]]
+        with pytest.raises(NotAMorphism,
+                           match=r"^lambda not hermitian at generator pair "
+                                 r"\(0,1\)$"):
+            HermitianForm(A, Z, AbelianHom.identity(Z), table)
+
     def test_nonsymmetric_rejected(self):
         M = FpAbelianGroup(("x", "y"))
         swap = AbelianHom(M, M, IntMatrix([[0, 1], [1, 0]]))
