@@ -4,7 +4,7 @@ Everything in this module (and the whole package) works over Z with
 arbitrary-precision integers; no floating point is used anywhere.  A group is
 presented by an ordered list of generator keys and an integer relation matrix
 with one column per relator.  One elimination engine serves every
-computation: Hermite echelon bases of integer lattices give kernels, images
+computation: Hermite echelon bases of integer lattices give kernels, preimages
 and membership, and the group structure is read off the Hermite normal form
 of the relation lattice.
 """
@@ -285,9 +285,9 @@ class Lattice:
     the rows change.  Vectors are given as dense sequences of length n
     or as sparse dicts; dicts are copied, never kept.  Every vector that
     comes out (`rows`, `coordinates`) is a fresh sparse dict.  Supports
-    membership tests, equality by mutual containment, exact coordinates over
-    the rows, and the Hermite normal form, taken bottom-up by the one sweep
-    that also reads coset representatives.
+    membership tests, exact coordinates over the rows, and the Hermite
+    normal form, taken bottom-up by the one sweep that also reads coset
+    representatives.
 
     >>> lat = Lattice(3, [[2, 4, 0], {1: 3, 2: 1}])
     >>> lat.rows, lat.pivots
@@ -413,14 +413,6 @@ class Lattice:
         """Bring the basis to the unique Hermite normal form."""
         self._hermite()
         return self
-
-    def equals(self, other):
-        """Same pivots, and each side's rows lie in the other (no copies)."""
-        if self.n != other.n or self.pivots != other.pivots:
-            return False
-        return all(b._eliminate(dict(row)) is not None
-                   for a, b in ((self, other), (other, self))
-                   for row in a._row_at.values())
 
 
 class FpAbelianGroup:
@@ -637,10 +629,14 @@ class AbelianHom:
     target generator coordinates.  Construction verifies that every source
     relator reduces to 0 on the target's `reduced` relations.
 
-    The kernel (with its inclusion), image and cokernel, and the flags
+    The kernel (with its inclusion) and cokernel, and the flags
     `injective`, `surjective` and `isomorphism`, are built on first read.
-    The flags need no structure computation: they are decided on
-    `kernel_lattice`, `image_lattice` and the source's `reduced` relations.
+    A map keeps one echelon basis, `_augmented`, of the rows (image |
+    source); its rows with pivot >= h (h = target generators) move out of
+    it into `kernel_lattice` when that is first read, and the rows with
+    pivot < h stay for `preimage_vector` and `surjective`.  The flags need
+    no structure computation: `injective` reads `kernel_lattice` and the
+    source's `reduced` relations, `surjective` the pivots of the kept rows.
     """
 
     __slots__ = ("source", "target", "matrix", "__dict__")
@@ -723,7 +719,9 @@ class AbelianHom:
 
         It is spanned by (M e_j | e_j) and (relator | 0).  Echelon priority on
         the image block makes kernels and preimages direct reads: rows with
-        pivot >= h have zero image part, and solving M x == b modulo the
+        pivot >= h have zero image part (`kernel_lattice` takes them out),
+        the image blocks of the rows with pivot < h are an echelon basis of
+        M Z^src plus the target relations, and solving M x == b modulo the
         target relations clears the image block of (b | 0), leaving (0 | -x).
         """
         h = self.target.ngens
@@ -735,26 +733,15 @@ class AbelianHom:
         return lat
 
     @cached_property
-    def image_lattice(self):
-        """Hermite normal form of M Z^src plus the target relations: the
-        image blocks of the `_augmented` rows with pivot < h, canonicalised."""
-        aug, h = self._augmented, self.target.ngens
-        lat = Lattice(h)
-        for piv, row in aug._row_at.items():
-            if piv < h:
-                lat._row_at[piv] = {k: x for k, x in row.items() if k < h}
-        return lat.canonicalize()
-
-    @cached_property
     def kernel_lattice(self):
         """Echelon basis of {x in Z^src : M x lies in the target lattice}:
-        the `_augmented` rows with pivot >= h, shifted down by h; they are
-        echelon already, so none is inserted again."""
+        the `_augmented` rows with pivot >= h, moved out of it and shifted
+        down by h; they are echelon already, so none is inserted again."""
         aug, h = self._augmented, self.target.ngens
-        lat = Lattice(self.source.ngens)
-        for piv, row in aug._row_at.items():
-            if piv >= h:
-                lat._row_at[piv - h] = {k - h: x for k, x in row.items()}
+        rows, lat = aug._row_at, Lattice(self.source.ngens)
+        for piv in [j for j in rows if j >= h]:
+            lat._row_at[piv - h] = {k - h: x for k, x in rows.pop(piv).items()}
+        aug._order = None
         return lat
 
     def kernel_coordinates(self, vec):
@@ -766,17 +753,18 @@ class AbelianHom:
     @cached_property
     def kernel(self):
         """The lift {x : M x in the target relations} modulo the source
-        relations, which is correct with torsion on both sides."""
-        return _subgroup(self.kernel_lattice, "ker", self.source.relations)
+        relations, which is correct with torsion on both sides: the group
+        on the rows of `kernel_lattice`, related by the coordinates of the
+        source relator columns."""
+        lat = self.kernel_lattice
+        gens = tuple(("ker", i) for i in range(len(lat._row_at)))
+        cols = [lat.coordinates(rel) for rel in self.source.relations._sparse]
+        return FpAbelianGroup(gens, IntMatrix.from_columns(cols, len(gens)))
 
     @cached_property
     def kernel_inclusion(self):
         return AbelianHom.from_columns(self.kernel, self.source,
                                        self.kernel_lattice._rows, check=False)
-
-    @cached_property
-    def image(self):
-        return _subgroup(self.image_lattice, "im", self.target.relations)
 
     @cached_property
     def cokernel(self):
@@ -792,11 +780,12 @@ class AbelianHom:
 
     @cached_property
     def surjective(self):
-        """The cokernel is Z^t / `image_lattice`: trivial iff that Hermite
-        normal form has t pivots, each of them 1."""
-        lat = self.image_lattice
-        return (len(lat._row_at) == self.target.ngens
-                and all(row[j] == 1 for j, row in lat._row_at.items()))
+        """The cokernel is Z^h over M Z^src plus the target relations, whose
+        echelon basis is the image blocks of the `_augmented` rows with pivot
+        < h: trivial iff every j < h is a pivot there, with entry 1."""
+        rows = self._augmented._row_at
+        return all(j in rows and rows[j][j] == 1
+                   for j in range(self.target.ngens))
 
     @property
     def isomorphism(self):
@@ -834,21 +823,19 @@ class AbelianHom:
         return f"AbelianHom({self.source!r} -> {self.target!r})"
 
 
-def _subgroup(lat, tag, relations):
-    """The group on lat's rows, related by the given relator columns."""
-    gens = tuple((tag, i) for i in range(len(lat._row_at)))
-    cols = [lat.coordinates(rel) for rel in relations._sparse]
-    return FpAbelianGroup(gens, IntMatrix.from_columns(cols, len(gens)))
-
-
 def exact_at(f, g):
-    """True iff image(f) == kernel(g) as subgroups of the middle group B:
-    f's `image_lattice` equals g's `kernel_lattice` {x : M x in R_C}, which
-    holds the relations of B as g is valid (for an unchecked g, the caller's
-    guarantee)."""
+    """True iff image(f) == kernel(g) as subgroups of the middle group B, as
+    two inclusions of lattices the maps hold.  g's `kernel_lattice` {x : M x
+    in R_C} holds the relations R_B of B, as g is valid (for an unchecked g,
+    the caller's guarantee), so image(f) lies in kernel(g) iff every column
+    of f lies in it; and kernel(g) lies in image(f) iff every row of it has
+    an f preimage modulo R_B."""
     if not f.target.same_presentation(g.source):
         raise ShapeMismatch("maps are not composable through a middle group")
-    return f.image_lattice.equals(g.kernel_lattice)
+    ker = g.kernel_lattice
+    return (all(map(ker.contains, f.matrix._sparse))
+            and all(f.preimage_vector(row) is not None
+                    for row in ker._row_at.values()))
 
 
 def tensor_Z2(group):

@@ -144,7 +144,7 @@ def render_key(key):
             t = key[1]
             right = f"X{t.label}" if t.is_leaf else t.key
             return f"X{key[0]}⊗{right}"
-        if len(key) == 2 and key[0] in ("ker", "im"):
+        if len(key) == 2 and key[0] == "ker":
             return f"{key[0]}:{key[1]}"
         return ":".join(render_key(k) for k in key)
     return str(key)

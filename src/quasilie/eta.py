@@ -96,16 +96,14 @@ def eta(n, m):
 
 @lru_cache(maxsize=None)
 def d_tilde(n, m):
-    """The quotient of D'_n by eta'(im Delta), on the generators of D'_n.
+    """The quotient of D'_n by eta'(im Delta), on the generators of D'_n:
+    the cokernel of eta' after the framing map Delta.
 
-    Defined for odd n; built from the framing map and eta' of the lower
-    tree groups.
+    Defined for odd n.
     """
     if n % 2 != 1:
         raise ValueError("d_tilde is defined in odd orders")
-    framing = eta_prime(n, m).compose(delta((n + 1) // 2, m))
-    return d_group(n, m, QUASI).group.with_extra_relations(
-        framing.matrix.sparse_columns())
+    return eta_prime(n, m).compose(delta((n + 1) // 2, m)).cokernel
 
 
 @lru_cache(maxsize=None)

@@ -85,14 +85,12 @@ def delta(n, m):
         raise WellDefinednessError(f"delta({n},{m}) not well-defined") from e
 
 
-@lru_cache(maxsize=None)
 def t_tilde(n, m):
-    """T~_n: quotient by the framing relations for odd n, alias for even n."""
-    plain = t_group(n, m)
+    """T~_n: the cokernel of the framing map for odd n, alias for even n;
+    both are memoised, so each call returns the same group."""
     if n % 2 == 0:
-        return plain
-    dl = delta((n + 1) // 2, m)
-    return plain.with_extra_relations(dl.matrix.sparse_columns())
+        return t_group(n, m)
+    return delta((n + 1) // 2, m).cokernel
 
 
 @lru_cache(maxsize=None)

@@ -57,6 +57,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from functools import lru_cache
 from itertools import product
+from operator import index
 from typing import NamedTuple
 
 
@@ -90,7 +91,7 @@ _interned = {}
 
 
 def leaf(label):
-    label = int(label)
+    label = index(label)
     if label < 1:
         raise ValueError("labels start at 1")
     t = _interned.get(label)

@@ -22,7 +22,10 @@ from that reduction of its vector.
 
 `exact_by_stacking` is exactness as it was first decided: the kernel
 lattice restacked with the middle group's relators, where the engine reads
-the lattices the two maps already hold.
+the lattices the two maps already hold.  `image_lattice` and `image_group`
+are a map's image as the engine no longer builds it: the dense Hermite
+normal form of its columns and the target relators, and the group on its
+rows.
 
 For `quasilie.quadratic` they hold the letter-by-letter cocycle of a relator,
 which the engine sums in closed form, and the quadratic-group identities as
@@ -344,6 +347,25 @@ def exact_by_stacking(f, g):
     image = DenseLattice(n, [dense(col) for col in f.matrix.sparse_columns()]
                          + relators)
     return image.equals(ker)
+
+
+def image_lattice(h):
+    """The Hermite normal form, on dense rows, of h's columns plus the
+    relators of its target."""
+    t = h.target.ngens
+    cols = h.matrix.sparse_columns() + h.target.relations.sparse_columns()
+    return DenseLattice(t, [[col.get(k, 0) for k in range(t)]
+                            for col in cols]).canonicalize()
+
+
+def image_group(h):
+    """The image of h: the group on the rows of `image_lattice(h)`, related
+    by the coordinates of the target relators over them."""
+    lat, t = image_lattice(h), h.target.ngens
+    cols = [lat.coordinates([col.get(k, 0) for k in range(t)])
+            for col in h.target.relations.sparse_columns()]
+    return FpAbelianGroup(tuple(range(len(lat.rows))),
+                          IntMatrix.from_columns(cols, len(lat.rows)))
 
 
 def signed_occurrences(col, ngens):

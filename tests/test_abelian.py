@@ -23,8 +23,8 @@ from quasilie.lie import LIE, QUASI, bracket_hom, lie_group, sq
 from quasilie.treegroups import t_group
 
 from oracles import (DenseLattice, dense_relation_lattice, det,
-                     exact_by_stacking, lattice_hash, rank_mod_p,
-                     relation_lattice, snf)
+                     exact_by_stacking, image_group, image_lattice,
+                     lattice_hash, rank_mod_p, relation_lattice, snf)
 
 Z = FpAbelianGroup(("x",))
 Z2 = FpAbelianGroup(("q",), IntMatrix([[2]]))
@@ -273,7 +273,7 @@ class TestHomAnalysis:
             h = AbelianHom(S, T, IntMatrix([[rng.randint(-3, 3)
                                              for _ in range(s)]
                                             for _ in range(t)]))
-            assert h.kernel.free_rank + h.image.free_rank == s
+            assert h.kernel.free_rank + image_group(h).free_rank == s
 
 
 def brute_force_exact(dims, fmat, gmat):
@@ -369,7 +369,7 @@ class TestFiniteOrderAccounting:
             total_t = 1
             for d in td:
                 total_t *= d
-            assert order_of(h.image.structure) == len(images)
+            assert order_of(image_group(h).structure) == len(images)
             assert order_of(h.kernel.structure) == kernel_size
             assert order_of(h.cokernel.structure) == total_t // len(images)
             assert len(elements) == kernel_size * len(images)
@@ -393,10 +393,10 @@ class TestStoredColumnsUnchanged:
         stored = (src.relations, tgt.relations, h.matrix)
         before = [copy.deepcopy(m._sparse) for m in stored]
         f = AbelianHom(src, tgt, h.matrix)
-        assert (f.kernel.structure, f.image.structure,
+        assert (f.kernel.structure, image_group(f).structure,
                 f.cokernel.structure) == (
                     h.kernel.structure,
-                    h.image.structure,
+                    image_group(h).structure,
                     h.cokernel.structure)
         # structure reads relation lattices built from copies of the
         # stored columns
@@ -405,7 +405,8 @@ class TestStoredColumnsUnchanged:
         assert f.isomorphism == (f.injective and f.surjective)
         assert f.compose(f.kernel_inclusion).equals(
             AbelianHom.zero(f.kernel, tgt))
-        assert f.image_lattice.pivots
+        # the augmented basis holds image rows
+        assert any(j < tgt.ngens for j in f._augmented.pivots)
         to_cokernel = AbelianHom(tgt, f.cokernel,
                                  IntMatrix.identity(tgt.ngens))
         assert exact_at(f.kernel_inclusion, f)
@@ -503,10 +504,12 @@ class TestLattice:
                     c = rng.randint(-3, 3)
                     combo = [x + c * y for x, y in zip(combo, v)]
                 assert lat.contains(combo)
-            # shuffled generating set spans the same lattice
+            # shuffled generating set spans the same lattice: the Hermite
+            # normal form is unique
             shuf = vecs[:]
             rng.shuffle(shuf)
-            assert lat.equals(Lattice(n, shuf))
+            assert lat.canonicalize().rows \
+                == Lattice(n, shuf).canonicalize().rows
 
 
 # Property tests on small random lattices, homs and groups.
@@ -589,8 +592,8 @@ def presented_pairs(draw):
 
 
 class TestExactFromHeldLattices:
-    """exact_at compares the image and kernel lattices the two maps
-    already hold."""
+    """exact_at reads the lattices the two maps already hold: f's augmented
+    basis and g's kernel lattice."""
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(presented_pairs())
@@ -611,7 +614,7 @@ class TestExactFromHeldLattices:
         pairs = [(f, g), (AbelianHom.zero(Z, Z), AbelianHom.zero(Z, Z)),
                  (g.kernel_inclusion, g)]
         for left, right in pairs:
-            left.image_lattice, right.kernel_lattice
+            left._augmented, right.kernel_lattice
         inserted = []
         insert = Lattice._insert
 
@@ -698,16 +701,20 @@ class TestLatticeProperties:
 
 
 class TestImageLattice:
-    """The image lattice is read off the augmented echelon basis; it must be
-    the Hermite normal form of the map's columns plus the target relators."""
+    """The image blocks of the augmented rows with pivot < h, which
+    `surjective` and `preimage_vector` read, are an echelon basis of the
+    map's columns plus the target relators: canonicalised, they are that
+    lattice's Hermite normal form."""
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(presented_homs())
     def test_rows_and_pivots_match_dense_hnf(self, h):
-        t = h.target.ngens
-        ref = DenseLattice(t, dense_columns(h.matrix)
-                           + dense_columns(h.target.relations)).canonicalize()
-        lat = h.image_lattice
+        t, ref = h.target.ngens, image_lattice(h)
+        blocks = [{k: x for k, x in row.items() if k < t}
+                  for j, row in h._augmented._row_at.items() if j < t]
+        lat = Lattice(t, blocks)
+        assert lat.pivots == sorted(j for j in h._augmented._row_at if j < t)
+        lat.canonicalize()
         assert (dense_rows(lat), lat.pivots) == (ref.rows, ref.pivots)
 
 
@@ -722,6 +729,98 @@ class TestHomAnalysisFlags:
         assert h.injective == h.kernel.is_trivial
         assert h.surjective == h.cokernel.is_trivial
         assert h.isomorphism == (h.injective and h.surjective)
+
+
+def augmented_replay(h):
+    """The echelon basis of (image | source) rows built as `_augmented` is,
+    by the same inserts, with nothing taken out of it."""
+    t = h.target.ngens
+    lat = Lattice(t + h.source.ngens)
+    for j, col in enumerate(h.matrix.sparse_columns()):
+        lat.add(col | {t + j: 1})
+    for rel in h.target.relations.sparse_columns():
+        lat.add(rel)
+    return lat
+
+
+class TestSplitBasis:
+    """A map keeps one echelon basis: reading `kernel_lattice` moves the
+    rows with pivot >= h out of `_augmented`, and `surjective` and
+    `exact_at` read what each side holds."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(presented_homs(), st.booleans())
+    def test_kernel_rows_move_out_of_the_augmented_basis(self, h, first):
+        t = h.target.ngens
+        replay = augmented_replay(h)
+        if first:
+            # the kept rows serve preimages before and after the split
+            h.preimage_vector(h.matrix.sparse_columns()[0])
+        lat, aug = h.kernel_lattice, h._augmented
+        # the kernel rows equal an unsplit replay's, shifted down by h
+        assert list(zip(lat.pivots, lat.rows)) == [
+            (j - t, {k - t: x for k, x in row.items()})
+            for j, row in zip(replay.pivots, replay.rows) if j >= t]
+        # the augmented basis keeps the others, and only them
+        assert list(zip(aug.pivots, aug.rows)) == [
+            (j, row) for j, row in zip(replay.pivots, replay.rows) if j < t]
+        held = {id(row) for row in aug._row_at.values()}
+        assert not held & {id(row) for row in lat._row_at.values()}
+        assert h.kernel_lattice is lat
+        for col in h.matrix.sparse_columns():
+            x = h.preimage_vector(col)
+            assert x is not None and h.target.element(col) \
+                == h(h.source.element(x))
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(presented_homs(), st.booleans())
+    def test_surjective_against_dense_hnf(self, h, kernel_first):
+        if kernel_first:
+            h.kernel_lattice
+        ref, t = image_lattice(h), h.target.ngens
+        onto = ref.pivots == list(range(t)) and all(
+            ref.rows[i][i] == 1 for i in range(t))
+        assert h.surjective == onto
+
+    def test_surjective_onto_torsion_targets(self):
+        Z3 = FpAbelianGroup(("t",), IntMatrix([[3]]))
+        Z4 = FpAbelianGroup(("t",), IntMatrix([[4]]))
+        Z2Z4 = FpAbelianGroup("ab", IntMatrix([[2, 0], [0, 4]]))
+        # 2 is a unit mod 3: the pivot 1 comes from a gcd step
+        assert AbelianHom(Z, Z3, IntMatrix([[2]])).surjective
+        assert AbelianHom(Z, Z2, IntMatrix([[1]])).surjective
+        assert AbelianHom(Z, Z2, IntMatrix([[3]])).surjective
+        # onto 2 Z/4, a pivot entry 2
+        assert not AbelianHom(Z, Z4, IntMatrix([[2]])).surjective
+        assert not AbelianHom(Z, Z2, IntMatrix([[0]])).surjective
+        # one target generator is missed
+        assert not AbelianHom(Z, Z2Z4, IntMatrix([[1], [0]])).surjective
+        assert AbelianHom.from_columns(
+            direct_sum(Z, Z), Z2Z4, [[1, 0], [1, 3]]).surjective
+
+    def test_not_exact_when_image_is_inside_a_larger_kernel(self):
+        # Z -2-> Z -0-> Z and Z/4 -2-> Z/4 -0-> Z/4: every column of f lies
+        # in the kernel, and a kernel row has no preimage
+        Z4 = FpAbelianGroup(("t",), IntMatrix([[4]]))
+        for B in (Z, Z4):
+            f, g = AbelianHom(B, B, IntMatrix([[2]])), AbelianHom.zero(B, B)
+            assert all(g.kernel_lattice.contains(col)
+                       for col in f.matrix.sparse_columns())
+            assert not exact_at(f, g) and not exact_by_stacking(f, g)
+
+    def test_not_exact_when_kernel_is_inside_a_larger_image(self):
+        # Z^2 -id-> Z^2 -(a, b) -> a-> Z and Z/4 -id-> Z/4 ->> Z/2: every
+        # kernel row has a preimage, and a column of f leaves the kernel
+        Z4 = FpAbelianGroup(("t",), IntMatrix([[4]]))
+        Z_2 = direct_sum(Z, Z)
+        for f, g in ((AbelianHom.identity(Z_2),
+                      AbelianHom(Z_2, Z, IntMatrix([[1, 0]]))),
+                     (AbelianHom.identity(Z4),
+                      AbelianHom(Z4, Z2, IntMatrix([[1]])))):
+            assert g.kernel_lattice.rows
+            assert all(f.preimage_vector(row) is not None
+                       for row in g.kernel_lattice.rows)
+            assert not exact_at(f, g) and not exact_by_stacking(f, g)
 
 
 @st.composite
@@ -746,14 +845,14 @@ def lift_problems(draw):
 
 class TestLift:
     """`lift` finds phi with g . phi == f exactly when every column of f
-    lies in g's image lattice."""
+    lies in g's image lattice (the dense `image_lattice` oracle)."""
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(lift_problems())
     def test_lift_exactly_when_every_column_has_a_preimage(self, gf):
         g, f = gf
-        liftable = all(g.image_lattice.contains(col)
-                       for col in f.matrix.sparse_columns())
+        liftable = all(image_lattice(g).contains(col)
+                       for col in dense_columns(f.matrix))
         try:
             phi = g.lift(f)
         except HomValidityError:
@@ -868,11 +967,16 @@ class TestLatticeAgainstDense:
     @given(paired_lattices(), paired_lattices())
     def test_canonical_forms_and_equality_agree(self, pa, pb):
         (_, lat, ref), (_, lat2, ref2) = pa, pb
-        assert lat.equals(lat2) == ref.equals(ref2)
+        # the Hermite normal form is unique, so equal lattices have equal
+        # canonical rows
+        same = lat.n == lat2.n and Lattice(lat.n, lat.rows).canonicalize() \
+            .rows == Lattice(lat2.n, lat2.rows).canonicalize().rows
+        assert same == ref.equals(ref2)
         assert dense_rows(lat.canonicalize()) == ref.canonicalize().rows
         assert lat.pivots == ref.pivots
         assert all(all(row.values()) for row in lat._rows)
-        assert lat.equals(Lattice(lat.n, reversed(ref.rows)))
+        assert Lattice(lat.n, reversed(ref.rows)).canonicalize().rows \
+            == lat.rows
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(mixed_pivot_lattices())
@@ -1163,8 +1267,8 @@ class TestReduced:
                              for k in v.keys() | s.keys()})
         # the residual rows plus the substitution rows span the relations
         rows = [*substitution.values(), *residual.values()]
-        assert Lattice(n, rows).equals(
-            Lattice(n, G.relations.sparse_columns()))
+        assert Lattice(n, rows).canonicalize().rows \
+            == relation_lattice(G).rows
         # and the structure is the dense Smith normal form's
         if G.relations.cols:
             d = diag(snf(G.relations)[0])

@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from oracles import relation_lattice, relator_columns
+from oracles import (DenseLattice, image_lattice, relation_lattice,
+                     relator_columns)
 from quasilie import lie
 from quasilie.abelian import (AbelianHom, Lattice, NotDivisible, exact_at,
                               pullback, tensor_Z2)
@@ -141,7 +142,7 @@ class TestDGroups:
         vec = [0] * 4
         vec[src.index[(2, leaf(2))]] = 2
         want.add(vec)
-        assert got.equals(want)
+        assert got.canonicalize().rows == want.canonicalize().rows
 
     def test_d1_lie_trivial(self):
         assert d_group(1, 2, LIE).group.is_trivial
@@ -196,13 +197,11 @@ class TestProjectionSequence:
             for k in (1, 2):
                 sqm = sq(k, m)
                 p = proj_p(2 * k, m)
-                ker = Lattice(p.source.ngens, p.kernel_lattice.rows)
-                for col in p.source.relations.sparse_columns():
-                    vec = [0] * p.source.ngens
-                    for i, v in col.items():
-                        vec[i] = v
-                    ker.add(vec)
-                assert sqm.image_lattice.equals(ker)
+                n = p.source.ngens
+                ker = DenseLattice(n, [[row.get(i, 0) for i in range(n)]
+                                       for row in p.kernel_lattice.rows
+                                       + p.source.relations.sparse_columns()])
+                assert image_lattice(sqm).equals(ker)
 
     def test_sq_examples(self):
         s = sq(1, 1)

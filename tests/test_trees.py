@@ -42,6 +42,15 @@ class TestCanonicalRooted:
         c = canonical_rooted(leaf(1))
         assert c.tree is leaf(1) and c.sign == 1 and not c.self_negating
 
+    def test_leaf_takes_integers_only(self):
+        # a float is not truncated and a str is not parsed
+        for bad in (2.7, 2.0, "3"):
+            with pytest.raises(TypeError):
+                leaf(bad)
+        with pytest.raises(ValueError):
+            leaf(0)
+        assert leaf(2).label == 2
+
     def test_idempotent(self):
         for o in range(4):
             for t in rooted_trees(o, 3):
