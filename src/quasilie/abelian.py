@@ -9,9 +9,6 @@ and membership, and the group structure is read off the Hermite normal form
 of the relation lattice.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
 from functools import cached_property, partial
 from heapq import heapify, heappop, heappush
 from itertools import compress
@@ -549,17 +546,26 @@ class FpAbelianGroup:
         return f"FpAbelianGroup({self.ngens} gens; Z^{r} + {list(t)})"
 
 
-@dataclass(frozen=True, slots=True)
 class GroupElement:
     """Integer combination of the generators of a presented group.
 
     Stored as a sparse {generator index: nonzero int} dict that is never
     changed, so every operation touches only nonzeros; build elements with
     `FpAbelianGroup.element`, `zero` or `gen`.  `coeffs` is the dense view.
+    An element refuses assignment to its attributes.
     """
 
-    group: FpAbelianGroup
-    _vec: dict
+    __slots__ = ("group", "_vec")
+
+    def __init__(self, group, vec):
+        _set_group(self, group)
+        _set_vec(self, vec)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to GroupElement.{name}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete GroupElement.{name}")
 
     @property
     def coeffs(self):
@@ -620,6 +626,11 @@ class GroupElement:
     def __repr__(self):
         gens, v = self.group.generators, self._vec
         return " + ".join(f"{v[k]}*{gens[k]!r}" for k in sorted(v)) or "0"
+
+
+# the slots' own setters, which bypass the refusing __setattr__
+_set_group = GroupElement.group.__set__
+_set_vec = GroupElement._vec.__set__
 
 
 class AbelianHom:

@@ -7,19 +7,14 @@ Exit codes: 0 success, 1 failed verification claim, 2 budget exceeded,
 library consistency error (a map or lift failed a check of its construction).
 """
 
-from __future__ import annotations
-
 import argparse
-import csv
 import io
 import json
+import os
 import sys
-from collections.abc import Callable
-from dataclasses import dataclass
+from collections import namedtuple
 
-from . import abelian, lie, quadratic, treegroups, trees
-from .eta import (ALL_CLAIMS, d_tilde, eta as eta_map, eta_infinity,
-                  eta_prime, eta_tilde, verify, verify_all)
+from . import abelian, lie, treegroups, trees
 
 EXIT_FAILED_CLAIM = 1
 EXIT_BUDGET = 2
@@ -47,21 +42,19 @@ class CliError(Exception):
         self.code = code
 
 
-@dataclass(frozen=True)
-class Entry:
+class Entry(namedtuple("Entry", "build tree_order first step ambient",
+                       defaults=(0, 1, None))):
     """How to build one group or map, and where it is defined.
 
-    The name is defined in the orders first, first + step, ... with at least
-    one label; the budget is checked on tree_order(order).  For the eta maps
-    into a bracket kernel, `ambient` names the variant whose inclusion
-    renders --element images in tensor coordinates.  L, Lq and T build a
-    lie.BlockSum, read one label-multidegree block at a time.
+    build(order, labels) builds it.  The name is defined in the orders
+    first, first + step, ... with at least one label; the budget is checked
+    on tree_order(order).  For the eta maps into a bracket kernel, `ambient`
+    names the variant whose inclusion renders --element images in tensor
+    coordinates.  L, Lq and T build a lie.BlockSum, read one
+    label-multidegree block at a time.
     """
-    build: Callable[[int, int], object]
-    tree_order: Callable[[int], int]
-    first: int = 0
-    step: int = 1
-    ambient: str | None = None
+
+    __slots__ = ()
 
     def defined(self, order, labels):
         return (labels >= 1 and order >= self.first
@@ -80,6 +73,13 @@ def _same(n):
     return n
 
 
+def _eta():
+    """The eta module, imported when first read: only verify, Dtilde and
+    the eta maps need it."""
+    from . import eta
+    return eta
+
+
 # Every group and map of `group`, `map` and `table`.  Builders look their
 # library functions up when called, so they always call the current ones.
 REGISTRY = {
@@ -89,7 +89,7 @@ REGISTRY = {
         "D": Entry(lambda n, m: lie.d_group(n, m, lie.LIE).group, _kernel),
         "Dq": Entry(lambda n, m: lie.d_group(n, m, lie.QUASI).group,
                     _kernel),
-        "Dtilde": Entry(lambda n, m: d_tilde(n, m), _kernel, 1, 2),
+        "Dtilde": Entry(lambda n, m: _eta().d_tilde(n, m), _kernel, 1, 2),
         "Dinf": Entry(lambda n, m: lie.d_infinity(n, m).group, _kernel, 2, 4),
         "T": Entry(lambda n, m: treegroups.t_blocks(n, m), _same),
         "Ttilde": Entry(lambda n, m: treegroups.t_tilde(n, m), _same),
@@ -100,11 +100,13 @@ REGISTRY = {
             lie.lie_group(n, m, lie.QUASI)), _grade, 1),
     },
     "map": {
-        "etaP": Entry(lambda n, m: eta_prime(n, m), _kernel,
+        "etaP": Entry(lambda n, m: _eta().eta_prime(n, m), _kernel,
                       ambient=lie.QUASI),
-        "eta": Entry(lambda n, m: eta_map(n, m), _kernel, ambient=lie.LIE),
-        "etaTilde": Entry(lambda n, m: eta_tilde(n, m), _kernel, 1, 2),
-        "etaInf": Entry(lambda n, m: eta_infinity(n, m), _kernel, 2, 4),
+        "eta": Entry(lambda n, m: _eta().eta(n, m), _kernel,
+                     ambient=lie.LIE),
+        "etaTilde": Entry(lambda n, m: _eta().eta_tilde(n, m), _kernel, 1, 2),
+        "etaInf": Entry(lambda n, m: _eta().eta_infinity(n, m), _kernel,
+                        2, 4),
         "delta": Entry(lambda n, m: treegroups.delta((n + 1) // 2, m),
                        _kernel, 1, 2),
         "sq": Entry(lambda n, m: lie.sq(n, m), lambda n: 2 * n - 1, 1),
@@ -173,6 +175,7 @@ def _emit(obj, args):
     if args.format == "json":
         sys.stdout.write(json.dumps(obj, sort_keys=True, indent=2) + "\n")
     elif args.format == "csv":
+        import csv
         buf = io.StringIO()
         w = csv.writer(buf)
         w.writerow(obj.keys())
@@ -326,10 +329,19 @@ def cmd_map(args):
     return 0
 
 
+def _open_report(path, mode):
+    try:
+        return open(path, mode)
+    except OSError as e:
+        raise CliError(EXIT_USAGE, f"cannot write --report {path}: "
+                       f"{e.strerror}") from e
+
+
 def cmd_verify(args):
-    if args.claim != "all" and args.claim not in ALL_CLAIMS:
+    eta = _eta()
+    if args.claim != "all" and args.claim not in eta.ALL_CLAIMS:
         raise CliError(EXIT_BAD_NAME, f"unknown claim: {args.claim} "
-                       f"(choose from {', '.join(ALL_CLAIMS)})")
+                       f"(choose from {', '.join(eta.ALL_CLAIMS)})")
     max_order = args.verify_max_order
     if max_order < 0 or args.labels < 1:
         raise CliError(EXIT_BAD_NAME,
@@ -339,26 +351,29 @@ def cmd_verify(args):
                        f"budget exceeded for verify order={max_order} "
                        f"labels={args.labels} (raise the global "
                        f"--max-order/--max-labels)")
-    try:                # before any claim runs
-        report = args.report and open(args.report, "w")
-    except OSError as e:
-        raise CliError(EXIT_USAGE, f"cannot write --report {args.report}: "
-                       f"{e.strerror}") from e
+    if args.report:
+        # exit 6 before any claim runs, leaving an old report as it is (it
+        # is opened to append) and no file where there was none
+        existed = os.path.lexists(args.report)
+        _open_report(args.report, "a").close()
+        if not existed:
+            os.remove(args.report)
     if args.claim == "all":
-        reports = verify_all(max_order, args.labels, args.seed)
+        reports = eta.verify_all(max_order, args.labels, args.seed)
     else:
-        reports = [verify(args.claim, max_order, args.labels, args.seed)]
+        reports = [eta.verify(args.claim, max_order, args.labels, args.seed)]
     payload = json.dumps([r.to_dict() for r in reports],
                          sort_keys=True, indent=2) + "\n"
     sys.stdout.write(payload)
-    if report:
-        with report:
+    if args.report:
+        with _open_report(args.report, "w") as report:
             report.write(payload)
     return EXIT_FAILED_CLAIM if any(r.status == "failed" for r in reports) \
         else 0
 
 
 def cmd_quadratic(args):
+    from . import quadratic
     sub = args.subcommand
     if sub == "bridge":
         if (args.order is None or args.order < 0 or args.order % 2 != 0
@@ -411,6 +426,7 @@ def cmd_quadratic(args):
 
 
 def _presented_output(F):
+    from . import quadratic
     Q = F.target
     return {"model": Q.model,
             "M_c_e": Q.e.describe(),
@@ -446,6 +462,7 @@ def cmd_table(args):
                 g = entry.build(n, m)
                 rows.append((name, n, m, g.free_rank,
                              ";".join(str(t) for t in g.torsion)))
+    import csv
     w = csv.writer(sys.stdout)
     for r in rows:
         w.writerow(r)

@@ -7,13 +7,9 @@ to infinity generators by halving, and lifts to the pullback group in orders
 commuting squares) at budgeted sizes and returns serializable reports.
 """
 
-from __future__ import annotations
-
 import json
-from collections.abc import Callable
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import lru_cache, partial
-from typing import NamedTuple
 
 from .abelian import (AbelianHom, HomValidityError, NotDivisible,
                       TorsionPresent, exact_at, tensor_Z2)
@@ -223,12 +219,14 @@ def dprime_to_d(n, m):
 # verification suite
 
 
-@dataclass
 class VerificationReport:
-    claim: str
-    params: dict
-    status: str                      # verified | failed | skipped
-    witness: dict = field(default_factory=dict)
+    """The outcome of one claim, serialized by `to_dict`."""
+
+    def __init__(self, claim, params, status, witness):
+        self.claim = claim
+        self.params = params
+        self.status = status          # verified | failed | skipped
+        self.witness = witness
 
     def to_dict(self):
         return {"claim": self.claim, "params": self.params,
@@ -279,7 +277,7 @@ def verify(claim, max_order=4, labels=2, seed=0):
     return fn(claim, params, max_order, labels)
 
 
-class _Claim(NamedTuple):
+class _Claim(namedtuple("_Claim", "instance first step")):
     """A claim checked at each order n = first, first + step, ... up to
     max_order, for m = 1..labels: instance(n, m) returns (name, entry, ok)
     or (name, entry, ok, extra), the items `_report` reads.
@@ -287,9 +285,8 @@ class _Claim(NamedTuple):
     Calling the row runs the whole claim, so that what `verify` calls is
     the `_CLAIMS` value, and a wrapper put in its place (the per-claim
     timers of perfbench/tracer.py) covers the whole claim."""
-    instance: Callable
-    first: int
-    step: int
+
+    __slots__ = ()
 
     def __call__(self, claim, params, max_order, labels):
         """The report on the instances within the budget, m outermost."""

@@ -13,11 +13,8 @@ and the snake-lemma epimorphism onto Z2 (x) L_{k+1} all live here, with the
 pullback group that repairs the failure of that epimorphism to split.
 """
 
-from __future__ import annotations
-
 from collections import Counter
 from contextlib import contextmanager
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import factorial
 
@@ -221,12 +218,13 @@ def bracket_hom(n, m, variant=LIE):
     return AbelianHom.from_columns(src, dst, cols)
 
 
-@dataclass(frozen=True)
 class BracketKernel:
     """The kernel of a bracket map, with its inclusion into the ambient
     L_1 (x) L_{n+1}; `bracket.kernel_coordinates` reads an ambient vector
     over the kernel's generators."""
-    bracket: AbelianHom
+
+    def __init__(self, bracket):
+        self.bracket = bracket
 
     @property
     def group(self):
@@ -288,13 +286,15 @@ def sl(two_k, m):
     return phi
 
 
-@dataclass(frozen=True)
 class DInfinity:
-    difference: AbelianHom       # (d, lq) -> sl(d) - pbar(lq) on
-                                 # D + Z2 (x) L'_{2k}; D^inf is its kernel
-    p_hom: AbelianHom            # D^inf -> D_{4k-2}
-    sl_prime: AbelianHom         # D^inf -> Z2 (x) L'_{2k}
-    sq_k: AbelianHom             # Z2 (x) L_k -> L'_{2k}
+    """The pullback D^inf of sl against Z2 (x) L'_{2k}, with its maps."""
+
+    def __init__(self, difference, p_hom, sl_prime, sq_k):
+        self.difference = difference  # (d, lq) -> sl(d) - pbar(lq) on
+                                      # D + Z2 (x) L'_{2k}; D^inf is its kernel
+        self.p_hom = p_hom            # D^inf -> D_{4k-2}
+        self.sl_prime = sl_prime      # D^inf -> Z2 (x) L'_{2k}
+        self.sq_k = sq_k              # Z2 (x) L_k -> L'_{2k}
 
     @property
     def group(self):

@@ -23,14 +23,10 @@ The bridge at the end identifies the universal symmetric refinement of the
 tree-valued inner product with the twisted tree group of the same order.
 """
 
-from __future__ import annotations
-
-import random
-from dataclasses import dataclass
+from collections import namedtuple
 from math import comb
 
-from .abelian import AbelianHom, FpAbelianGroup, GroupElement, IntMatrix
-from .eta import VerificationReport
+from .abelian import AbelianHom, FpAbelianGroup, IntMatrix
 from .lie import QUASI, lie_group
 from .treegroups import t_group, t_infinity
 from .trees import edge_splits, inner_product, rooted_trees
@@ -109,12 +105,11 @@ class HermitianForm:
         return self.trivial_involution
 
 
-@dataclass(frozen=True)
-class PairElement:
-    """Element (m, a) of the central extension M_ee x_lambda A."""
+class PairElement(namedtuple("PairElement", "m a")):
+    """Element (m, a) of the central extension M_ee x_lambda A; equal when
+    both parts are."""
 
-    m: GroupElement
-    a: GroupElement
+    __slots__ = ()
 
     def __repr__(self):
         return f"({self.m!r} ; {self.a!r})"
@@ -176,16 +171,16 @@ class ExtensionQuadraticGroup:
                    for x in gens for y in gens)
 
 
-@dataclass(frozen=True)
 class AbelianQuadraticGroup:
     """Quadratic group with both labels presented abelian; h and p are maps,
     and the element operations are those of M_e."""
 
-    e: FpAbelianGroup
-    ee: FpAbelianGroup
-    h: AbelianHom
-    p: AbelianHom
-    model: str = "abelian"
+    def __init__(self, e, ee, h, p, model="abelian"):
+        self.e = e
+        self.ee = ee
+        self.h = h
+        self.p = p
+        self.model = model
 
     def zero(self):
         return self.e.zero()
@@ -212,13 +207,13 @@ class AbelianQuadraticGroup:
         return True
 
 
-@dataclass
 class QuadraticForm:
     """(lambda, mu): A -> quadratic group, in either model."""
 
-    form: HermitianForm
-    target: object      # ExtensionQuadraticGroup or AbelianQuadraticGroup
-    mu: object          # callable A-element -> M_e element
+    def __init__(self, form, target, mu):
+        self.form = form      # a HermitianForm
+        self.target = target  # Extension- or AbelianQuadraticGroup
+        self.mu = mu          # callable A-element -> M_e element
 
     @property
     def A(self):
@@ -236,6 +231,7 @@ def check_axioms(obj):
     Checked on generators (identities between homomorphisms hold everywhere
     once they hold on generators); reports rather than raises.
     """
+    from .eta import VerificationReport
     if isinstance(obj, QuadraticForm):
         kind, Q, checks = "quadratic_form", obj.target, _check_form(obj)
     elif isinstance(obj, (ExtensionQuadraticGroup, AbelianQuadraticGroup)):
@@ -271,6 +267,7 @@ def _check_group(Q):
 
 
 def _check_form(F):
+    import random
     Q, A, lam = F.target, F.A, F.form.lam
     gens = [A.gen(g) for g in A.generators]
     pairs = [(a, b) for a in gens for b in gens]
@@ -450,7 +447,6 @@ def universal_symmetric(form):
 # the universal pairing on trees and the bridge to the twisted groups
 
 
-@dataclass
 class QuasiLiePairing:
     """Target data for factorizing a pairing through the tree groups.
 
@@ -459,10 +455,11 @@ class QuasiLiePairing:
     to be bilinear, symmetric and invariant; this is sampled before use.
     """
 
-    alpha: object
-    bracket: object
-    pairing: object
-    M: FpAbelianGroup
+    def __init__(self, alpha, bracket, pairing, M):
+        self.alpha = alpha
+        self.bracket = bracket
+        self.pairing = pairing
+        self.M = M
 
 
 def psi_factorization(order, labels, target):
@@ -524,13 +521,16 @@ def inner_product_form(n, m):
     return HermitianForm(A, M, AbelianHom.identity(M), table)
 
 
-@dataclass
 class BridgeResult:
-    isomorphic: bool
-    phi: AbelianHom
-    refinement: QuadraticForm
-    twisted: object
-    checks: dict
+    """The map of `bridge_T_infinity`, its checks, and whether it is an
+    isomorphism that passes them."""
+
+    def __init__(self, isomorphic, phi, refinement, twisted, checks):
+        self.isomorphic = isomorphic
+        self.phi = phi
+        self.refinement = refinement  # the universal symmetric QuadraticForm
+        self.twisted = twisted        # the TreeGroup of order 2n
+        self.checks = checks
 
 
 def bridge_T_infinity(n, m):

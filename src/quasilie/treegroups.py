@@ -16,9 +16,6 @@ Infinity generators are keyed by the canonicalized rooted tree with the sign
 discarded, which builds J^inf = (-J)^inf into the data model.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .abelian import (AbelianHom, FpAbelianGroup, HomValidityError,
@@ -30,11 +27,12 @@ from .trees import (canonical_rootings, distinct_columns, glued,
                     onequad_rooted_expansions, rooted_trees, unrooted_trees)
 
 
-@dataclass(frozen=True, eq=False)
 class TreeGroup:
     """A twisted group T^inf_n with its canonical maps, keyed by name."""
-    group: FpAbelianGroup
-    maps: dict
+
+    def __init__(self, group, maps):
+        self.group = group
+        self.maps = maps
 
 
 def t_block(n, m, degree=None):

@@ -52,13 +52,11 @@ Text grammar (used verbatim by the CLI):
 where label is a decimal integer >= 1 written in ASCII digits (parse_label).
 """
 
-from __future__ import annotations
-
 from bisect import bisect_left
+from collections import namedtuple
 from functools import lru_cache
 from itertools import product
 from operator import index
-from typing import NamedTuple
 
 
 class RootedTree:
@@ -110,12 +108,10 @@ def node(left, right):
     return t
 
 
-class CanonSign(NamedTuple):
+class CanonSign(namedtuple("CanonSign", "tree sign self_negating")):
     """A canonical tree together with the sign picked up on the way there."""
 
-    tree: object
-    sign: int
-    self_negating: bool
+    __slots__ = ()
 
 
 _canon_sign = tuple.__new__      # CanonSign(...) without its __new__ frame
@@ -156,11 +152,10 @@ def canonical_rooted(t):
     return res
 
 
-class UnrootedTree(NamedTuple):
+class UnrootedTree(namedtuple("UnrootedTree", "label tree")):
     """Canonical unrooted tree, stored as the minimal pair <label, tree>."""
 
-    label: int
-    tree: RootedTree
+    __slots__ = ()
 
     @property
     def order(self):

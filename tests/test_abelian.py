@@ -1532,6 +1532,17 @@ class TestElements:
         with pytest.raises(AttributeError):
             e.group = G
 
+    def test_attributes_refuse_assignment_and_deletion(self):
+        G = FpAbelianGroup(("a", "b"))
+        e = G.element([1, 2])
+        for name in ("group", "_vec", "other"):
+            with pytest.raises(AttributeError):
+                setattr(e, name, {})
+            with pytest.raises(AttributeError):
+                delattr(e, name)
+        assert e.group is G and e.vector == {0: 1, 1: 2}
+        assert not hasattr(e, "__dict__")
+
     def test_indices_out_of_range_raise(self):
         G = FpAbelianGroup(("a", "b", "c"))
         for k in (-1, 3, 5):

@@ -15,6 +15,8 @@ from quasilie.lie import (LIE, QUASI, ImageEscapesKernel, LiftMismatch,
                           WellDefinednessError, lie_group)
 from quasilie.treegroups import t_group, t_infinity
 
+E = importlib.import_module("quasilie.eta")     # the module, not eta()
+
 
 def run(capsys, *argv):
     code = cli.main(list(argv))
@@ -229,15 +231,51 @@ class TestVerify:
         assert path.read_text() == out
 
     def test_unwritable_report_exit6(self, capsys, monkeypatch, tmp_path):
-        # the report is opened before any claim runs, so nothing is printed
+        # the report path is checked before any claim runs, so nothing is
+        # printed
         ran = []
-        monkeypatch.setattr(cli, "verify_all", lambda *a: ran.append(a))
+        monkeypatch.setattr(E, "verify_all", lambda *a: ran.append(a))
         for path in (tmp_path / "missing" / "x.json", tmp_path):
             code, out, err = run(capsys, "verify", "all", "--max-order", "1",
                                  "--labels", "1", "--report", str(path))
             assert code == 6 and out == "" and ran == []
             assert err.startswith(f"error: cannot write --report {path}: ")
             assert err.count("\n") == 1
+
+    def test_exit7_leaves_an_old_report_alone(self, capsys, monkeypatch,
+                                              tmp_path):
+        # a consistency error while the claims run writes no report: an
+        # old one stays byte-identical, and none is made where there was none
+        def broken(*a):
+            raise lie.ConsistencyError("forced")
+        monkeypatch.setattr(E, "verify_all", broken)
+        old, new = tmp_path / "old.json", tmp_path / "new.json"
+        old.write_bytes(b'[{"old": "report"}]\n')
+        for path in (old, new):
+            code, out, err = run(capsys, "verify", "all", "--max-order", "1",
+                                 "--labels", "1", "--report", str(path))
+            assert code == 7 and out == "" and err == "error: forced\n"
+        assert old.read_bytes() == b'[{"old": "report"}]\n'
+        assert list(tmp_path.iterdir()) == [old]
+
+    def test_exit0_and_exit1_replace_an_old_report(self, capsys, monkeypatch,
+                                                   tmp_path):
+        path = tmp_path / "report.json"
+        argv = ("verify", "tau_odd", "--max-order", "1", "--labels", "1",
+                "--report", str(path))
+        path.write_text("x" * 100_000)      # longer than either report
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and path.read_text() == out
+        assert json.loads(out)[0]["status"] == "verified"
+        failed = E.VerificationReport("tau_odd", {}, "failed",
+                                      {"offender": "forced"})
+        monkeypatch.setattr(E, "verify", lambda *a: failed)
+        path.write_text("x" * 100_000)
+        code, out, _ = run(capsys, *argv)
+        assert code == 1 and path.read_text() == out
+        assert json.loads(out) == [{"claim": "tau_odd", "params": {},
+                                    "status": "failed",
+                                    "witness": {"offender": "forced"}}]
 
     def test_order_option_removed(self, capsys):
         # --max-order is the one order option of verify
@@ -554,8 +592,7 @@ class TestDomain:
         # and exit 7, not a traceback and the exit 1 of a failed claim
         def broken(n, m):
             raise error(f"{builder}({n},{m}) forced to fail")
-        monkeypatch.setattr(importlib.import_module("quasilie.eta"),
-                            builder, broken)
+        monkeypatch.setattr(E, builder, broken)
         code, out, err = run(capsys, "verify", claim, "--max-order",
                              str(max_order), "--labels", "1")
         assert code == 7 and out == ""
@@ -567,7 +604,7 @@ class TestDomain:
         # odd doubles; a fresh eta, since the cached one is already built
         real = AbelianHom.scale
         monkeypatch.setattr(AbelianHom, "scale", lambda h, k: real(h, 0))
-        monkeypatch.setattr(cli, "eta_map", eta.__wrapped__)
+        monkeypatch.setattr(E, "eta", eta.__wrapped__)
         code, out, err = run(capsys, "map", "eta", "--order", "2",
                              "--labels", "2")
         assert code == 7 and out == ""
